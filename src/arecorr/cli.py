@@ -4,26 +4,27 @@ invariant verification, Monte Carlo reports, and reduction diagnostics.
 Output is CSV (default), JSON mirroring the CSV fields, or, for
 `verify`, line-oriented text.  All output is locale-independent with
 '.' decimals and LF line endings; identical flags and seed give
-byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+byte-identical output.  Exit codes: 0 success, 1 verification failure
+or any other error the package or the file system reports, 2 usage
+error; errors print one `arecorr: ...` line to stderr and nothing to
+stdout.
 
-The worker count for Monte Carlo fan-out comes from the environment
-variable ARECORR_WORKERS (default 1); results do not depend on it.
+`mc` draws each replicate once per rho and evaluates R, S and T on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import os
 import sys
 
 from .are_bounds import are, crossover, endpoint_constants, pair, quad_bounds
-from .errors import DomainError, Indeterminate
+from .errors import ArecorrError, DomainError, Indeterminate
 from .reduction import build_chain_rt, classify_monotone, classify_sign, rho_tilde
-from .stats_mc import DEFAULT_SEED, mc_moments
+from .stats_mc import DEFAULT_SEED, McReport, mc_moments
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -58,17 +59,6 @@ def _selected_pairs(flag: str) -> list[str]:
 
 def _selected_anchors(flag: str) -> list[int]:
     return [0, 1] if flag == "both" else [int(flag)]
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("ARECORR_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise _UsageError(f"ARECORR_WORKERS={raw!r} is not an integer") from None
-    if w < 1:
-        raise _UsageError(f"ARECORR_WORKERS must be >= 1, got {w}")
-    return w
 
 
 def _render(rows: list[dict], fieldnames: list[str], fmt: str) -> str:
@@ -173,39 +163,16 @@ def _cmd_mc(args) -> int:
     if args.n < 10:
         raise _UsageError(f"--n must be >= 10, got {args.n}")
     rhos = _parse_rho_list(args.rho)
-    workers = _workers_from_env()
-    rows = []
-    for stat in ("R", "S", "T"):
-        for rho in rhos:
-            rep = mc_moments(
-                stat, rho, n=args.n, reps=args.reps, seed=args.seed, workers=workers
-            )
-            rows.append(
-                {
-                    "stat": rep.stat,
-                    "rho": rep.rho,
-                    "n": rep.n,
-                    "reps": rep.reps,
-                    "mean_hat": rep.mean_hat,
-                    "var_hat_scaled": rep.var_hat_scaled,
-                    "se_mean": rep.se_mean,
-                    "se_var": rep.se_var,
-                    "cdf_sup_dist": rep.cdf_sup_dist,
-                    "seed": rep.seed,
-                }
-            )
-    names = [
-        "stat",
-        "rho",
-        "n",
-        "reps",
-        "mean_hat",
-        "var_hat_scaled",
-        "se_mean",
-        "se_var",
-        "cdf_sup_dist",
-        "seed",
+    # rho outermost, so the three statistics of one rho share its draws;
+    # the stable sort restores one block of rows per statistic.
+    reports = [
+        mc_moments(stat, rho, n=args.n, reps=args.reps, seed=args.seed)
+        for rho in rhos
+        for stat in "RST"
     ]
+    reports.sort(key=lambda rep: "RST".index(rep.stat))
+    rows = [dataclasses.asdict(rep) for rep in reports]
+    names = [f.name for f in dataclasses.fields(McReport)]
     _write_out(_render(rows, names, args.format), args.out)
     return 0
 
@@ -327,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"arecorr: error: {exc}", file=sys.stderr)
         return 2
+    except ArecorrError as exc:
+        print(f"arecorr: error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"arecorr: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -8,18 +8,23 @@ writes S as a U-statistic average; `spearman_ustat_identity` evaluates
 both sides for comparison.
 
 Sampling uses counter-based Philox streams keyed by (seed, replicate
-index), so Monte Carlo results never depend on worker count or
-scheduling.  Normal variates come from the inverse-CDF map applied to
-53-bit uniforms; X and Z draws interleave within one stream, so a
-smaller n yields a prefix of a larger n's sample at the same key.
+index), so replicate i is the same sample whatever else is computed.
+Normal variates come from the inverse-CDF map applied to 53-bit
+uniforms; X and Z draws interleave within one stream, so a smaller n
+yields a prefix of a larger n's sample at the same key.
+
+Monte Carlo draws each replicate once and evaluates R, S and T on that
+one sample.  S and T are computed over blocks of stacked replicates
+from exact integer rank counts, so each value is bitwise the one the
+per-sample estimator returns.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -48,6 +53,10 @@ __all__ = [
 DEFAULT_SEED = 20260814
 
 _STAT_NAMES = ("R", "S", "T")
+
+# Replicates per block are this many sample cells over n, so a block's
+# working arrays stay a few hundred KiB whatever n is.
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -155,47 +164,65 @@ def pearson_r(s: BivariateSample) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def spearman_s(s: BivariateSample) -> float:
-    if s.n < 2:
-        raise DomainError(f"need n >= 2, got {s.n}")
-    _warn_on_ties(s)
-    n = s.n
-    total = int(_ranks(s.x) @ _ranks(s.y))
+def _spearman_value(n: int, total: int) -> float:
     # One integer numerator and one division keep the value an exactly
     # rounded rational, so y -> -y negates it exactly.
     return (12 * total - 3 * n * (n + 1) ** 2) / (n**3 - n)
 
 
-def _count_inversions(ranks: np.ndarray) -> int:
-    """Inversions of a permutation of 0..n-1, by bottom-up merge sort.
+def _kendall_value(n: int, inversions: int) -> float:
+    c2 = n * (n - 1) // 2
+    return (c2 - 2 * inversions) / c2
 
-    The array is padded to a power of two with the sentinel n.  Within
+
+def spearman_s(s: BivariateSample) -> float:
+    if s.n < 2:
+        raise DomainError(f"need n >= 2, got {s.n}")
+    _warn_on_ties(s)
+    return _spearman_value(s.n, int(_ranks(s.x) @ _ranks(s.y)))
+
+
+def _inverse_permutations(order: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of (rows, n) permutations of 0..n-1; applied to
+    argsort output, the 0-based ranks of tie-free rows."""
+    inverse = np.empty_like(order)
+    np.put_along_axis(inverse, order, np.arange(order.shape[1]), axis=1)
+    return inverse
+
+
+def _inversions(perms: np.ndarray) -> np.ndarray:
+    """Inversions of each row of a (rows, n) array of permutations of
+    0..n-1, by bottom-up merge sort over all rows at once.
+
+    At each level a value v becomes the key 2v in the left half of its
+    block and 2v + 1 in the right half; keys are distinct, and sorting a
+    block merges its two sorted halves.  A right-half key at merged
+    position p with j right keys before it has p - j left values below
+    it, so the block's inversions are size * (3 * size - 1) / 2 minus
+    the sum of the right-half positions.
+
+    Each row is padded to a power of two with the sentinel n.  Within
     every block the real values always precede the sentinels, and only
-    one block at each level mixes the two, so sentinels never sit in a
-    left half while real values sit in the matching right half: padding
-    adds no spurious inversions.
+    one block per row at each level mixes the two, so sentinels never
+    sit in a left half while real values sit in the matching right
+    half: padding adds no spurious inversions.  Blocks never straddle
+    rows, because a row's padded length is a multiple of every block.
     """
-    n = int(ranks.size)
+    rows, n = perms.shape
+    total = np.zeros(rows, dtype=np.int64)
     if n < 2:
-        return 0
+        return total
     m = 1 << (n - 1).bit_length()
-    pad = n
-    work = np.full(m, pad, dtype=np.int64)
-    work[:n] = ranks
-    total = 0
+    work = np.full((rows, m), n, dtype=np.int64)
+    work[:, :n] = perms
     size = 1
     while size < m:
-        blocks = work.reshape(-1, 2 * size)
-        nblocks = blocks.shape[0]
-        # Offset each block into its own value range so one global
-        # searchsorted counts "left-half elements <= r" for every block.
-        offset = np.arange(nblocks, dtype=np.int64)[:, None] * (pad + 1)
-        lflat = (blocks[:, :size] + offset).ravel()
-        rflat = (blocks[:, size:] + offset).ravel()
-        below = np.searchsorted(lflat, rflat, side="right")
-        below -= np.repeat(np.arange(nblocks, dtype=np.int64) * size, size)
-        total += int((size - below).sum())
-        work = np.sort(blocks, axis=1).ravel()
+        keys = 2 * work.reshape(-1, 2 * size)
+        keys[:, size:] += 1
+        keys.sort(axis=1)
+        positions = (keys & 1) @ np.arange(2 * size, dtype=np.int64)
+        total += (size * (3 * size - 1) // 2 - positions).reshape(rows, -1).sum(axis=1)
+        work = keys >> 1
         size *= 2
     return total
 
@@ -212,13 +239,10 @@ def kendall_t(s: BivariateSample) -> float:
     if np.unique(s.x).size < s.n or np.unique(s.y).size < s.n:
         warnings.warn("tied coordinates present; using kernel sum", TiesPresent)
         return kendall_t_brute(s)
-    n = s.n
-    yp = s.y[np.argsort(s.x)]
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.argsort(yp)] = np.arange(n, dtype=np.int64)
-    inv = _count_inversions(ranks)
-    c2 = n * (n - 1) // 2
-    return (c2 - 2 * inv) / c2
+    # y ranks listed in x order: a permutation with one inversion per
+    # discordant pair.
+    ry = _inverse_permutations(np.argsort(s.y)[None, :])
+    return _kendall_value(s.n, int(_inversions(ry[:, np.argsort(s.x)])[0]))
 
 
 def kendall_t_brute(s: BivariateSample) -> float:
@@ -299,19 +323,72 @@ def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
     return mu_s_finite_n(rho, n), ms.sigma2
 
 
+def _tied_rows(v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    ordered = np.take_along_axis(v, order, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+
+
+def _block_st(samples: list[BivariateSample]) -> np.ndarray:
+    """(2, rows) array of S and T for samples of one size n >= 2.
+
+    The samples are stacked into (rows, n) arrays and ranked by one
+    argsort per coordinate.  S comes from the row sums of rank products
+    and T from the row-wise inversion count of the y ranks in x order;
+    both are exact integers, so each value is bitwise the per-sample
+    one.  A row with a tie goes to the per-sample estimators, which use
+    "<=" ranks and warn.
+    """
+    x = np.stack([s.x for s in samples])
+    y = np.stack([s.y for s in samples])
+    n = x.shape[1]
+    ox = np.argsort(x, axis=1)
+    oy = np.argsort(y, axis=1)
+    tied = _tied_rows(x, ox) | _tied_rows(y, oy)
+    ry = _inverse_permutations(oy)
+    totals = ((_inverse_permutations(ox) + 1) * (ry + 1)).sum(axis=1)
+    inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
+    out = np.empty((2, len(samples)))
+    for k, s in enumerate(samples):
+        if tied[k]:
+            out[:, k] = _ESTIMATORS["S"](s), _ESTIMATORS["T"](s)
+        else:
+            out[0, k] = _spearman_value(n, int(totals[k]))
+            out[1, k] = _kendall_value(n, int(inversions[k]))
+    return out
+
+
+@lru_cache(maxsize=8)
+def _replicates(rho: float, n: int, reps: int, seed: int) -> np.ndarray:
+    """Read-only (3, reps) array of R, S and T on replicates 0..reps-1.
+
+    Replicate i is drawn once, from stream i of `seed`.  R is evaluated
+    per replicate, S and T over blocks of _BLOCK_CELLS // n replicates.
+    The cache holds a few (rho, n, reps, seed) keys, so the three
+    statistics of one key share their draws.
+    """
+    out = np.empty((3, reps))
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
+        block = [sample_bivariate_normal(n, rho, seed, stream=i) for i in range(lo, hi)]
+        out[0, lo:hi] = [_ESTIMATORS["R"](s) for s in block]
+        out[1:, lo:hi] = _block_st(block)
+    out.flags.writeable = False
+    return out
+
+
 def mc_moments(
     stat: str,
     rho: Rho | float,
     n: int,
     reps: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> McReport:
     """Monte Carlo check of the asymptotic mean/variance and normality.
 
     Replicate i draws its sample from stream i of `seed`, so the result
-    is a pure function of (stat, rho, n, reps, seed): worker count only
-    changes wall time.  Replicates are reduced in index order.
+    is a pure function of (stat, rho, n, reps, seed); the values of R, S
+    and T come from the same draws and are computed once per key.
     `cdf_sup_dist` is the sup distance between the empirical CDF of
     sqrt(n)*(stat - mu)/sigma and the standard normal CDF, where mu is
     the exact finite-n mean for S and the asymptotic mean otherwise.
@@ -324,16 +401,7 @@ def mc_moments(
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps!r}")
     value = _rho_strict(rho)
-    estimator = _ESTIMATORS[stat_u]
-
-    def one(i: int) -> float:
-        return estimator(sample_bivariate_normal(n, value, seed, stream=i))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = np.fromiter(pool.map(one, range(reps)), np.float64, count=reps)
-    else:
-        vals = np.fromiter(map(one, range(reps)), np.float64, count=reps)
+    vals = _replicates(value, n, reps, seed)[_STAT_NAMES.index(stat_u)]
 
     mean_hat = float(vals.mean())
     var_hat = float(vals.var(ddof=1))

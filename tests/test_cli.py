@@ -8,7 +8,9 @@ import json
 
 import pytest
 
+from arecorr import cli
 from arecorr.cli import main
+from arecorr.errors import Indeterminate
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -117,6 +119,21 @@ def test_verify_csv_mirrors_the_text_outcome(capsys) -> None:
     assert {"name", "passed", "margin", "detail"} == set(rows[0])
 
 
+def test_a_package_error_exits_one_with_a_single_stderr_line(
+    capsys, monkeypatch
+) -> None:
+    def indeterminate(grid, tol):
+        raise Indeterminate("value 4e-12 at x=0.99994 is within the sign floor")
+
+    monkeypatch.setattr(cli, "run_checks", indeterminate)
+    rc, out, err = _run(capsys, ["verify", "--grid", "99"])
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "arecorr: error: value 4e-12 at x=0.99994 is within the sign floor"
+    ]
+
+
 # ---------------------------------------------------------------------- mc
 
 
@@ -157,13 +174,6 @@ def test_mc_output_is_byte_identical_across_runs_and_workers(
     rc3, pooled, _ = _run(capsys, MC_FAST)
     assert rc3 == 0
     assert pooled == first
-
-
-def test_mc_rejects_a_bad_worker_environment(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("ARECORR_WORKERS", "zero")
-    assert _run(capsys, MC_FAST)[0] == 2
-    monkeypatch.setenv("ARECORR_WORKERS", "0")
-    assert _run(capsys, MC_FAST)[0] == 2
 
 
 # ------------------------------------------------------------------ reduce

@@ -7,7 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arecorr import stats_mc
 from arecorr.corrmath import Rho, moments_s, mu_s_finite_n
 from arecorr.errors import DegenerateSample, DomainError, TiesPresent
 from arecorr.stats_mc import (
@@ -253,10 +256,58 @@ def test_mc_moments_validates_arguments() -> None:
         mc_moments("T", 1.0, 50, 100)
 
 
-def test_mc_moments_is_worker_count_independent() -> None:
-    lone = mc_moments("T", 0.5, 50, 100, seed=1, workers=1)
-    pooled = mc_moments("T", 0.5, 50, 100, seed=1, workers=4)
-    assert lone == pooled
+@pytest.mark.parametrize("n", [10, 50, 1000])
+def test_replicates_match_per_sample_estimators_across_block_boundaries(n) -> None:
+    rows = max(1, stats_mc._BLOCK_CELLS // n)
+    reps = 2 * rows + rows // 2 + 1  # two full blocks and a partial one
+    rho, seed = 0.7, 20 + n
+    values = stats_mc._replicates(rho, n, reps, seed)
+    assert values.shape == (3, reps)
+    for i in range(reps):
+        s = sample_bivariate_normal(n, rho, seed, stream=i)
+        for k, stat in enumerate("RST"):
+            assert values[k, i] == stats_mc._ESTIMATORS[stat](s), (stat, i)
+
+
+# n = 2, 3, and powers of two and their neighbours, where padding changes.
+_PERMUTATION_BLOCKS = st.sampled_from(
+    [2, 3] + [m + d for m in (4, 8, 16, 32, 64) for d in (-1, 0, 1)]
+).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PERMUTATION_BLOCKS)
+def test_row_inversion_counts_match_the_kernel_sum(perms) -> None:
+    block = np.array(perms, dtype=np.int64)
+    n = block.shape[1]
+    c2 = n * (n - 1) // 2
+    counts = stats_mc._inversions(block)
+    for row, count in zip(block, counts):
+        # With x = 0..n-1 the discordant pairs are the inversions of y.
+        brute = kendall_t_brute(BivariateSample(x=np.arange(n), y=row))
+        assert count == round(c2 * (1.0 - brute) / 2.0)
+
+
+def test_block_sends_a_tied_row_to_the_per_sample_estimators() -> None:
+    block = [_sample(12, 0.4, stream=k) for k in range(3)]
+    x = block[1].x.copy()
+    x[5] = x[2]
+    block[1] = BivariateSample(x=x, y=block[1].y)
+    with pytest.warns(TiesPresent):
+        values = stats_mc._block_st(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiesPresent)
+        for k, s in enumerate(block):
+            assert values[0, k] == spearman_s(s)
+            assert values[1, k] == kendall_t(s)
+
+
+def test_cached_replicates_are_read_only() -> None:
+    values = stats_mc._replicates(0.2, 10, 100, 3)
+    assert stats_mc._replicates(0.2, 10, 100, 3) is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 0.0
 
 
 def test_mc_moments_report_is_plausible() -> None:
