@@ -1,0 +1,48 @@
+"""Byte-for-byte CLI output against the committed files in tests/golden/.
+
+Each golden is the exact stdout of one command.  A golden changes only on
+purpose, in its own commit, with the reason recorded in CHANGES.md; to
+write them afresh run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from arecorr.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDENS = {
+    "table_grid99.csv": ["table", "--grid", "99"],
+    "bounds.csv": ["bounds"],
+    "verify.json": ["verify", "--format", "json"],
+    "reduce_grid99.csv": ["reduce", "--grid", "99"],
+    "mc_n50_reps200.csv": ["mc", "--n", "50", "--reps", "200", "--rho", "0.0,0.5"],
+}
+
+
+def _stdout_of(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    assert rc == 0, f"{argv} exited {rc}"
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_cli_output_matches_golden_bytes(name: str) -> None:
+    want = (GOLDEN_DIR / name).read_bytes()
+    assert _stdout_of(GOLDENS[name]).encode("utf-8") == want
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDENS.items():
+        (GOLDEN_DIR / name).write_bytes(_stdout_of(argv).encode("utf-8"))
+        print(f"wrote {name}", file=sys.stderr)
