@@ -20,6 +20,7 @@ from typing import Callable, Literal
 
 from .corrmath import (
     DEFAULT_S_ABS_TOL,
+    _arcsine,
     moments_r,
     moments_s,
     moments_t,
@@ -36,6 +37,8 @@ __all__ = [
     "PiecewiseBounds",
     "PAIR_TAGS",
     "pair",
+    "anchor_line",
+    "bisect_root",
     "are",
     "dare",
     "are_from_moments",
@@ -45,7 +48,6 @@ __all__ = [
     "partition_bounds",
     "quartic_bounds_rs",
     "crossover",
-    "richardson_q_limit",
     "SERIES_RADIUS",
     "Q_GUARD",
 ]
@@ -69,30 +71,35 @@ _JET_ORDER = 12
 
 @dataclass(frozen=True)
 class Pair:
-    """One ARE in factored form: are(x) = f(x)/g(x) with g > 0 on (0, 1)."""
+    """One ARE in factored form: are(x) = f(x)/g(x) with g > 0 on (0, 1).
+
+    f and g take a float or a Jet and return the same kind.
+    """
 
     tag: PairTag
-    f: Callable[[float], float]
-    g: Callable[[float], float]
+    f: Callable
+    g: Callable
 
 
-def _f_rt(x: float) -> float:
-    return _PI2 - 36.0 * math.asin(0.5 * x) ** 2
+def _f_rt(x):
+    return _PI2 - 36.0 * _arcsine(0.5 * x) ** 2
 
 
-def _g_rt(x: float) -> float:
+def _g_rt(x):
     return 9.0 * (1.0 - x * x)
 
 
-def _f_s(x: float) -> float:
+def _f_s(x):
+    if isinstance(x, Jet):
+        return sigma_s2_jet(x.center, x.order)
     return sigma_s2(x, DEFAULT_S_ABS_TOL)
 
 
-def _g_ts(x: float) -> float:
-    return 4.0 * (1.0 - x * x) * (_PI2 - 36.0 * math.asin(0.5 * x) ** 2) / (_PI2 * (4.0 - x * x))
+def _g_ts(x):
+    return 4.0 * (1.0 - x * x) * _f_rt(x) / (_PI2 * (4.0 - x * x))
 
 
-def _g_rs(x: float) -> float:
+def _g_rs(x):
     return 36.0 * (1.0 - x * x) ** 2 / (_PI2 * (4.0 - x * x))
 
 
@@ -118,56 +125,11 @@ def _as_tag(p: Pair | str) -> PairTag:
 # Endpoint Taylor machinery
 
 
-def _f_jet(tag: PairTag, x0: float, order: int) -> Jet:
-    if tag == "RT":
-        x = Jet.variable(x0, order)
-        return _PI2 - 36.0 * (0.5 * x).asin() ** 2
-    return sigma_s2_jet(x0, order, DEFAULT_S_ABS_TOL)
-
-
-def _g_jet(tag: PairTag, x0: float, order: int) -> Jet:
-    x = Jet.variable(x0, order)
-    if tag == "RT":
-        return 9.0 * (1.0 - x * x)
-    if tag == "TS":
-        return (
-            4.0 * (1.0 - x * x) * (_PI2 - 36.0 * (0.5 * x).asin() ** 2)
-            / (_PI2 * (4.0 - x * x))
-        )
-    return 36.0 * (1.0 - x * x) ** 2 / (_PI2 * (4.0 - x * x))
-
-
 # Order of the common zero of f and g at x = 1 (cancelled before division).
 _VANISH_AT_1: dict[PairTag, int] = {"RT": 1, "TS": 2, "RS": 2}
 
 # Dropped coefficients must be zero up to quadrature/rounding noise.
 _VANISH_NOISE = 1e-8
-
-
-@dataclass(frozen=True)
-class _Series:
-    """Truncated expansion of are(anchor + t) in t; q-series starts at index 2."""
-
-    anchor: float
-    coeffs: tuple[float, ...]
-
-    def value(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def slope(self, t: float) -> float:
-        acc = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * t + k * self.coeffs[k]
-        return acc
-
-    def q_value(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs[2:]):
-            acc = acc * t + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -178,10 +140,11 @@ class Endpoints:
 
 
 _cache_lock = threading.Lock()
-_series_cache: dict[tuple[PairTag, int], _Series] = {}
+_series_cache: dict[tuple[PairTag, int], Jet] = {}
 
 
-def _series(tag: PairTag, anchor: int) -> _Series:
+def _series(tag: PairTag, anchor: int) -> Jet:
+    """Truncated expansion of are(anchor + t) in t, as a jet centred at t = 0."""
     key = (tag, anchor)
     got = _series_cache.get(key)
     if got is not None:
@@ -190,8 +153,8 @@ def _series(tag: PairTag, anchor: int) -> _Series:
         got = _series_cache.get(key)
         if got is not None:
             return got
-        fj = _f_jet(tag, float(anchor), _JET_ORDER)
-        gj = _g_jet(tag, float(anchor), _JET_ORDER)
+        x = Jet.variable(float(anchor), _JET_ORDER)
+        fj, gj = _PAIRS[tag].f(x), _PAIRS[tag].g(x)
         m = _VANISH_AT_1[tag] if anchor == 1 else 0
         for k in range(m):
             if abs(fj.coeffs[k]) > _VANISH_NOISE or abs(gj.coeffs[k]) > _VANISH_NOISE:
@@ -199,8 +162,7 @@ def _series(tag: PairTag, anchor: int) -> _Series:
                     f"{tag} expansion at {anchor}: coefficient {k} expected to "
                     f"vanish, got f={fj.coeffs[k]!r} g={gj.coeffs[k]!r}"
                 )
-        quot = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
-        made = _Series(float(anchor), quot.coeffs)
+        made = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
         _series_cache[key] = made
         return made
 
@@ -231,7 +193,7 @@ def are(p: Pair | str, x: float) -> float:
     if ax == 0.0:
         return _series(tag, 0).coeffs[0]
     if 1.0 - ax <= SERIES_RADIUS:
-        return _series(tag, 1).value(ax - 1.0)
+        return _series(tag, 1)(ax - 1.0)
     pr = _PAIRS[tag]
     return pr.f(ax) / pr.g(ax)
 
@@ -243,10 +205,10 @@ def dare(p: Pair | str, x: float) -> float:
     if ax == 0.0:
         return 0.0
     if 1.0 - ax <= SERIES_RADIUS:
-        val = _series(tag, 1).slope(ax - 1.0)
+        val = _series(tag, 1).deriv()(ax - 1.0)
     else:
-        fj = _f_jet(tag, ax, 1)
-        gj = _g_jet(tag, ax, 1)
+        var = Jet.variable(ax, 1)
+        fj, gj = _PAIRS[tag].f(var), _PAIRS[tag].g(var)
         val = (fj.coeffs[1] * gj.coeffs[0] - fj.coeffs[0] * gj.coeffs[1]) / gj.coeffs[0] ** 2
     return math.copysign(val, x)
 
@@ -279,23 +241,28 @@ def _q_limit(tag: PairTag, a: int, end: int) -> float:
     return b0 - b1 + c1 if end == 0 else s1.coeffs[2]
 
 
+def anchor_line(p: Pair | str, a: int) -> tuple[float, float]:
+    """(b, c) of the line b + c(x - a) through are at the anchor a in {0, 1}.
+
+    b is are(a); c is are'(1-) at a = 1 and 0 at a = 0, where are is even.
+    """
+    if a not in (0, 1):
+        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
+    s_a = _series(_as_tag(p), a)
+    return s_a.coeffs[0], (s_a.coeffs[1] if a == 1 else 0.0)
+
+
 def q(p: Pair | str, a: int, x: float) -> float:
     """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2."""
     tag = _as_tag(p)
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
+    b, c = anchor_line(tag, a)
     if not (0.0 < x < 1.0):
         raise DomainError(f"q needs x in (0, 1), got {x!r}")
     t = x - a
     if abs(t) < Q_GUARD:
         return _q_limit(tag, a, a)
-    if a == 1 and -t <= SERIES_RADIUS:
-        return _series(tag, 1).q_value(t)
-    if a == 0 and t <= SERIES_RADIUS:
-        return _series(tag, 0).q_value(t)
-    s_a = _series(tag, a)
-    b = s_a.coeffs[0]
-    c = s_a.coeffs[1] if a == 1 else 0.0
+    if abs(t) <= SERIES_RADIUS:
+        return Jet(0.0, _series(tag, a).coeffs[2:])(t)
     return (are(tag, x) - b - c * t) / (t * t)
 
 
@@ -316,11 +283,7 @@ class QuadCoeffs:
 def quad_bounds(p: Pair | str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
     """(lower, upper) quadratic bounds anchored at a in {0, 1}."""
     tag = _as_tag(p)
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
-    s_a = _series(tag, a)
-    b = s_a.coeffs[0]
-    c = s_a.coeffs[1] if a == 1 else 0.0
+    b, c = anchor_line(tag, a)
     return (
         QuadCoeffs(a=a, b=b, c=c, q=_q_limit(tag, a, 0)),
         QuadCoeffs(a=a, b=b, c=c, q=_q_limit(tag, a, 1)),
@@ -338,9 +301,7 @@ class PiecewiseBounds:
     upper: tuple[QuadCoeffs, ...]
 
     def _cell(self, x: float) -> int:
-        ax = abs(x)
-        if not (ax < 1.0):
-            raise DomainError(f"|x| must be < 1, got {x!r}")
+        ax = _check_open_unit(x)
         lo, hi = 0, len(self.edges) - 2
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -357,7 +318,7 @@ class PiecewiseBounds:
         return self.upper[self._cell(x)](x)
 
 
-def _q_at_edge(tag: PairTag, a: int, edge: float, side: int) -> float:
+def _q_at_edge(tag: PairTag, a: int, edge: float) -> float:
     """q_a at a partition edge; one-sided limits at 0 and 1, else the value."""
     if edge <= 0.0:
         return _q_limit(tag, a, 0)
@@ -369,30 +330,20 @@ def _q_at_edge(tag: PairTag, a: int, edge: float, side: int) -> float:
 def partition_bounds(p: Pair | str, a: int, partition: list[float]) -> PiecewiseBounds:
     """Per cell (x_{i-1}, x_i): lower q = q_a(x_{i-1}+), upper q = q_a(x_i-)."""
     tag = _as_tag(p)
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
+    b, c = anchor_line(tag, a)
     pts = [float(v) for v in partition]
     if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
         raise BadPartition(f"partition must run from 0 to 1, got {partition!r}")
     if any(not (lo < hi) for lo, hi in zip(pts, pts[1:])):
         raise BadPartition(f"partition must be strictly increasing, got {partition!r}")
-    s_a = _series(tag, a)
-    b = s_a.coeffs[0]
-    c = s_a.coeffs[1] if a == 1 else 0.0
-    lower = tuple(
-        QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, lo, +1)) for lo in pts[:-1]
-    )
-    upper = tuple(
-        QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, hi, -1)) for hi in pts[1:]
-    )
+    lower = tuple(QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, lo)) for lo in pts[:-1])
+    upper = tuple(QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, hi)) for hi in pts[1:])
     return PiecewiseBounds(tag=tag, a=a, edges=tuple(pts), lower=lower, upper=upper)
 
 
 def quartic_bounds_rs(x: float) -> tuple[float, float]:
     """Products of the RT and TS quadratic bounds: tighter bounds on are_RS."""
-    ax = abs(x)
-    if not (ax < 1.0):
-        raise DomainError(f"|x| must be < 1, got {x!r}")
+    ax = _check_open_unit(x)
     lowers = []
     uppers = []
     for a in (0, 1):
@@ -401,6 +352,20 @@ def quartic_bounds_rs(x: float) -> tuple[float, float]:
         lowers.append(lo_rt(ax) * lo_ts(ax))
         uppers.append(up_rt(ax) * up_ts(ax))
     return max(lowers), min(uppers)
+
+
+def bisect_root(h: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """A sign change of h in [lo, hi], bisected to width 1e-10; flo = h(lo)."""
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def crossover(p: Pair | str, which: str) -> float:
@@ -424,45 +389,4 @@ def crossover(p: Pair | str, which: str) -> float:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoBracket(f"no sign change of {w}0-{w}1 for {tag} on ({lo}, {hi})")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        fm = diff(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def richardson_q_limit(p: Pair | str, a: int, end: int, kmax: int = 8) -> float:
-    """Extrapolated one-sided limit of q_a at x -> end over x = end -+ 2^-k/100.
-
-    Cross-validation utility: evaluates q through its raw difference
-    quotient (no anchor guard) and runs a Richardson table assuming an
-    expansion in the distance to the endpoint.
-    """
-    tag = _as_tag(p)
-    if a not in (0, 1) or end not in (0, 1):
-        raise DomainError("anchor and end must each be 0 or 1")
-    s_a = _series(tag, a)
-    b = s_a.coeffs[0]
-    c = s_a.coeffs[1] if a == 1 else 0.0
-
-    def raw_q(x: float) -> float:
-        t = x - a
-        return (are(tag, x) - b - c * t) / (t * t)
-
-    vals = []
-    for k in range(kmax + 1):
-        d = 1e-2 * 2.0**-k
-        x = d if end == 0 else 1.0 - d
-        vals.append(raw_q(x))
-    row = vals
-    for j in range(1, kmax + 1):
-        fac = 2.0**j
-        row = [
-            (fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)
-        ]
-    return row[0]
+    return bisect_root(diff, lo, hi, flo)

@@ -19,12 +19,19 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
-from .are_bounds import are, crossover, endpoint_constants, pair, quad_bounds
+from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
 from .errors import ArecorrError, DomainError, Indeterminate
-from .reduction import build_chain_rt, classify_monotone, classify_sign, rho_tilde
-from .stats_mc import DEFAULT_SEED, McReport, mc_moments
+from .reduction import (
+    build_chain_rt,
+    classify_monotone,
+    classify_sign,
+    interior_grid,
+    rho_tilde,
+)
+from .stats_mc import DEFAULT_SEED, mc_moments
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -54,18 +61,20 @@ def _parse_rho_list(text: str) -> list[float]:
 
 
 def _selected_pairs(flag: str) -> list[str]:
-    return ["RT", "TS", "RS"] if flag == "all" else [flag.upper()]
+    return list(PAIR_TAGS) if flag == "all" else [flag.upper()]
 
 
 def _selected_anchors(flag: str) -> list[int]:
     return [0, 1] if flag == "both" else [int(flag)]
 
 
-def _render(rows: list[dict], fieldnames: list[str], fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
+    """Rows as JSON or CSV; every command emits at least one row, and the
+    first row's keys are the CSV columns."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -82,45 +91,34 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_table(args) -> int:
     if args.grid < 2:
         raise _UsageError(f"--grid must be >= 2, got {args.grid}")
-    pairs = {tag: pair(tag) for tag in ("RT", "TS", "RS")}
-    rows = []
-    for j in range(1, args.grid + 1):
-        x = j / (args.grid + 1)
-        rows.append(
-            {
-                "x": x,
-                "are_rt": are(pairs["RT"], x),
-                "are_ts": are(pairs["TS"], x),
-                "are_rs": are(pairs["RS"], x),
-            }
-        )
-    _write_out(_render(rows, ["x", "are_rt", "are_ts", "are_rs"], args.format), args.out)
+    rows = [
+        {"x": x, "are_rt": are("RT", x), "are_ts": are("TS", x), "are_rs": are("RS", x)}
+        for x in interior_grid(0.0, 1.0, args.grid)
+    ]
+    _write_out(_render(rows, args.format), args.out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     rows = []
     for tag in _selected_pairs(args.pair):
-        p = pair(tag)
-        ep = endpoint_constants(p)
-        cross_l = crossover(p, "L")
-        cross_u = crossover(p, "U")
+        cross_l = crossover(tag, "L")
+        cross_u = crossover(tag, "U")
         for a in _selected_anchors(args.anchor):
-            lower, upper = quad_bounds(p, a)
+            lower, upper = quad_bounds(tag, a)
             rows.append(
                 {
                     "pair": tag,
                     "anchor": a,
-                    "b": ep.are_at_0 if a == 0 else ep.are_at_1,
-                    "c": 0.0 if a == 0 else ep.dare_at_1,
+                    "b": lower.b,
+                    "c": lower.c,
                     "q_low": lower.q,
                     "q_high": upper.q,
                     "crossover_l": cross_l,
                     "crossover_u": cross_u,
                 }
             )
-    names = ["pair", "anchor", "b", "c", "q_low", "q_high", "crossover_l", "crossover_u"]
-    _write_out(_render(rows, names, args.format), args.out)
+    _write_out(_render(rows, args.format), args.out)
     return 0
 
 
@@ -129,32 +127,20 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"--grid {args.grid} is too coarse for sign refinement; need >= {MIN_GRID}"
         )
-    if not args.tol > 0.0:
-        raise _UsageError(f"--tol must be > 0, got {args.tol}")
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise _UsageError(f"--tol must be finite and > 0, got {args.tol}")
     results = run_checks(grid=args.grid, tol=args.tol)
     if args.format == "text":
         lines = [
             f"{r.name}: {'pass' if r.passed else 'FAIL'}  margin={r.margin!r}"
             for r in results
         ]
-        ok = all(r.passed for r in results)
         lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        _write_out("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        rows = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "margin": r.margin,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        ok = all(r.passed for r in results)
-        _write_out(
-            _render(rows, ["name", "passed", "margin", "detail"], args.format), args.out
-        )
-    return 0 if ok else 1
+        text = _render([dataclasses.asdict(r) for r in results], args.format)
+    _write_out(text, args.out)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_mc(args) -> int:
@@ -171,9 +157,7 @@ def _cmd_mc(args) -> int:
         for stat in "RST"
     ]
     reports.sort(key=lambda rep: "RST".index(rep.stat))
-    rows = [dataclasses.asdict(rep) for rep in reports]
-    names = [f.name for f in dataclasses.fields(McReport)]
-    _write_out(_render(rows, names, args.format), args.out)
+    _write_out(_render([dataclasses.asdict(rep) for rep in reports], args.format), args.out)
     return 0
 
 
@@ -192,7 +176,7 @@ def _cmd_reduce(args) -> int:
             f"--grid {args.grid} is too coarse for sign refinement; need >= {MIN_GRID}"
         )
     rows = []
-    xs = [j / (args.grid + 1) for j in range(1, args.grid + 1)]
+    xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
         chain = build_chain_rt(a)
         for node in chain:
@@ -222,20 +206,7 @@ def _cmd_reduce(args) -> int:
                     "rho_tilde_0": rt0,
                 }
             )
-    names = [
-        "anchor",
-        "node",
-        "f_pattern",
-        "f_breakpoints",
-        "g_pattern",
-        "g_breakpoints",
-        "r_pattern",
-        "r_breakpoints",
-        "min_abs_f",
-        "min_abs_g",
-        "rho_tilde_0",
-    ]
-    _write_out(_render(rows, names, args.format), args.out)
+    _write_out(_render(rows, args.format), args.out)
     return 0
 
 

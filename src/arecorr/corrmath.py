@@ -19,7 +19,6 @@ from .quadrature import integrate
 from .taylor import Jet
 
 __all__ = [
-    "Rho",
     "MomentSet",
     "RHO_CAP",
     "DEFAULT_S_ABS_TOL",
@@ -45,21 +44,6 @@ _SPLIT = 66.0
 
 
 @dataclass(frozen=True)
-class Rho:
-    """Correlation coordinate; |value| < 1 unless tagged as a limit query."""
-
-    value: float
-    limit: bool = False
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"rho must be finite, got {self.value!r}")
-        bound_ok = abs(self.value) <= 1.0 if self.limit else abs(self.value) < 1.0
-        if not bound_ok:
-            raise DomainError(f"rho={self.value!r} outside the allowed range")
-
-
-@dataclass(frozen=True)
 class MomentSet:
     mu: float
     dmu: float
@@ -67,11 +51,7 @@ class MomentSet:
     dsigma2: float
 
 
-def _rho_value(rho: Rho | float) -> float:
-    if isinstance(rho, Rho):
-        # Limit-tagged queries at +-1 are answered at the cap: every
-        # moment here is continuous up to the endpoint.
-        return math.copysign(min(abs(rho.value), RHO_CAP), rho.value)
+def _rho_value(rho: float) -> float:
     v = float(rho)
     if not (abs(v) < 1.0):
         raise DomainError(f"moments need |rho| < 1, got {v!r}")
@@ -173,14 +153,14 @@ def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> J
     return total
 
 
-def moments_r(rho: Rho | float) -> MomentSet:
+def moments_r(rho: float) -> MomentSet:
     """Pearson R: mu = rho, sigma2 = (1 - rho^2)^2."""
     v = _rho_value(rho)
     one_m = 1.0 - v * v
     return MomentSet(mu=v, dmu=1.0, sigma2=one_m * one_m, dsigma2=-4.0 * v * one_m)
 
 
-def moments_t(rho: Rho | float) -> MomentSet:
+def moments_t(rho: float) -> MomentSet:
     """Kendall T: mu = (2/pi) asin(rho)."""
     v = _rho_value(rho)
     pi = math.pi
@@ -193,7 +173,7 @@ def moments_t(rho: Rho | float) -> MomentSet:
     )
 
 
-def moments_s(rho: Rho | float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet:
+def moments_s(rho: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet:
     """Spearman S: mu = (6/pi) asin(rho/2); variance by quadrature.
 
     sigma2 is even in rho and evaluated at |rho|; magnitudes above
@@ -213,7 +193,7 @@ def moments_s(rho: Rho | float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet
     )
 
 
-def mu_s_finite_n(rho: Rho | float, n: int) -> float:
+def mu_s_finite_n(rho: float, n: int) -> float:
     """Exact finite-sample mean of Spearman's S."""
     v = _rho_value(rho)
     if n < 2:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .are_bounds import endpoint_constants
+from .are_bounds import anchor_line, bisect_root, pair
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
@@ -26,6 +26,7 @@ __all__ = [
     "SignPattern",
     "MonotonePattern",
     "lift",
+    "interior_grid",
     "build_chain_rt",
     "classify_sign",
     "classify_monotone",
@@ -42,8 +43,6 @@ SIGN_FLOOR = 1e-12
 
 # Default expansion order for jet evaluations exposed on chain nodes.
 DEFAULT_JET_ORDER = 6
-
-_PI2 = math.pi**2
 
 
 def lift(fn: Callable[[Jet], Jet]) -> JetFun:
@@ -110,21 +109,11 @@ class ChainNode:
 
 def build_chain_rt(a: int) -> list[ChainNode]:
     """Nodes 0..4 of the RT reduction anchored at a in {0, 1}."""
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
-    ep = endpoint_constants("RT")
-    b = ep.are_at_0 if a == 0 else ep.are_at_1
-    c = 0.0 if a == 0 else ep.dare_at_1
+    b, c = anchor_line("RT", a)
+    rt = pair("RT")
     anchor = float(a)
-
-    def base_f(x: Jet) -> Jet:
-        return _PI2 - 36.0 * (0.5 * x).asin() ** 2
-
-    def base_g(x: Jet) -> Jet:
-        return 9.0 * (1.0 - x * x)
-
-    f0 = lift(lambda x: base_f(x) - b * base_g(x) - c * (x - anchor) * base_g(x))
-    g0 = lift(lambda x: (x - anchor) ** 2 * base_g(x))
+    f0 = lift(lambda x: rt.f(x) - b * rt.g(x) - c * (x - anchor) * rt.g(x))
+    g0 = lift(lambda x: (x - anchor) ** 2 * rt.g(x))
     multipliers: list[JetFun] = [
         lift(lambda x: (4.0 - x * x).sqrt()),
         lift(lambda x: (4.0 - x * x).sqrt() / (2.0 - x * x)),
@@ -157,27 +146,9 @@ class MonotonePattern:
     breakpoints: tuple[float, ...]
 
 
-def _interior_grid(lo: float, hi: float, grid: int) -> list[float]:
-    if grid < 3:
-        raise ValueError(f"grid must be >= 3, got {grid!r}")
-    if not (lo < hi):
-        raise ValueError("require lo < hi")
-    step = (hi - lo) / (grid + 1)
-    return [lo + step * j for j in range(1, grid + 1)]
-
-
-def _refine_root(h: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = h(lo)
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
+    """The points lo + (hi - lo) j/(grid + 1), j = 1..grid, inside (lo, hi)."""
+    return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
 
 
 def classify_sign(
@@ -189,19 +160,23 @@ def classify_sign(
     claims are sign claims, so a value too close to zero must fail the
     scan loudly rather than be skipped.
     """
-    pts = _interior_grid(lo, hi, grid)
-    signs: list[bool] = []
+    if grid < 3:
+        raise ValueError(f"grid must be >= 3, got {grid!r}")
+    if not (lo < hi):
+        raise ValueError("require lo < hi")
+    pts = interior_grid(lo, hi, grid)
+    vals: list[float] = []
     for x in pts:
         v = h(x)
         if not math.isfinite(v) or abs(v) < SIGN_FLOOR:
             raise Indeterminate(f"|h({x!r})| = {v!r} too small to carry a sign")
-        signs.append(v > 0.0)
-    symbols = ["+" if signs[0] else "-"]
+        vals.append(v)
+    symbols = ["+" if vals[0] > 0.0 else "-"]
     breakpoints: list[float] = []
     for i in range(1, len(pts)):
-        if signs[i] != signs[i - 1]:
-            symbols.append("+" if signs[i] else "-")
-            breakpoints.append(_refine_root(h, pts[i - 1], pts[i]))
+        if (vals[i] > 0.0) != (vals[i - 1] > 0.0):
+            symbols.append("+" if vals[i] > 0.0 else "-")
+            breakpoints.append(bisect_root(h, pts[i - 1], pts[i], vals[i - 1]))
     return SignPattern(symbols="".join(symbols), breakpoints=tuple(breakpoints))
 
 

@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from .corrmath import Rho, moments_r, moments_s, moments_t, mu_s_finite_n
+from .corrmath import moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import DegenerateSample, DomainError, TiesPresent
 
 __all__ = [
@@ -110,15 +110,15 @@ class McReport:
     seed: int
 
 
-def _rho_strict(rho: Rho | float) -> float:
-    value = rho.value if isinstance(rho, Rho) else float(rho)
+def _rho_strict(rho: float) -> float:
+    value = float(rho)
     if not abs(value) < 1.0:
         raise DomainError(f"sampling needs |rho| < 1, got {value!r}")
     return value
 
 
 def sample_bivariate_normal(
-    n: int, rho: Rho | float, seed: int, stream: int = 0
+    n: int, rho: float, seed: int, stream: int = 0
 ) -> BivariateSample:
     """n iid pairs with Y = rho*X + sqrt(1-rho^2)*Z, X, Z standard normal.
 
@@ -379,7 +379,7 @@ def _replicates(rho: float, n: int, reps: int, seed: int) -> np.ndarray:
 
 def mc_moments(
     stat: str,
-    rho: Rho | float,
+    rho: float,
     n: int,
     reps: int,
     seed: int = DEFAULT_SEED,

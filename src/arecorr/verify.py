@@ -20,7 +20,7 @@ from .are_bounds import (
     quad_bounds,
     quartic_bounds_rs,
 )
-from .reduction import build_chain_rt, classify_sign, rho_tilde
+from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
 
@@ -62,7 +62,7 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    xs = [j / (grid + 1) for j in range(1, grid + 1)]
+    xs = interior_grid(0.0, 1.0, grid)
     results: list[CheckResult] = []
 
     # --- endpoint constants against closed forms --------------------------

@@ -18,7 +18,6 @@ from arecorr.are_bounds import (
     q,
     quad_bounds,
     quartic_bounds_rs,
-    richardson_q_limit,
 )
 from arecorr.errors import BadPartition, DomainError, NoBracket
 
@@ -283,6 +282,26 @@ def test_crossover_requires_a_bracket(monkeypatch) -> None:
     monkeypatch.setattr(ab, "quad_bounds", lambda tag, a: flat if a == 0 else raised)
     with pytest.raises(NoBracket):
         crossover("RT", "L")
+
+
+def richardson_q_limit(tag: str, a: int, end: int, kmax: int = 8) -> float:
+    """Extrapolated one-sided limit of q_a at x -> end over x = end -+ 2^-k/100.
+
+    Evaluates q through its raw difference quotient (no anchor guard) and
+    runs a Richardson table assuming an expansion in the distance to the
+    endpoint.
+    """
+    lower, _ = quad_bounds(tag, a)
+
+    def raw_q(x: float) -> float:
+        t = x - a
+        return (are(tag, x) - lower.b - lower.c * t) / (t * t)
+
+    row = [raw_q(d if end == 0 else 1.0 - d) for d in (1e-2 * 2.0**-k for k in range(kmax + 1))]
+    for j in range(1, kmax + 1):
+        fac = 2.0**j
+        row = [(fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)]
+    return row[0]
 
 
 def test_richardson_extrapolation_cross_checks() -> None:

@@ -105,9 +105,13 @@ def test_verify_refuses_a_grid_too_coarse_for_sign_refinement(capsys) -> None:
 
 
 def test_verify_rejects_a_non_positive_tolerance(capsys) -> None:
-    rc, _, err = _run(capsys, ["verify", "--grid", "99", "--tol", "0"])
-    assert rc == 2
-    assert "tol" in err
+    # An infinite tolerance is refused too: its margin would print as
+    # `Infinity`, which is not JSON.
+    for tol in ("0", "inf"):
+        rc, out, err = _run(capsys, ["verify", "--grid", "99", "--tol", tol, "--format", "json"])
+        assert rc == 2
+        assert out == ""
+        assert "tol" in err
 
 
 def test_verify_csv_mirrors_the_text_outcome(capsys) -> None:

@@ -5,8 +5,6 @@ import math
 import pytest
 
 from arecorr.corrmath import (
-    RHO_CAP,
-    Rho,
     dsigma_s2,
     isin_integrand,
     moments_r,
@@ -21,17 +19,6 @@ from arecorr.errors import DomainError
 # Frozen from this package's quadrature at abs_tol 1e-14, cross-checked
 # against a 2**20-panel Simpson evaluation of each arcsine integral.
 SIGMA_S2_HALF = 0.63087331600121588
-
-
-def test_rho_validation() -> None:
-    assert Rho(0.5).value == 0.5
-    assert Rho(1.0, limit=True).value == 1.0
-    with pytest.raises(DomainError):
-        Rho(1.0)
-    with pytest.raises(DomainError):
-        Rho(-1.5, limit=True)
-    with pytest.raises(DomainError):
-        Rho(math.nan)
 
 
 def test_pearson_moments_closed_forms() -> None:
@@ -120,13 +107,6 @@ def test_sigma_jet_matches_value_and_derivative() -> None:
     j = sigma_s2_jet(x, 3)
     assert j.coeffs[0] == pytest.approx(sigma_s2(x), abs=1e-13)
     assert j.coeffs[1] == pytest.approx(dsigma_s2(x), abs=1e-11)
-
-
-def test_limit_queries_are_capped() -> None:
-    ms = moments_s(Rho(1.0, limit=True))
-    assert math.isfinite(ms.sigma2) and math.isfinite(ms.dsigma2)
-    # The cap keeps the query inside the open interval.
-    assert abs(moments_r(Rho(-1.0, limit=True)).mu) == RHO_CAP
 
 
 def test_spearman_variance_collapses_toward_one() -> None:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arecorr import stats_mc
-from arecorr.corrmath import Rho, moments_s, mu_s_finite_n
+from arecorr.corrmath import moments_s, mu_s_finite_n
 from arecorr.errors import DegenerateSample, DomainError, TiesPresent
 from arecorr.stats_mc import (
     DEFAULT_SEED,
@@ -84,8 +84,6 @@ def test_sampling_rejects_bad_arguments() -> None:
         sample_bivariate_normal(0, 0.5, 1)
     with pytest.raises(DomainError):
         sample_bivariate_normal(10, 1.0, 1)
-    with pytest.raises(DomainError):
-        sample_bivariate_normal(10, Rho(1.0, limit=True), 1)
     with pytest.raises(DomainError):
         sample_bivariate_normal(10, 0.5, 1, stream=-1)
 
