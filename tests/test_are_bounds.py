@@ -297,7 +297,8 @@ def richardson_q_limit(tag: str, a: int, end: int, kmax: int = 8) -> float:
         t = x - a
         return (are(tag, x) - lower.b - lower.c * t) / (t * t)
 
-    row = [raw_q(d if end == 0 else 1.0 - d) for d in (1e-2 * 2.0**-k for k in range(kmax + 1))]
+    steps = [1e-2 * 2.0**-k for k in range(kmax + 1)]
+    row = [raw_q(d if end == 0 else 1.0 - d) for d in steps]
     for j in range(1, kmax + 1):
         fac = 2.0**j
         row = [(fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)]
