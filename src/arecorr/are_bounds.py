@@ -41,6 +41,7 @@ __all__ = [
     "bisect_root",
     "are",
     "dare",
+    "ratio_slope",
     "are_from_moments",
     "endpoint_constants",
     "q",
@@ -208,9 +209,15 @@ def dare(p: Pair | str, x: float) -> float:
         val = _series(tag, 1).deriv()(ax - 1.0)
     else:
         var = Jet.variable(ax, 1)
-        fj, gj = _PAIRS[tag].f(var), _PAIRS[tag].g(var)
-        val = (fj.coeffs[1] * gj.coeffs[0] - fj.coeffs[0] * gj.coeffs[1]) / gj.coeffs[0] ** 2
+        val = ratio_slope(_PAIRS[tag].f(var), _PAIRS[tag].g(var))
     return math.copysign(val, x)
+
+
+def ratio_slope(f: Jet, g: Jet) -> float:
+    """(f/g)' at the center, by the quotient rule on order-1 jets of f and g."""
+    f0, f1 = f.coeffs
+    g0, g1 = g.coeffs
+    return (f1 * g0 - f0 * g1) / (g0 * g0)
 
 
 def are_from_moments(p: Pair | str, x: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> float:

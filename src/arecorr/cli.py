@@ -122,11 +122,15 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    if args.grid < MIN_GRID:
+def _check_sign_grid(grid: int) -> None:
+    if grid < MIN_GRID:
         raise _UsageError(
-            f"--grid {args.grid} is too coarse for sign refinement; need >= {MIN_GRID}"
+            f"--grid {grid} is too coarse for sign refinement; need >= {MIN_GRID}"
         )
+
+
+def _cmd_verify(args) -> int:
+    _check_sign_grid(args.grid)
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise _UsageError(f"--tol must be finite and > 0, got {args.tol}")
     results = run_checks(grid=args.grid, tol=args.tol)
@@ -171,10 +175,7 @@ def _cmd_reduce(args) -> int:
             "only --pair rt is supported: published multiplier chains for the "
             "other pairs are not available"
         )
-    if args.grid < MIN_GRID:
-        raise _UsageError(
-            f"--grid {args.grid} is too coarse for sign refinement; need >= {MIN_GRID}"
-        )
+    _check_sign_grid(args.grid)
     rows = []
     xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
@@ -183,7 +184,7 @@ def _cmd_reduce(args) -> int:
             f_sp = classify_sign(node.f, 0.0, 1.0, args.grid)
             g_sp = classify_sign(node.g, 0.0, 1.0, args.grid)
             try:
-                r_mp = classify_monotone(node.r_jetfun(), 0.0, 1.0, args.grid)
+                r_mp = classify_monotone(node.r_jet, 0.0, 1.0, args.grid)
                 r_sym, r_brk = r_mp.symbols, _fmt_breaks(r_mp.breakpoints)
             except (Indeterminate, ZeroDivisionError, OverflowError):
                 r_sym, r_brk = "", ""
@@ -191,6 +192,7 @@ def _cmd_reduce(args) -> int:
                 rt0 = repr(rho_tilde(node, 1e-6))
             except DomainError:
                 rt0 = ""
+            jets = [node.jets(x) for x in xs]
             rows.append(
                 {
                     "anchor": a,
@@ -201,8 +203,8 @@ def _cmd_reduce(args) -> int:
                     "g_breakpoints": _fmt_breaks(g_sp.breakpoints),
                     "r_pattern": r_sym,
                     "r_breakpoints": r_brk,
-                    "min_abs_f": min(abs(node.f(x)) for x in xs),
-                    "min_abs_g": min(abs(node.g(x)) for x in xs),
+                    "min_abs_f": min(abs(f.value) for f, _ in jets),
+                    "min_abs_g": min(abs(g.value) for _, g in jets),
                     "rho_tilde_0": rt0,
                 }
             )

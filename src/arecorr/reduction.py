@@ -4,10 +4,12 @@ The chain starts from f0 = f - b*g - c*(x-a)*g and g0 = (x-a)^2*g and
 repeatedly applies f_i = a_i * f_{i-1}', g_i = a_i * g_{i-1}' with fixed
 positive multipliers a_i, so the monotonicity of r_0 = f_0/g_0 (which is
 the second-difference function q_a) reduces to sign questions about the
-last ratio.  All derivatives come from truncated Taylor jets, so nested
-differentiation is exact to rounding.  Only the RT chain is available:
-the corresponding multiplier lists for the other two pairs are not
-published in reproducible form, so nothing is guessed here.
+last ratio.  `ChainNode.jets` evaluates node i in one pass up this
+recursion: it expands f0 and g0 as Taylor jets of order `order + i` and
+differentiates and multiplies i times, so f_i and g_i come out together
+and nested differentiation is exact to rounding.  Only the RT chain is
+available: the corresponding multiplier lists for the other two pairs
+are not published in reproducible form, so nothing is guessed here.
 """
 
 from __future__ import annotations
@@ -16,23 +18,22 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .are_bounds import anchor_line, bisect_root, pair
+from .are_bounds import anchor_line, bisect_root, pair, ratio_slope
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
 __all__ = [
     "JetFun",
+    "MULTIPLIERS",
     "ChainNode",
     "SignPattern",
     "MonotonePattern",
-    "lift",
     "interior_grid",
     "build_chain_rt",
     "classify_sign",
     "classify_monotone",
     "rho_tilde",
     "SIGN_FLOOR",
-    "DEFAULT_JET_ORDER",
 ]
 
 # A callable returning the Taylor jet of a scalar function: (x0, order) -> Jet.
@@ -41,97 +42,61 @@ JetFun = Callable[[float, int], Jet]
 # Grid values closer to zero than this cannot be assigned a sign.
 SIGN_FLOOR = 1e-12
 
-# Default expansion order for jet evaluations exposed on chain nodes.
-DEFAULT_JET_ORDER = 6
-
-
-def lift(fn: Callable[[Jet], Jet]) -> JetFun:
-    """Wrap an expression built from jet arithmetic into a JetFun."""
-
-    def jf(x0: float, order: int = DEFAULT_JET_ORDER) -> Jet:
-        return fn(Jet.variable(x0, order))
-
-    return jf
-
-
-def _derived(jf: JetFun) -> JetFun:
-    def d(x0: float, order: int) -> Jet:
-        return jf(x0, order + 1).deriv()
-
-    return d
-
-
-def _product(a: JetFun, b: JetFun) -> JetFun:
-    def m(x0: float, order: int) -> Jet:
-        return a(x0, order) * b(x0, order)
-
-    return m
+# The multipliers a_1..a_4, each positive on [0, 1].
+MULTIPLIERS: tuple[Callable[[Jet], Jet], ...] = (
+    lambda x: (4.0 - x * x).sqrt(),
+    lambda x: (4.0 - x * x).sqrt() / (2.0 - x * x),
+    lambda x: (2.0 - x * x) ** 2 / (50.0 - 29.0 * x * x + 9.0 * x**4),
+    lambda x: (50.0 - 29.0 * x * x + 9.0 * x**4) ** 2 / (2.0 - x * x),
+)
 
 
 @dataclass(frozen=True)
 class ChainNode:
-    """One stage of the reduction: holds f_i, g_i and their jets."""
+    """Stage i of the reduction at the anchor line b + c(x - anchor)."""
 
+    anchor: float
     index: int
-    f_jetfun: JetFun
-    g_jetfun: JetFun
-    multiplier: JetFun | None  # a_i; None at the chain root
+    b: float
+    c: float
+
+    def jets(self, x: float, order: int = 0) -> tuple[Jet, Jet]:
+        """The jets of f_i and g_i at x, truncated at `order`.
+
+        Coefficient k of a jet operation depends only on coefficients
+        <= k of its operands, so the low coefficients do not depend on
+        `order`.
+        """
+        rt = pair("RT")
+        v = Jet.variable(x, order + self.index)
+        g = rt.g(v)
+        f = rt.f(v) - self.b * g - self.c * (v - self.anchor) * g
+        g = (v - self.anchor) ** 2 * g
+        for k in range(1, self.index + 1):
+            m = MULTIPLIERS[k - 1](Jet.variable(x, order + self.index - k))
+            f, g = m * f.deriv(), m * g.deriv()
+        return f, g
 
     def f(self, x: float) -> float:
-        return self.f_jetfun(x, 0).value
+        return self.jets(x)[0].value
 
     def g(self, x: float) -> float:
-        return self.g_jetfun(x, 0).value
-
-    def r(self, x: float) -> float:
-        return self.f(x) / self.g(x)
-
-    def f_jet(self, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
-        return self.f_jetfun(x, order)
-
-    def g_jet(self, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
-        return self.g_jetfun(x, order)
+        return self.jets(x)[1].value
 
     def dr(self, x: float) -> float:
         """r_i'(x) by the quotient rule over jets."""
-        fj = self.f_jetfun(x, 1)
-        gj = self.g_jetfun(x, 1)
-        f0, f1 = fj.coeffs
-        g0, g1 = gj.coeffs
-        return (f1 * g0 - f0 * g1) / (g0 * g0)
+        return ratio_slope(*self.jets(x, 1))
 
-    def r_jetfun(self) -> JetFun:
-        def jf(x0: float, order: int = DEFAULT_JET_ORDER) -> Jet:
-            return self.f_jetfun(x0, order) / self.g_jetfun(x0, order)
-
-        return jf
+    def r_jet(self, x: float, order: int) -> Jet:
+        """The jet of r_i = f_i/g_i at x."""
+        f, g = self.jets(x, order)
+        return f / g
 
 
 def build_chain_rt(a: int) -> list[ChainNode]:
     """Nodes 0..4 of the RT reduction anchored at a in {0, 1}."""
     b, c = anchor_line("RT", a)
-    rt = pair("RT")
-    anchor = float(a)
-    f0 = lift(lambda x: rt.f(x) - b * rt.g(x) - c * (x - anchor) * rt.g(x))
-    g0 = lift(lambda x: (x - anchor) ** 2 * rt.g(x))
-    multipliers: list[JetFun] = [
-        lift(lambda x: (4.0 - x * x).sqrt()),
-        lift(lambda x: (4.0 - x * x).sqrt() / (2.0 - x * x)),
-        lift(lambda x: (2.0 - x * x) ** 2 / (50.0 - 29.0 * x * x + 9.0 * x**4)),
-        lift(lambda x: (50.0 - 29.0 * x * x + 9.0 * x**4) ** 2 / (2.0 - x * x)),
-    ]
-    nodes = [ChainNode(index=0, f_jetfun=f0, g_jetfun=g0, multiplier=None)]
-    for i, mult in enumerate(multipliers, start=1):
-        prev = nodes[-1]
-        nodes.append(
-            ChainNode(
-                index=i,
-                f_jetfun=_product(mult, _derived(prev.f_jetfun)),
-                g_jetfun=_product(mult, _derived(prev.g_jetfun)),
-                multiplier=mult,
-            )
-        )
-    return nodes
+    return [ChainNode(float(a), i, b, c) for i in range(len(MULTIPLIERS) + 1)]
 
 
 @dataclass(frozen=True)
@@ -193,8 +158,7 @@ def classify_monotone(h: JetFun, lo: float, hi: float, grid: int) -> MonotonePat
 
 def rho_tilde(node: ChainNode, x: float) -> float:
     """sign(g_i') * (r_{i+1} g_i - f_i); its sign equals the sign of r_i'."""
-    fj = node.f_jetfun(x, 1)
-    gj = node.g_jetfun(x, 1)
+    fj, gj = node.jets(x, 1)
     f0, f1 = fj.coeffs
     g0, g1 = gj.coeffs
     if abs(g1) < SIGN_FLOOR:

@@ -19,6 +19,7 @@ from .are_bounds import (
     q,
     quad_bounds,
     quartic_bounds_rs,
+    ratio_slope,
 )
 from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde
 
@@ -60,8 +61,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     """Run every named invariant; returns one CheckResult per name."""
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     xs = interior_grid(0.0, 1.0, grid)
     results: list[CheckResult] = []
 
@@ -208,7 +209,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         node4 = chain[4]
         margin = math.inf
         for x in xs:
-            margin = min(margin, -node4.f(x), -node4.g(x), node4.dr(x))
+            f4, g4 = node4.jets(x, 1)
+            margin = min(margin, -f4.value, -g4.value, ratio_slope(f4, g4))
         results.append(
             CheckResult(
                 name=f"reduction.endgame.RT.{a}",
@@ -246,14 +248,11 @@ def _trace_rt0(grid: int) -> CheckResult:
         ],
     )
     # Bracketing facts and the vanishing of the third stage at 0+.
-    brackets = [
-        -chain[2].g(0.41),
-        chain[2].f(0.41),
-        -chain[1].g(0.71),
-        chain[1].f(0.71),
-    ]
-    margin = min(brackets)
-    vanish = max(abs(chain[3].f(1e-6)), abs(chain[3].g(1e-6)))
+    f2, g2 = chain[2].jets(0.41)
+    f1, g1 = chain[1].jets(0.71)
+    margin = min(-g2.value, f2.value, -g1.value, f1.value)
+    f3, g3 = chain[3].jets(1e-6)
+    vanish = max(abs(f3.value), abs(g3.value))
     if vanish > 1e-4:
         ok = False
         detail = (detail + "; " if detail else "") + f"stage-3 at 0+ = {vanish:.3e}"
@@ -278,12 +277,8 @@ def _trace_rt1(grid: int) -> CheckResult:
             ("g0", chain[0].g, "+"),
         ],
     )
-    brackets = [
-        -chain[3].g(0.6),
-        chain[3].f(0.6),
-        rho_tilde(chain[2], 1e-6),
-    ]
-    margin = min(brackets)
+    f3, g3 = chain[3].jets(0.6)
+    margin = min(-g3.value, f3.value, rho_tilde(chain[2], 1e-6))
     return CheckResult(
         name="reduction.trace.RT.1",
         passed=ok and margin > 0.0,

@@ -9,13 +9,13 @@ import pytest
 from arecorr.are_bounds import endpoint_constants, q
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
-    ChainNode,
+    MULTIPLIERS,
     build_chain_rt,
     classify_monotone,
     classify_sign,
-    lift,
     rho_tilde,
 )
+from arecorr.taylor import Jet
 
 XS = [k / 10 for k in range(1, 10)]
 
@@ -24,13 +24,13 @@ def test_chain_has_five_nodes_with_multipliers() -> None:
     for a in (0, 1):
         nodes = build_chain_rt(a)
         assert [n.index for n in nodes] == [0, 1, 2, 3, 4]
-        assert nodes[0].multiplier is None
-        for n in nodes[1:]:
-            assert n.multiplier is not None
-            # Every multiplier must be strictly positive on (0, 1): the
-            # chain preserves sign information only under that condition.
-            for x in XS:
-                assert n.multiplier(x, 0).value > 0.0
+        assert all(n.anchor == float(a) for n in nodes)
+    assert len(MULTIPLIERS) == 4
+    for mult in MULTIPLIERS:
+        # Every multiplier must be strictly positive on (0, 1): the
+        # chain preserves sign information only under that condition.
+        for x in XS:
+            assert mult(Jet.variable(x, 0)).value > 0.0
 
 
 def test_chain_rejects_unknown_anchor() -> None:
@@ -44,7 +44,7 @@ def test_root_ratio_equals_second_difference_function() -> None:
     for a in (0, 1):
         root = build_chain_rt(a)[0]
         for x in XS:
-            assert root.r(x) == pytest.approx(q("RT", a, x), abs=1e-12)
+            assert root.f(x) / root.g(x) == pytest.approx(q("RT", a, x), abs=1e-12)
 
 
 def test_node_one_matches_hand_derived_closed_forms() -> None:
@@ -150,7 +150,7 @@ def test_endgame_final_ratio_is_increasing() -> None:
 def test_root_ratio_is_monotone_increasing() -> None:
     for a in (0, 1):
         root = build_chain_rt(a)[0]
-        mp = classify_monotone(root.r_jetfun(), 0.05, 0.95, 199)
+        mp = classify_monotone(root.r_jet, 0.05, 0.95, 199)
         assert mp.symbols == "↗"
         assert mp.breakpoints == ()
 
@@ -193,7 +193,9 @@ def test_classify_sign_validates_window_and_grid() -> None:
 
 
 def test_classify_monotone_maps_derivative_signs_to_arrows() -> None:
-    parabola = lift(lambda x: (x - 0.5) ** 2)
+    def parabola(x0: float, order: int) -> Jet:
+        return (Jet.variable(x0, order) - 0.5) ** 2
+
     mp = classify_monotone(parabola, 0.0, 1.0, 1000)
     assert mp.symbols == "↘↗"
     assert len(mp.breakpoints) == 1
@@ -224,19 +226,42 @@ def test_rho_tilde_positive_at_stage_two_near_anchor_one() -> None:
 
 
 def test_rho_tilde_rejects_flat_denominator() -> None:
-    flat = ChainNode(
-        index=9,
-        f_jetfun=lift(lambda x: x),
-        g_jetfun=lift(lambda x: x * 0.0 + 1.0),
-        multiplier=None,
-    )
+    class Flat:
+        index = 9
+
+        def jets(self, x: float, order: int = 0) -> tuple[Jet, Jet]:
+            v = Jet.variable(x, order)
+            return v, v * 0.0 + 1.0
+
     with pytest.raises(DomainError):
-        rho_tilde(flat, 0.5)
+        rho_tilde(Flat(), 0.5)
 
 
 def test_jet_accessors_expose_requested_order() -> None:
     node = build_chain_rt(0)[1]
-    assert len(node.f_jet(0.3).coeffs) == 7  # default order 6
-    assert len(node.g_jet(0.3, 2).coeffs) == 3
-    fj = node.f_jet(0.3, 1)
+    fj, gj = node.jets(0.3, 2)
+    assert len(fj.coeffs) == len(gj.coeffs) == 3
     assert fj.coeffs[0] == pytest.approx(node.f(0.3))
+    assert gj.coeffs[0] == pytest.approx(node.g(0.3))
+    assert len(node.jets(0.3)[0].coeffs) == 1  # default order 0
+
+
+def _bits(coeffs: tuple[float, ...]) -> list[str]:
+    return [c.hex() for c in coeffs]
+
+
+def test_low_jet_coefficients_do_not_depend_on_the_order() -> None:
+    # One pass at order k must give, in coefficients 0..j, the bits of a
+    # pass at order j <= k; the scalar accessors rest on that.
+    for a in (0, 1):
+        for node in build_chain_rt(a):
+            for x in XS:
+                by_order = [node.jets(x, k) for k in (0, 1, 2)]
+                for j, (fj, gj) in enumerate(by_order):
+                    for fk, gk in by_order[j:]:
+                        assert _bits(fk.coeffs[: j + 1]) == _bits(fj.coeffs)
+                        assert _bits(gk.coeffs[: j + 1]) == _bits(gj.coeffs)
+                (f0, f1), (g0, g1) = (jet.coeffs for jet in by_order[1])
+                assert node.f(x).hex() == f0.hex()
+                assert node.g(x).hex() == g0.hex()
+                assert node.dr(x).hex() == ((f1 * g0 - f0 * g1) / (g0 * g0)).hex()
