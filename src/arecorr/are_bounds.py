@@ -14,7 +14,6 @@ functions q_a.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -140,7 +139,6 @@ class Endpoints:
     dare_at_1: float
 
 
-_cache_lock = threading.Lock()
 _series_cache: dict[tuple[PairTag, int], Jet] = {}
 
 
@@ -150,22 +148,18 @@ def _series(tag: PairTag, anchor: int) -> Jet:
     got = _series_cache.get(key)
     if got is not None:
         return got
-    with _cache_lock:
-        got = _series_cache.get(key)
-        if got is not None:
-            return got
-        x = Jet.variable(float(anchor), _JET_ORDER)
-        fj, gj = _PAIRS[tag].f(x), _PAIRS[tag].g(x)
-        m = _VANISH_AT_1[tag] if anchor == 1 else 0
-        for k in range(m):
-            if abs(fj.coeffs[k]) > _VANISH_NOISE or abs(gj.coeffs[k]) > _VANISH_NOISE:
-                raise RuntimeError(
-                    f"{tag} expansion at {anchor}: coefficient {k} expected to "
-                    f"vanish, got f={fj.coeffs[k]!r} g={gj.coeffs[k]!r}"
-                )
-        made = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
-        _series_cache[key] = made
-        return made
+    x = Jet.variable(float(anchor), _JET_ORDER)
+    fj, gj = _PAIRS[tag].f(x), _PAIRS[tag].g(x)
+    m = _VANISH_AT_1[tag] if anchor == 1 else 0
+    for k in range(m):
+        if abs(fj.coeffs[k]) > _VANISH_NOISE or abs(gj.coeffs[k]) > _VANISH_NOISE:
+            raise RuntimeError(
+                f"{tag} expansion at {anchor}: coefficient {k} expected to "
+                f"vanish, got f={fj.coeffs[k]!r} g={gj.coeffs[k]!r}"
+            )
+    made = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
+    _series_cache[key] = made
+    return made
 
 
 def endpoint_constants(p: Pair | str) -> Endpoints:

@@ -2,10 +2,12 @@
 
 Estimators: product-moment R, rank correlation S (ranks are "count of
 coordinates <=", so ties shift ranks rather than crash), and pair
-concordance T (merge-sort inversion counting, exactly equal to the
-quadratic kernel sum on tie-free data).  The triple kernel identity
-writes S as a U-statistic average; `spearman_ustat_identity` evaluates
-both sides for comparison.
+concordance T (merge-sort counting of the pairs not strictly
+concordant, exactly equal to the quadratic kernel sum with or without
+ties).  Both take O(n log n) time and O(n) memory on any finite sample,
+and ties draw a TiesPresent warning.  The triple kernel identity writes
+S as a U-statistic average; `spearman_ustat_identity` evaluates both
+sides for comparison.
 
 Sampling uses counter-based Philox streams keyed by (seed, replicate
 index), so replicate i is the same sample whatever else is computed.
@@ -15,8 +17,8 @@ yields a prefix of a larger n's sample at the same key.
 
 Monte Carlo draws each replicate once and evaluates R, S and T on that
 one sample.  S and T are computed over blocks of stacked replicates
-from exact integer rank counts, so each value is bitwise the one the
-per-sample estimator returns.
+from exact integer rank counts; the per-sample estimators are the
+same code on a one-row block.
 """
 
 from __future__ import annotations
@@ -141,16 +143,6 @@ def sample_bivariate_normal(
     return BivariateSample(x=xs, y=ys)
 
 
-def _warn_on_ties(s: BivariateSample) -> None:
-    if np.unique(s.x).size < s.n or np.unique(s.y).size < s.n:
-        warnings.warn("tied coordinates present; ranks use <= counts", TiesPresent)
-
-
-def _ranks(v: np.ndarray) -> np.ndarray:
-    """rank(v_i) = #{j : v_j <= v_i}, values in 1..n for tie-free input."""
-    return np.searchsorted(np.sort(v), v, side="right").astype(np.int64)
-
-
 def pearson_r(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
@@ -175,74 +167,93 @@ def _kendall_value(n: int, inversions: int) -> float:
     return (c2 - 2 * inversions) / c2
 
 
-def spearman_s(s: BivariateSample) -> float:
-    if s.n < 2:
-        raise DomainError(f"need n >= 2, got {s.n}")
-    _warn_on_ties(s)
-    return _spearman_value(s.n, int(_ranks(s.x) @ _ranks(s.y)))
+def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(argsort, "<=" ranks, tie flag) of each row of a (rows, n) array.
 
-
-def _inverse_permutations(order: np.ndarray) -> np.ndarray:
-    """Row-wise inverses of (rows, n) permutations of 0..n-1; applied to
-    argsort output, the 0-based ranks of tie-free rows."""
-    inverse = np.empty_like(order)
-    np.put_along_axis(inverse, order, np.arange(order.shape[1]), axis=1)
-    return inverse
-
-
-def _inversions(perms: np.ndarray) -> np.ndarray:
-    """Inversions of each row of a (rows, n) array of permutations of
-    0..n-1, by bottom-up merge sort over all rows at once.
-
-    At each level a value v becomes the key 2v in the left half of its
-    block and 2v + 1 in the right half; keys are distinct, and sorting a
-    block merges its two sorted halves.  A right-half key at merged
-    position p with j right keys before it has p - j left values below
-    it, so the block's inversions are size * (3 * size - 1) / 2 minus
-    the sum of the right-half positions.
-
-    Each row is padded to a power of two with the sentinel n.  Within
-    every block the real values always precede the sentinels, and only
-    one block per row at each level mixes the two, so sentinels never
-    sit in a left half while real values sit in the matching right
-    half: padding adds no spurious inversions.  Blocks never straddle
-    rows, because a row's padded length is a multiple of every block.
+    In sorted order the rank #{j : v_j <= v_i} is one past the end of the
+    run of values equal to v_i; on a tie-free row the ranks are the
+    inverse permutation plus one.
     """
-    rows, n = perms.shape
+    order = np.argsort(v, axis=1)
+    ordered = np.take_along_axis(v, order, axis=1)
+    run_end = np.ones_like(v, dtype=bool)
+    run_end[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.where(run_end, np.arange(1, v.shape[1] + 1), v.shape[1])[:, ::-1]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.minimum.accumulate(ends, axis=1)[:, ::-1], 1)
+    return order, ranks, ~run_end.all(axis=1)
+
+
+def _inversions(seq: np.ndarray) -> np.ndarray:
+    """#{p < q : seq_p >= seq_q} for each row of a (rows, n) array of
+    integers in 0..n, by bottom-up merge sort over all rows at once.
+
+    At each level a value v becomes the key 2v + 1 in the left half of
+    its block and 2v in the right half, and sorting a block merges its
+    halves.  A left key at merged position p with i left keys before it
+    has p - i right values <= its own, so the block's count is the sum
+    of the left positions minus size * (size - 1) / 2.  Rows are padded
+    to a power of two with the increasing sentinels n + 1, n + 2, ...,
+    which add no pairs; blocks never straddle rows.
+    """
+    rows, n = seq.shape
     total = np.zeros(rows, dtype=np.int64)
     if n < 2:
         return total
     m = 1 << (n - 1).bit_length()
-    work = np.full((rows, m), n, dtype=np.int64)
-    work[:, :n] = perms
+    work = np.empty((rows, m), dtype=np.int64)
+    work[:, :n] = seq
+    work[:, n:] = np.arange(n + 1, m + 1)
     size = 1
     while size < m:
         keys = 2 * work.reshape(-1, 2 * size)
-        keys[:, size:] += 1
+        keys[:, :size] += 1
         keys.sort(axis=1)
         positions = (keys & 1) @ np.arange(2 * size, dtype=np.int64)
-        total += (size * (3 * size - 1) // 2 - positions).reshape(rows, -1).sum(axis=1)
+        total += (positions - size * (size - 1) // 2).reshape(rows, -1).sum(axis=1)
         work = keys >> 1
         size *= 2
     return total
 
 
-def kendall_t(s: BivariateSample) -> float:
-    """(concordant - discordant) / C(n,2) with exact integer counts.
+def _block_st(samples: list[BivariateSample]) -> np.ndarray:
+    """(2, rows) array of S and T for samples of one size n >= 2.
 
-    Tie-free samples go through O(n log n) inversion counting; ties
-    trigger a TiesPresent warning and the quadratic kernel sum, whose
-    value is the kernel average by definition.
+    S comes from the row sums of "<=" rank products.  T counts the pairs
+    that are not strictly concordant as the pairs p < q whose y ranks in
+    x order have r_p >= r_q, which needs each run of equal x in
+    descending y: rows with an x tie are sorted again that way.  Both
+    counts are exact integers.  A block with a tie warns once.
     """
+    x = np.stack([s.x for s in samples])
+    y = np.stack([s.y for s in samples])
+    n = x.shape[1]
+    ox, rx, tied_x = _ranked_rows(x)
+    _, ry, tied_y = _ranked_rows(y)
+    if tied_x.any() or tied_y.any():
+        warnings.warn("tied coordinates present; ranks use <= counts", TiesPresent)
+        ox[tied_x] = np.lexsort((-ry[tied_x], x[tied_x]), axis=1)
+    totals = (rx * ry).sum(axis=1)
+    inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
+    out = np.empty((2, len(samples)))
+    for k, (total, count) in enumerate(zip(totals.tolist(), inversions.tolist())):
+        out[:, k] = _spearman_value(n, total), _kendall_value(n, count)
+    return out
+
+
+def spearman_s(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    if np.unique(s.x).size < s.n or np.unique(s.y).size < s.n:
-        warnings.warn("tied coordinates present; using kernel sum", TiesPresent)
-        return kendall_t_brute(s)
-    # y ranks listed in x order: a permutation with one inversion per
-    # discordant pair.
-    ry = _inverse_permutations(np.argsort(s.y)[None, :])
-    return _kendall_value(s.n, int(_inversions(ry[:, np.argsort(s.x)])[0]))
+    return float(_block_st([s])[0, 0])
+
+
+def kendall_t(s: BivariateSample) -> float:
+    """(concordant - other pairs) / C(n,2), concordant meaning strictly
+    ordered alike in both coordinates: the kernel average, ties or not,
+    from exact counts in O(n log n) time and O(n) memory."""
+    if s.n < 2:
+        raise DomainError(f"need n >= 2, got {s.n}")
+    return float(_block_st([s])[1, 0])
 
 
 def kendall_t_brute(s: BivariateSample) -> float:
@@ -321,40 +332,6 @@ def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
         return ms.mu, ms.sigma2
     ms = moments_s(rho)
     return mu_s_finite_n(rho, n), ms.sigma2
-
-
-def _tied_rows(v: np.ndarray, order: np.ndarray) -> np.ndarray:
-    ordered = np.take_along_axis(v, order, axis=1)
-    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-
-
-def _block_st(samples: list[BivariateSample]) -> np.ndarray:
-    """(2, rows) array of S and T for samples of one size n >= 2.
-
-    The samples are stacked into (rows, n) arrays and ranked by one
-    argsort per coordinate.  S comes from the row sums of rank products
-    and T from the row-wise inversion count of the y ranks in x order;
-    both are exact integers, so each value is bitwise the per-sample
-    one.  A row with a tie goes to the per-sample estimators, which use
-    "<=" ranks and warn.
-    """
-    x = np.stack([s.x for s in samples])
-    y = np.stack([s.y for s in samples])
-    n = x.shape[1]
-    ox = np.argsort(x, axis=1)
-    oy = np.argsort(y, axis=1)
-    tied = _tied_rows(x, ox) | _tied_rows(y, oy)
-    ry = _inverse_permutations(oy)
-    totals = ((_inverse_permutations(ox) + 1) * (ry + 1)).sum(axis=1)
-    inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
-    out = np.empty((2, len(samples)))
-    for k, s in enumerate(samples):
-        if tied[k]:
-            out[:, k] = _ESTIMATORS["S"](s), _ESTIMATORS["T"](s)
-        else:
-            out[0, k] = _spearman_value(n, int(totals[k]))
-            out[1, k] = _kendall_value(n, int(inversions[k]))
-    return out
 
 
 @lru_cache(maxsize=8)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arecorr import stats_mc
@@ -32,6 +33,15 @@ from arecorr.stats_mc import (
 
 def _sample(n: int, rho: float, stream: int) -> BivariateSample:
     return sample_bivariate_normal(n, rho, DEFAULT_SEED, stream=stream)
+
+
+def _le_ranks(v: np.ndarray) -> np.ndarray:
+    """Oracle for the "<=" ranks #{j : v_j <= v_i}."""
+    return np.searchsorted(np.sort(v), v, side="right").astype(np.int64)
+
+
+def _spearman_oracle(s: BivariateSample) -> float:
+    return stats_mc._spearman_value(s.n, int(_le_ranks(s.x) @ _le_ranks(s.y)))
 
 
 # ---------------------------------------------------------------- samples
@@ -120,9 +130,7 @@ def test_spearman_matches_hand_evaluations() -> None:
 def test_spearman_equals_pearson_of_ranks() -> None:
     for stream in range(5):
         s = _sample(20, 0.4, stream=stream)
-        rx = np.searchsorted(np.sort(s.x), s.x, side="right").astype(float)
-        ry = np.searchsorted(np.sort(s.y), s.y, side="right").astype(float)
-        oracle = pearson_r(BivariateSample(x=rx, y=ry))
+        oracle = pearson_r(BivariateSample(x=_le_ranks(s.x), y=_le_ranks(s.y)))
         assert spearman_s(s) == pytest.approx(oracle, abs=1e-12)
 
 
@@ -175,6 +183,43 @@ def test_tied_coordinates_warn_but_still_evaluate() -> None:
     with pytest.warns(TiesPresent):
         tv = kendall_t(tied)
     assert tv == kendall_t_brute(tied)
+
+
+# Few distinct values, so most samples have ties in one or both columns.
+_TIED_SAMPLES = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 3), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TIED_SAMPLES)
+@example(([0, 0], [0, 1]))
+@example(([1, 1, 1], [2, 2, 2]))
+@example(([0, 1], [1, 0]))
+@example(([1, 1, 2], [1, 2, 3]))
+def test_tied_estimators_match_the_oracles(columns) -> None:
+    s = BivariateSample(x=np.array(columns[0]), y=np.array(columns[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiesPresent)
+        assert kendall_t(s) == kendall_t_brute(s)
+        assert spearman_s(s) == _spearman_oracle(s)
+
+
+def test_tied_estimators_run_in_linear_memory() -> None:
+    # The quadratic kernel sum builds n x n matrices, about 30 MiB here.
+    n = 4000
+    s = BivariateSample(x=np.arange(n) // 3, y=np.arange(n) % 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiesPresent)
+        tracemalloc.start()
+        try:
+            tv, sv = kendall_t(s), spearman_s(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert tv == kendall_t_brute(s)
+    assert sv == _spearman_oracle(s)
 
 
 def test_tie_free_paths_emit_no_warnings() -> None:
@@ -267,37 +312,47 @@ def test_replicates_match_per_sample_estimators_across_block_boundaries(n) -> No
             assert values[k, i] == stats_mc._ESTIMATORS[stat](s), (stat, i)
 
 
-# n = 2, 3, and powers of two and their neighbours, where padding changes.
-_PERMUTATION_BLOCKS = st.sampled_from(
+# n = 2, 3, and powers of two and their neighbours, where padding changes;
+# rows are permutations of 0..n-1 or tied values in 0..n.
+_ROW_BLOCKS = st.sampled_from(
     [2, 3] + [m + d for m in (4, 8, 16, 32, 64) for d in (-1, 0, 1)]
-).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)) | st.lists(st.integers(0, n), min_size=n, max_size=n),
+        min_size=1,
+        max_size=4,
+    )
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_PERMUTATION_BLOCKS)
-def test_row_inversion_counts_match_the_kernel_sum(perms) -> None:
-    block = np.array(perms, dtype=np.int64)
+@given(_ROW_BLOCKS)
+def test_row_inversion_counts_match_the_kernel_sum(rows) -> None:
+    block = np.array(rows, dtype=np.int64)
     n = block.shape[1]
     c2 = n * (n - 1) // 2
     counts = stats_mc._inversions(block)
     for row, count in zip(block, counts):
-        # With x = 0..n-1 the discordant pairs are the inversions of y.
+        # With x = 0..n-1 the pairs that are not concordant are the
+        # p < q with y_p >= y_q.
         brute = kendall_t_brute(BivariateSample(x=np.arange(n), y=row))
         assert count == round(c2 * (1.0 - brute) / 2.0)
 
 
-def test_block_sends_a_tied_row_to_the_per_sample_estimators() -> None:
-    block = [_sample(12, 0.4, stream=k) for k in range(3)]
+def test_block_values_on_tied_rows_match_the_oracles() -> None:
+    block = [_sample(12, 0.4, stream=k) for k in range(4)]
     x = block[1].x.copy()
     x[5] = x[2]
     block[1] = BivariateSample(x=x, y=block[1].y)
-    with pytest.warns(TiesPresent):
+    y = block[2].y.copy()
+    y[0] = y[7]
+    block[2] = BivariateSample(x=block[2].x, y=y)
+    with pytest.warns(TiesPresent) as record:
         values = stats_mc._block_st(block)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TiesPresent)
-        for k, s in enumerate(block):
-            assert values[0, k] == spearman_s(s)
-            assert values[1, k] == kendall_t(s)
+    assert len(record) == 1
+    for k, s in enumerate(block):
+        assert values[0, k] == _spearman_oracle(s)
+        assert values[1, k] == kendall_t_brute(s)
 
 
 def test_cached_replicates_are_read_only() -> None:
