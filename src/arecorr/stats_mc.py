@@ -172,15 +172,18 @@ def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     In sorted order the rank #{j : v_j <= v_i} is one past the end of the
     run of values equal to v_i; on a tie-free row the ranks are the
-    inverse permutation plus one.
+    inverse permutation plus one.  At most four block-sized arrays are
+    live at once: v, the order, the run ends and the ranks.
     """
     order = np.argsort(v, axis=1)
     ordered = np.take_along_axis(v, order, axis=1)
-    run_end = np.ones_like(v, dtype=bool)
+    run_end = np.ones(v.shape, dtype=bool)
     run_end[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
-    ends = np.where(run_end, np.arange(1, v.shape[1] + 1), v.shape[1])[:, ::-1]
+    del ordered
+    ends = np.where(run_end, np.arange(1, v.shape[1] + 1), v.shape[1])
+    np.minimum.accumulate(ends[:, ::-1], axis=1, out=ends[:, ::-1])
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.minimum.accumulate(ends, axis=1)[:, ::-1], 1)
+    np.put_along_axis(ranks, order, ends, 1)
     return order, ranks, ~run_end.all(axis=1)
 
 
@@ -206,12 +209,13 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
     work[:, n:] = np.arange(n + 1, m + 1)
     size = 1
     while size < m:
-        keys = 2 * work.reshape(-1, 2 * size)
+        keys = work.reshape(-1, 2 * size)
+        keys <<= 1
         keys[:, :size] += 1
         keys.sort(axis=1)
         positions = (keys & 1) @ np.arange(2 * size, dtype=np.int64)
         total += (positions - size * (size - 1) // 2).reshape(rows, -1).sum(axis=1)
-        work = keys >> 1
+        keys >>= 1
         size *= 2
     return total
 
@@ -225,15 +229,15 @@ def _block_st(samples: list[BivariateSample]) -> np.ndarray:
     descending y: rows with an x tie are sorted again that way.  Both
     counts are exact integers.  A block with a tie warns once.
     """
-    x = np.stack([s.x for s in samples])
-    y = np.stack([s.y for s in samples])
-    n = x.shape[1]
-    ox, rx, tied_x = _ranked_rows(x)
-    _, ry, tied_y = _ranked_rows(y)
+    n = samples[0].n
+    ox, rx, tied_x = _ranked_rows(np.stack([s.x for s in samples]))
+    ry, tied_y = _ranked_rows(np.stack([s.y for s in samples]))[1:]
     if tied_x.any() or tied_y.any():
         warnings.warn("tied coordinates present; ranks use <= counts", TiesPresent)
-        ox[tied_x] = np.lexsort((-ry[tied_x], x[tied_x]), axis=1)
-    totals = (rx * ry).sum(axis=1)
+        for k in np.flatnonzero(tied_x):
+            ox[k] = np.lexsort((-ry[k], samples[k].x))
+    totals = np.einsum("ij,ij->i", rx, ry)
+    del rx
     inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
     out = np.empty((2, len(samples)))
     for k, (total, count) in enumerate(zip(totals.tolist(), inversions.tolist())):
