@@ -22,7 +22,9 @@ GOLDENS = {
     "table_grid99.csv": ["table", "--grid", "99"],
     "bounds.csv": ["bounds"],
     "verify.json": ["verify", "--format", "json"],
+    "verify_grid999.txt": ["verify", "--grid", "999"],
     "reduce_grid99.csv": ["reduce", "--grid", "99"],
+    "reduce_grid999.json": ["reduce", "--grid", "999", "--format", "json"],
     "mc_n50_reps200.csv": ["mc", "--n", "50", "--reps", "200", "--rho", "0.0,0.5"],
 }
 
