@@ -39,7 +39,6 @@ __all__ = [
     "anchor_line",
     "bisect_root",
     "are",
-    "dare",
     "ratio_slope",
     "are_from_moments",
     "endpoint_constants",
@@ -193,22 +192,8 @@ def are(p: Pair | str, x: float) -> float:
     return pr.f(ax) / pr.g(ax)
 
 
-def dare(p: Pair | str, x: float) -> float:
-    """d(are)/dx; odd in x; 0 at x = 0."""
-    tag = _as_tag(p)
-    ax = _check_open_unit(x)
-    if ax == 0.0:
-        return 0.0
-    if 1.0 - ax <= SERIES_RADIUS:
-        val = _series(tag, 1).deriv()(ax - 1.0)
-    else:
-        var = Jet.variable(ax, 1)
-        val = ratio_slope(_PAIRS[tag].f(var), _PAIRS[tag].g(var))
-    return math.copysign(val, x)
-
-
 def ratio_slope(f: Jet, g: Jet) -> float:
-    """(f/g)' at the center, by the quotient rule on order-1 jets of f and g."""
+    """(f/g)' at the center(s), by the quotient rule on order-1 jets of f and g."""
     f0, f1 = f.coeffs
     g0, g1 = g.coeffs
     return (f1 * g0 - f0 * g1) / (g0 * g0)

@@ -5,9 +5,9 @@ Output is CSV (default), JSON mirroring the CSV fields, or, for
 `verify`, line-oriented text.  All output is locale-independent with
 '.' decimals and LF line endings; identical flags and seed give
 byte-identical output.  Exit codes: 0 success, 1 verification failure
-or any other error the package or the file system reports, 2 usage
-error; errors print one `arecorr: ...` line to stderr and nothing to
-stdout.
+or any other error the package, the file system or the memory
+allocator reports, 2 usage error; errors print one `arecorr: ...` line
+to stderr and nothing to stdout.
 
 `mc` draws each replicate once per rho and evaluates R, S and T on it.
 """
@@ -22,6 +22,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
 from .errors import ArecorrError, DomainError, Indeterminate
 from .reduction import (
@@ -30,8 +32,9 @@ from .reduction import (
     classify_sign,
     interior_grid,
     rho_tilde,
+    tabulated,
 )
-from .stats_mc import DEFAULT_SEED, mc_moments
+from .stats_mc import DEFAULT_SEED, SEED_LIMIT, mc_moments
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -152,6 +155,8 @@ def _cmd_mc(args) -> int:
         raise _UsageError(f"--reps must be >= 100, got {args.reps}")
     if args.n < 10:
         raise _UsageError(f"--n must be >= 10, got {args.n}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise _UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
     rhos = _parse_rho_list(args.rho)
     # rho outermost, so the three statistics of one rho share its draws;
     # the stable sort restores one block of rows per statistic.
@@ -179,12 +184,15 @@ def _cmd_reduce(args) -> int:
     rows = []
     xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
-        chain = build_chain_rt(a)
-        for node in chain:
-            f_sp = classify_sign(node.f, 0.0, 1.0, args.grid)
-            g_sp = classify_sign(node.g, 0.0, 1.0, args.grid)
+        for node in build_chain_rt(a):
+            # One array pass gives f_i, g_i and r_i' on the whole grid.
+            fj, gj = node.jets(np.array(xs), 1)
+            f_sp = classify_sign(tabulated(xs, fj.value, node.f), 0.0, 1.0, args.grid)
+            g_sp = classify_sign(tabulated(xs, gj.value, node.g), 0.0, 1.0, args.grid)
             try:
-                r_mp = classify_monotone(node.r_jet, 0.0, 1.0, args.grid)
+                slope = (fj / gj).coeffs[1]
+                dr = tabulated(xs, slope, lambda x: node.r_jet(x, 1).coeffs[1])
+                r_mp = classify_monotone(dr, 0.0, 1.0, args.grid)
                 r_sym, r_brk = r_mp.symbols, _fmt_breaks(r_mp.breakpoints)
             except (Indeterminate, ZeroDivisionError, OverflowError):
                 r_sym, r_brk = "", ""
@@ -192,7 +200,6 @@ def _cmd_reduce(args) -> int:
                 rt0 = repr(rho_tilde(node, 1e-6))
             except DomainError:
                 rt0 = ""
-            jets = [node.jets(x) for x in xs]
             rows.append(
                 {
                     "anchor": a,
@@ -203,8 +210,8 @@ def _cmd_reduce(args) -> int:
                     "g_breakpoints": _fmt_breaks(g_sp.breakpoints),
                     "r_pattern": r_sym,
                     "r_breakpoints": r_brk,
-                    "min_abs_f": min(abs(f.value) for f, _ in jets),
-                    "min_abs_g": min(abs(g.value) for _, g in jets),
+                    "min_abs_f": min(map(abs, fj.value.tolist())),
+                    "min_abs_g": min(map(abs, gj.value.tolist())),
                     "rho_tilde_0": rt0,
                 }
             )
@@ -272,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"arecorr: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("arecorr: error: out of memory:", exc or "allocation failed", file=sys.stderr)
         return 1
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "mu_s_finite_n",
     "isin_integrand",
     "sigma_s2",
-    "dsigma_s2",
     "sigma_s2_jet",
 ]
 
@@ -48,7 +47,6 @@ class MomentSet:
     mu: float
     dmu: float
     sigma2: float
-    dsigma2: float
 
 
 def _rho_value(rho: float) -> float:
@@ -119,18 +117,6 @@ def sigma_s2(x: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> float:
     return _sigma_s2_cached(float(x), float(abs_tol))
 
 
-def dsigma_s2(x: float) -> float:
-    """d(sigma_s2)/dx at x = |rho|; integral terms via their integrands."""
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"dsigma_s2 needs 0 <= x < 1, got {x!r}")
-    pi2 = math.pi**2
-    isum = sum(w * _integrand(k, x) for k, w in enumerate(_WEIGHTS, start=1))
-    return (
-        -(324.0 / pi2) * _asin(0.5 * x) / math.sqrt(1.0 - 0.25 * x * x)
-        + (72.0 / pi2) * isum
-    )
-
-
 def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> Jet:
     """Taylor jet of sigma_s2 at x0 in [0, 1].
 
@@ -157,7 +143,7 @@ def moments_r(rho: float) -> MomentSet:
     """Pearson R: mu = rho, sigma2 = (1 - rho^2)^2."""
     v = _rho_value(rho)
     one_m = 1.0 - v * v
-    return MomentSet(mu=v, dmu=1.0, sigma2=one_m * one_m, dsigma2=-4.0 * v * one_m)
+    return MomentSet(mu=v, dmu=1.0, sigma2=one_m * one_m)
 
 
 def moments_t(rho: float) -> MomentSet:
@@ -169,7 +155,6 @@ def moments_t(rho: float) -> MomentSet:
         mu=(2.0 / pi) * _asin(v),
         dmu=2.0 / (pi * math.sqrt(1.0 - v * v)),
         sigma2=4.0 / 9.0 - (16.0 / pi**2) * half * half,
-        dsigma2=-(16.0 / pi**2) * half / math.sqrt(1.0 - 0.25 * v * v),
     )
 
 
@@ -183,13 +168,10 @@ def moments_s(rho: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet:
     v = _rho_value(rho)
     x = min(abs(v), RHO_CAP)
     pi = math.pi
-    s2 = sigma_s2(x, abs_tol)
-    ds2 = math.copysign(1.0, v) * dsigma_s2(x) if v != 0.0 else 0.0
     return MomentSet(
         mu=(6.0 / pi) * _asin(0.5 * v),
         dmu=3.0 / (pi * math.sqrt(1.0 - 0.25 * v * v)),
-        sigma2=s2,
-        dsigma2=ds2,
+        sigma2=sigma_s2(x, abs_tol),
     )
 
 

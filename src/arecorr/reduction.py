@@ -7,9 +7,11 @@ the second-difference function q_a) reduces to sign questions about the
 last ratio.  `ChainNode.jets` evaluates node i in one pass up this
 recursion: it expands f0 and g0 as Taylor jets of order `order + i` and
 differentiates and multiplies i times, so f_i and g_i come out together
-and nested differentiation is exact to rounding.  Only the RT chain is
-available: the corresponding multiplier lists for the other two pairs
-are not published in reproducible form, so nothing is guessed here.
+and nested differentiation is exact to rounding.  On an array of points
+one pass gives the whole grid, bitwise equal to the pass at each point,
+and `tabulated` hands it to `classify_sign`.  Only the RT chain is
+available: the multiplier lists for the other two pairs are not
+published in reproducible form, so nothing is guessed here.
 """
 
 from __future__ import annotations
@@ -18,17 +20,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .are_bounds import anchor_line, bisect_root, pair, ratio_slope
+import numpy as np
+
+from .are_bounds import anchor_line, bisect_root, pair
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
 __all__ = [
-    "JetFun",
     "MULTIPLIERS",
     "ChainNode",
     "SignPattern",
     "MonotonePattern",
     "interior_grid",
+    "tabulated",
     "build_chain_rt",
     "classify_sign",
     "classify_monotone",
@@ -36,11 +40,10 @@ __all__ = [
     "SIGN_FLOOR",
 ]
 
-# A callable returning the Taylor jet of a scalar function: (x0, order) -> Jet.
-JetFun = Callable[[float, int], Jet]
-
 # Grid values closer to zero than this cannot be assigned a sign.
 SIGN_FLOOR = 1e-12
+
+ScalarFun = Callable[[float], float]
 
 # The multipliers a_1..a_4, each positive on [0, 1].
 MULTIPLIERS: tuple[Callable[[Jet], Jet], ...] = (
@@ -60,8 +63,8 @@ class ChainNode:
     b: float
     c: float
 
-    def jets(self, x: float, order: int = 0) -> tuple[Jet, Jet]:
-        """The jets of f_i and g_i at x, truncated at `order`.
+    def jets(self, x: float | np.ndarray, order: int = 0) -> tuple[Jet, Jet]:
+        """The jets of f_i and g_i at x (a point or an array), truncated at `order`.
 
         Coefficient k of a jet operation depends only on coefficients
         <= k of its operands, so the low coefficients do not depend on
@@ -82,10 +85,6 @@ class ChainNode:
 
     def g(self, x: float) -> float:
         return self.jets(x)[1].value
-
-    def dr(self, x: float) -> float:
-        """r_i'(x) by the quotient rule over jets."""
-        return ratio_slope(*self.jets(x, 1))
 
     def r_jet(self, x: float, order: int) -> Jet:
         """The jet of r_i = f_i/g_i at x."""
@@ -116,9 +115,15 @@ def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
 
 
-def classify_sign(
-    h: Callable[[float], float], lo: float, hi: float, grid: int
-) -> SignPattern:
+def tabulated(xs: list[float], values: np.ndarray, fallback: ScalarFun) -> ScalarFun:
+    """h with h(xs[j]) = values[j] and h(x) = fallback(x) elsewhere, so a
+    scan of h reads its grid from one array pass and evaluates only its
+    bisection midpoints through the scalar `fallback`."""
+    table = dict(zip(xs, values.tolist()))
+    return lambda x: table[x] if x in table else fallback(x)
+
+
+def classify_sign(h: ScalarFun, lo: float, hi: float, grid: int) -> SignPattern:
     """Sign pattern of h on (lo, hi); roots refined by bisection.
 
     A grid value with |h| < SIGN_FLOOR raises Indeterminate: pattern
@@ -145,13 +150,9 @@ def classify_sign(
     return SignPattern(symbols="".join(symbols), breakpoints=tuple(breakpoints))
 
 
-def classify_monotone(h: JetFun, lo: float, hi: float, grid: int) -> MonotonePattern:
-    """Arrow pattern of h from the sign pattern of its jet derivative."""
-
-    def hprime(x: float) -> float:
-        return h(x, 1).coeffs[1]
-
-    sp = classify_sign(hprime, lo, hi, grid)
+def classify_monotone(dh: ScalarFun, lo: float, hi: float, grid: int) -> MonotonePattern:
+    """Arrow pattern of a function from the sign pattern of its derivative dh."""
+    sp = classify_sign(dh, lo, hi, grid)
     arrows = sp.symbols.replace("+", "↗").replace("-", "↘")
     return MonotonePattern(symbols=arrows, breakpoints=sp.breakpoints)
 

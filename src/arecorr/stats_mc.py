@@ -1,13 +1,13 @@
 """Finite-sample correlation estimators and Monte Carlo moment checks.
 
-Estimators: product-moment R, rank correlation S (ranks are "count of
-coordinates <=", so ties shift ranks rather than crash), and pair
-concordance T (merge-sort counting of the pairs not strictly
-concordant, exactly equal to the quadratic kernel sum with or without
-ties).  Both take O(n log n) time and O(n) memory on any finite sample,
-and ties draw a TiesPresent warning.  The triple kernel identity writes
-S as a U-statistic average; `spearman_ustat_identity` evaluates both
-sides for comparison.
+Estimators: product-moment R, rank correlation S and pair concordance
+T.  S is the triple-kernel U-statistic, computed from the counts of
+strictly smaller values in each coordinate; T counts the pairs not
+strictly concordant by merge sort.  Both equal their kernel averages
+exactly, with or without ties, in O(n log n) time and O(n) memory, and
+ties draw a TiesPresent warning.  On tied samples S can fall below -1:
+its range is [-3(n-1)/(n+1), 1], the low end taken when a column is
+constant.  `spearman_ustat_identity` evaluates S both ways for comparison.
 
 Sampling uses counter-based Philox streams keyed by (seed, replicate
 index), so replicate i is the same sample whatever else is computed.
@@ -37,6 +37,7 @@ from .errors import DegenerateSample, DomainError, TiesPresent
 
 __all__ = [
     "DEFAULT_SEED",
+    "SEED_LIMIT",
     "BivariateSample",
     "McReport",
     "sample_bivariate_normal",
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
+
+# Seeds are one 64-bit Philox key word; one outside [0, 2**64) would alias.
+SEED_LIMIT = 2**64
 
 _STAT_NAMES = ("R", "S", "T")
 
@@ -89,13 +93,6 @@ class BivariateSample:
     @property
     def pairs(self) -> list[tuple[float, float]]:
         return [(float(a), float(b)) for a, b in zip(self.x, self.y)]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "BivariateSample":
-        arr = np.asarray(list(pairs), dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DomainError("pairs must be a sequence of (x, y)")
-        return cls(x=arr[:, 0], y=arr[:, 1])
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,10 @@ def sample_bivariate_normal(
     if stream < 0:
         raise DomainError(f"need stream >= 0, got {stream!r}")
     value = _rho_strict(rho)
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    try:
+        key = np.array([int(seed), int(stream)], dtype=np.uint64)
+    except OverflowError:
+        raise DomainError(f"seed {seed!r} or stream {stream!r} not in [0, 2**64)") from None
     raw = np.random.Philox(key=key).random_raw(2 * n)
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     xs = ndtri(u[0::2])
@@ -156,10 +156,14 @@ def pearson_r(s: BivariateSample) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _spearman_value(n: int, total: int) -> float:
-    # One integer numerator and one division keep the value an exactly
-    # rounded rational, so y -> -y negates it exactly.
-    return (12 * total - 3 * n * (n + 1) ** 2) / (n**3 - n)
+def _spearman_value(n: int, a: int) -> float:
+    """The triple-kernel U-statistic (n-2)(2A - 3C(n,3) - C(n,2))/((n+1)C(n,3))
+    with (n-2)/6 cancelled, so n = 2 works; A = sum_i Lx_i Ly_i.
+
+    One integer over one integer is exactly rounded, so the value equals
+    the rank formula's on tie-free samples and y -> -y negates it there.
+    """
+    return (12 * a - 18 * math.comb(n, 3) - 6 * math.comb(n, 2)) / (n**3 - n)
 
 
 def _kendall_value(n: int, inversions: int) -> float:
@@ -168,23 +172,23 @@ def _kendall_value(n: int, inversions: int) -> float:
 
 
 def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(argsort, "<=" ranks, tie flag) of each row of a (rows, n) array.
+    """(argsort, "<" counts, tie flag) of each row of a (rows, n) array.
 
-    In sorted order the rank #{j : v_j <= v_i} is one past the end of the
-    run of values equal to v_i; on a tie-free row the ranks are the
-    inverse permutation plus one.  At most four block-sized arrays are
-    live at once: v, the order, the run ends and the ranks.
+    In sorted order the count L_i = #{j : v_j < v_i} is the position of
+    the start of the run of values equal to v_i; on a tie-free row the
+    counts are the inverse permutation.  At most four block-sized arrays
+    are live at once: v, the order, the run starts and the counts.
     """
     order = np.argsort(v, axis=1)
     ordered = np.take_along_axis(v, order, axis=1)
-    run_end = np.ones(v.shape, dtype=bool)
-    run_end[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
+    run_start = np.ones(v.shape, dtype=bool)
+    run_start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     del ordered
-    ends = np.where(run_end, np.arange(1, v.shape[1] + 1), v.shape[1])
-    np.minimum.accumulate(ends[:, ::-1], axis=1, out=ends[:, ::-1])
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, ends, 1)
-    return order, ranks, ~run_end.all(axis=1)
+    starts = np.where(run_start, np.arange(v.shape[1]), 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, starts, 1)
+    return order, counts, ~run_start.all(axis=1)
 
 
 def _inversions(seq: np.ndarray) -> np.ndarray:
@@ -223,17 +227,17 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
 def _block_st(samples: list[BivariateSample]) -> np.ndarray:
     """(2, rows) array of S and T for samples of one size n >= 2.
 
-    S comes from the row sums of "<=" rank products.  T counts the pairs
-    that are not strictly concordant as the pairs p < q whose y ranks in
-    x order have r_p >= r_q, which needs each run of equal x in
-    descending y: rows with an x tie are sorted again that way.  Both
+    S comes from the row sums A of products of "<" counts.  T counts the
+    pairs that are not strictly concordant as the pairs p < q whose y
+    counts in x order have L_p >= L_q, which needs each run of equal x
+    in descending y: rows with an x tie are sorted again that way.  Both
     counts are exact integers.  A block with a tie warns once.
     """
     n = samples[0].n
     ox, rx, tied_x = _ranked_rows(np.stack([s.x for s in samples]))
     ry, tied_y = _ranked_rows(np.stack([s.y for s in samples]))[1:]
     if tied_x.any() or tied_y.any():
-        warnings.warn("tied coordinates present; ranks use <= counts", TiesPresent)
+        warnings.warn("tied coordinates present; S counts smaller values", TiesPresent)
         for k in np.flatnonzero(tied_x):
             ox[k] = np.lexsort((-ry[k], samples[k].x))
     totals = np.einsum("ij,ij->i", rx, ry)
@@ -381,6 +385,8 @@ def mc_moments(
         raise DomainError(f"need n >= 10, got {n!r}")
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps!r}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
     value = _rho_strict(rho)
     vals = _replicates(value, n, reps, seed)[_STAT_NAMES.index(stat_u)]
 

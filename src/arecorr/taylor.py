@@ -6,6 +6,11 @@ coefficients through the exact truncated product/quotient/chain rules;
 the only rounding is ordinary float rounding, so nested derivatives of
 elementary expressions come out accurate to ~1 ulp per operation with no
 symbolic algebra and no finite-difference step-size error.
+
+A jet may also hold float64 arrays: a 1-D array of centers, and per
+coefficient an array over them (or a broadcast float).  Each element is
+then bitwise the jet at its own center, and a domain guard that fails on
+any element raises the float path's exception.
 """
 
 from __future__ import annotations
@@ -13,16 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["Jet"]
+
+
+def _any(test) -> bool:
+    """A comparison of coefficients: a bool for floats, any element for arrays."""
+    return test if test.__class__ is bool else bool(test.any())
 
 
 @dataclass(frozen=True)
 class Jet:
-    center: float
-    coeffs: tuple[float, ...]
+    center: float | np.ndarray
+    coeffs: tuple
 
     @classmethod
-    def variable(cls, center: float, order: int) -> Jet:
+    def variable(cls, center: float | np.ndarray, order: int) -> Jet:
         """The identity function x, truncated at the given order."""
         if order < 0:
             raise ValueError("jet order must be >= 0")
@@ -46,7 +58,7 @@ class Jet:
 
     def _promote(self, other: Jet | float | int) -> Jet:
         if isinstance(other, Jet):
-            if other.center != self.center:
+            if other.center is not self.center and _any(other.center != self.center):
                 raise ValueError("jet centers differ")
             return other
         return Jet.constant(float(other), self.center, self.order)
@@ -87,7 +99,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self * (1.0 / float(other))
         o = self._promote(other)
-        if o.coeffs[0] == 0.0:
+        if _any(o.coeffs[0] == 0.0):
             raise ZeroDivisionError("jet division by a jet with zero value")
         n = min(len(self.coeffs), len(o.coeffs))
         out = [0.0] * n
@@ -110,10 +122,12 @@ class Jet:
         return result
 
     def sqrt(self) -> Jet:
-        if self.coeffs[0] <= 0.0:
+        c0 = self.coeffs[0]
+        if _any(c0 <= 0.0):
             raise ValueError("jet sqrt needs a strictly positive value")
         out = [0.0] * len(self.coeffs)
-        out[0] = math.sqrt(self.coeffs[0])
+        # Both square roots are correctly rounded.
+        out[0] = np.sqrt(c0) if isinstance(c0, np.ndarray) else math.sqrt(c0)
         for k in range(1, len(self.coeffs)):
             acc = self.coeffs[k]
             for j in range(1, k):
@@ -123,10 +137,13 @@ class Jet:
 
     def asin(self) -> Jet:
         # v' = u'/sqrt(1 - u^2), integrated coefficient-wise.
-        if abs(self.coeffs[0]) >= 1.0:
+        c0 = self.coeffs[0]
+        if _any(abs(c0) >= 1.0):
             raise ValueError("jet asin needs |value| < 1")
         out = [0.0] * len(self.coeffs)
-        out[0] = math.asin(self.coeffs[0])
+        # On arrays, math.asin per element: np.arcsin may differ in the last bit.
+        arr = isinstance(c0, np.ndarray)
+        out[0] = np.array([math.asin(v) for v in c0.tolist()]) if arr else math.asin(c0)
         if len(self.coeffs) > 1:
             w = (1.0 - self * self).sqrt()
             q = self.deriv() / Jet(self.center, w.coeffs[:-1])
@@ -141,12 +158,6 @@ class Jet:
             self.center,
             tuple((k + 1) * self.coeffs[k + 1] for k in range(len(self.coeffs) - 1)),
         )
-
-    def derivative(self, k: int) -> float:
-        """k-th derivative value at the center (coefficient times k!)."""
-        if k < 0 or k > self.order:
-            raise ValueError("derivative order outside stored jet order")
-        return self.coeffs[k] * math.factorial(k)
 
     def __call__(self, t: float) -> float:
         """Evaluate the truncated polynomial at offset t from the center."""

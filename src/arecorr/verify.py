@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .are_bounds import (
     are,
     are_from_moments,
@@ -21,7 +23,7 @@ from .are_bounds import (
     quartic_bounds_rs,
     ratio_slope,
 )
-from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde
+from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde, tabulated
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
 
@@ -205,12 +207,13 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
 
     # --- reduction chain ----------------------------------------------------
     for a in (0, 1):
-        chain = build_chain_rt(a)
-        node4 = chain[4]
+        f4, g4 = build_chain_rt(a)[4].jets(np.array(xs), 1)
+        slopes = ratio_slope(f4, g4)
+        # Python's min in grid order, as the scalar scan took it (np.min
+        # treats NaN differently).
         margin = math.inf
-        for x in xs:
-            f4, g4 = node4.jets(x, 1)
-            margin = min(margin, -f4.value, -g4.value, ratio_slope(f4, g4))
+        for vals in zip((-f4.value).tolist(), (-g4.value).tolist(), slopes.tolist()):
+            margin = min(margin, *vals)
         results.append(
             CheckResult(
                 name=f"reduction.endgame.RT.{a}",
@@ -220,32 +223,34 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
             )
         )
 
-    results.append(_trace_rt0(grid))
-    results.append(_trace_rt1(grid))
+    results.append(_trace_rt0(xs))
+    results.append(_trace_rt1(xs))
     return results
 
 
-def _pattern_checks(grid: int, cases: list[tuple[str, object, str]]) -> tuple[bool, str]:
-    """Classify each named function and compare with the wanted pattern."""
+def _pattern_checks(
+    nodes: list, xs: list[float], wants: list[tuple[str, str]]
+) -> tuple[bool, str]:
+    """Classify each named f_i or g_i on xs, one array pass per node."""
+    funcs = {}
+    for node in nodes:
+        fj, gj = node.jets(np.array(xs))
+        funcs[f"f{node.index}"] = tabulated(xs, fj.value, node.f)
+        funcs[f"g{node.index}"] = tabulated(xs, gj.value, node.g)
     problems = []
-    for name, fn, want in cases:
-        got = classify_sign(fn, 0.0, 1.0, grid).symbols
+    for name, want in wants:
+        got = classify_sign(funcs[name], 0.0, 1.0, len(xs)).symbols
         if got != want:
             problems.append(f"{name}: got {got!r}, want {want!r}")
     return (not problems, "; ".join(problems))
 
 
-def _trace_rt0(grid: int) -> CheckResult:
+def _trace_rt0(xs: list[float]) -> CheckResult:
     chain = build_chain_rt(0)
     ok, detail = _pattern_checks(
-        grid,
-        [
-            ("g2", chain[2].g, "+-"),
-            ("f2", chain[2].f, "+-"),
-            ("g1", chain[1].g, "+-"),
-            ("f1", chain[1].f, "+-"),
-            ("g0", chain[0].g, "+"),
-        ],
+        chain[:3],
+        xs,
+        [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")],
     )
     # Bracketing facts and the vanishing of the third stage at 0+.
     f2, g2 = chain[2].jets(0.41)
@@ -264,18 +269,12 @@ def _trace_rt0(grid: int) -> CheckResult:
     )
 
 
-def _trace_rt1(grid: int) -> CheckResult:
+def _trace_rt1(xs: list[float]) -> CheckResult:
     chain = build_chain_rt(1)
     ok, detail = _pattern_checks(
-        grid,
-        [
-            ("g3", chain[3].g, "+-"),
-            ("f3", chain[3].f, "+-"),
-            ("g2", chain[2].g, "+"),
-            ("f2", chain[2].f, "-+"),
-            ("g1", chain[1].g, "-"),
-            ("g0", chain[0].g, "+"),
-        ],
+        chain[:4],
+        xs,
+        [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")],
     )
     f3, g3 = chain[3].jets(0.6)
     margin = min(-g3.value, f3.value, rho_tilde(chain[2], 1e-6))

@@ -11,15 +11,16 @@ from arecorr.are_bounds import (
     are,
     are_from_moments,
     crossover,
-    dare,
     endpoint_constants,
     pair,
     partition_bounds,
     q,
     quad_bounds,
     quartic_bounds_rs,
+    ratio_slope,
 )
 from arecorr.errors import BadPartition, DomainError, NoBracket
+from arecorr.taylor import Jet
 
 # Endpoint values, endpoint slopes, and one-sided second-difference
 # limits frozen from an independent 30-digit symbolic-series
@@ -122,6 +123,20 @@ def test_are_rejects_closed_endpoints() -> None:
         are("RT", 1.0)
     with pytest.raises(DomainError):
         are("TS", -1.1)
+
+
+def dare(tag: str, x: float) -> float:
+    """d(are)/dx, odd in x: the endpoint series within SERIES_RADIUS of
+    1, the quotient rule on order-1 jets of f and g elsewhere."""
+    ax = abs(x)
+    if ax == 0.0:
+        return 0.0
+    if 1.0 - ax <= ab.SERIES_RADIUS:
+        val = ab._series(tag, 1).deriv()(ax - 1.0)
+    else:
+        var = Jet.variable(ax, 1)
+        val = ratio_slope(pair(tag).f(var), pair(tag).g(var))
+    return math.copysign(val, x)
 
 
 def test_series_direct_handoff_is_continuous() -> None:

@@ -152,6 +152,31 @@ def test_mc_validates_flags(capsys) -> None:
     assert _run(capsys, ["mc", "--reps", "100", "--rho", "zero"])[0] == 2
 
 
+def test_mc_refuses_seeds_outside_the_philox_key_word(capsys) -> None:
+    # -1 and 2**64 - 1 would give the same draws under different seeds.
+    for seed in ("-1", str(2**64)):
+        rc, out, err = _run(capsys, MC_FAST + ["--seed", seed])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("arecorr: error: --seed")
+    assert _run(capsys, MC_FAST + ["--seed", str(2**64 - 1)])[0] == 0
+
+
+def test_running_out_of_memory_exits_one_with_a_single_stderr_line(
+    capsys, monkeypatch
+) -> None:
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli, "mc_moments", exhausted)
+    rc, out, err = _run(capsys, MC_FAST)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "arecorr: error: out of memory: Unable to allocate 1.46 TiB for an array"
+    ]
+
+
 def test_mc_emits_one_row_per_stat_and_rho(capsys) -> None:
     rc, out, _ = _run(capsys, MC_FAST + ["--rho", "0.0,0.5"])
     assert rc == 0

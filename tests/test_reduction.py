@@ -4,20 +4,34 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from arecorr.are_bounds import endpoint_constants, q
+from arecorr.are_bounds import endpoint_constants, q, ratio_slope
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
+    ChainNode,
     build_chain_rt,
     classify_monotone,
     classify_sign,
+    interior_grid,
     rho_tilde,
+    tabulated,
 )
 from arecorr.taylor import Jet
 
 XS = [k / 10 for k in range(1, 10)]
+
+
+def _dr(node: ChainNode, x: float) -> float:
+    """r_i'(x) by the quotient rule over order-1 jets."""
+    return ratio_slope(*node.jets(x, 1))
+
+
+def _slope(node: ChainNode):
+    """r_i' as a scalar function, from the jet of r_i."""
+    return lambda x: node.r_jet(x, 1).coeffs[1]
 
 
 def test_chain_has_five_nodes_with_multipliers() -> None:
@@ -144,13 +158,13 @@ def test_endgame_final_ratio_is_increasing() -> None:
         for x in XS:
             assert last.f(x) < 0.0
             assert last.g(x) < 0.0
-            assert last.dr(x) > 0.0
+            assert _dr(last, x) > 0.0
 
 
 def test_root_ratio_is_monotone_increasing() -> None:
     for a in (0, 1):
         root = build_chain_rt(a)[0]
-        mp = classify_monotone(root.r_jet, 0.05, 0.95, 199)
+        mp = classify_monotone(_slope(root), 0.05, 0.95, 199)
         assert mp.symbols == "↗"
         assert mp.breakpoints == ()
 
@@ -193,10 +207,10 @@ def test_classify_sign_validates_window_and_grid() -> None:
 
 
 def test_classify_monotone_maps_derivative_signs_to_arrows() -> None:
-    def parabola(x0: float, order: int) -> Jet:
-        return (Jet.variable(x0, order) - 0.5) ** 2
+    def parabola_slope(x0: float) -> float:
+        return ((Jet.variable(x0, 1) - 0.5) ** 2).coeffs[1]
 
-    mp = classify_monotone(parabola, 0.0, 1.0, 1000)
+    mp = classify_monotone(parabola_slope, 0.0, 1.0, 1000)
     assert mp.symbols == "↘↗"
     assert len(mp.breakpoints) == 1
     assert mp.breakpoints[0] == pytest.approx(0.5, abs=1e-9)
@@ -211,7 +225,7 @@ def test_rho_tilde_sign_tracks_the_ratio_derivative() -> None:
                     rt = rho_tilde(node, x)
                 except DomainError:
                     continue
-                dr = node.dr(x)
+                dr = _dr(node, x)
                 if abs(rt) < 1e-9 or abs(dr) < 1e-12:
                     continue
                 assert (rt > 0.0) == (dr > 0.0), (a, node.index, x)
@@ -264,4 +278,37 @@ def test_low_jet_coefficients_do_not_depend_on_the_order() -> None:
                 (f0, f1), (g0, g1) = (jet.coeffs for jet in by_order[1])
                 assert node.f(x).hex() == f0.hex()
                 assert node.g(x).hex() == g0.hex()
-                assert node.dr(x).hex() == ((f1 * g0 - f0 * g1) / (g0 * g0)).hex()
+                assert _dr(node, x).hex() == ((f1 * g0 - f0 * g1) / (g0 * g0)).hex()
+
+
+def test_array_pass_holds_the_bits_of_the_pass_at_each_point() -> None:
+    # verify and reduce read f_i, g_i and r_i' of a whole grid from one
+    # array pass; each element must be the scalar pass at that point.
+    xs = interior_grid(0.0, 1.0, 999)
+    for a in (0, 1):
+        for node in build_chain_rt(a):
+            for order in (0, 1, 2):
+                fa, ga = node.jets(np.array(xs), order)
+                want = [node.jets(x, order) for x in xs]
+                for k in range(order + 1):
+                    for arr, pick in ((fa, 0), (ga, 1)):
+                        got = np.broadcast_to(arr.coeffs[k], len(xs)).tolist()
+                        assert [v.hex() for v in got] == [
+                            w[pick].coeffs[k].hex() for w in want
+                        ], (a, node.index, order, k)
+
+
+def test_tabulated_reads_the_grid_and_evaluates_elsewhere() -> None:
+    node = build_chain_rt(1)[3]
+    xs = interior_grid(0.0, 1.0, 99)
+    calls = []
+
+    def fallback(x: float) -> float:
+        calls.append(x)
+        return node.f(x)
+
+    h = tabulated(xs, node.jets(np.array(xs))[0].value, fallback)
+    assert [h(x) for x in xs] == [node.f(x) for x in xs]
+    assert calls == []
+    assert h(0.123) == node.f(0.123) and calls == [0.123]
+    assert classify_sign(h, 0.0, 1.0, 99) == classify_sign(node.f, 0.0, 1.0, 99)

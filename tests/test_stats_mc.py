@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from arecorr.stats_mc import (
     DEFAULT_SEED,
     BivariateSample,
     kendall_t,
+    SEED_LIMIT,
     kendall_t_brute,
     kernel_h_s,
     kernel_h_s_n,
@@ -35,13 +37,41 @@ def _sample(n: int, rho: float, stream: int) -> BivariateSample:
     return sample_bivariate_normal(n, rho, DEFAULT_SEED, stream=stream)
 
 
+def _from_pairs(pairs) -> BivariateSample:
+    arr = np.asarray(list(pairs), dtype=np.float64)
+    return BivariateSample(x=arr[:, 0], y=arr[:, 1])
+
+
 def _le_ranks(v: np.ndarray) -> np.ndarray:
     """Oracle for the "<=" ranks #{j : v_j <= v_i}."""
     return np.searchsorted(np.sort(v), v, side="right").astype(np.int64)
 
 
+def _lt_counts(v: np.ndarray) -> np.ndarray:
+    """Oracle for the counts #{j : v_j < v_i} of strictly smaller values."""
+    return np.searchsorted(np.sort(v), v, side="left").astype(np.int64)
+
+
 def _spearman_oracle(s: BivariateSample) -> float:
-    return stats_mc._spearman_value(s.n, int(_le_ranks(s.x) @ _le_ranks(s.y)))
+    """6(2A - 3C(n,3) - C(n,2)) / ((n+1)n(n-1)) with A = sum Lx_i Ly_i."""
+    n = s.n
+    a = int(_lt_counts(s.x) @ _lt_counts(s.y))
+    return 6 * (2 * a - 3 * math.comb(n, 3) - math.comb(n, 2)) / ((n + 1) * n * (n - 1))
+
+
+def _spearman_kernel_average(s: BivariateSample) -> float:
+    """S by definition: the average of kernel_h_s_n over all triples, n >= 3.
+
+    (n + 1) times each kernel value is an integer, so the sum is exact and
+    the average is one correctly rounded division.
+    """
+    n, pts = s.n, s.pairs
+    total = 0
+    for i, j, k in combinations(range(n), 3):
+        vi, vj, vk = pts[i], pts[j], pts[k]
+        pair_part = kernel_h_t(vi, vj) + kernel_h_t(vi, vk) + kernel_h_t(vj, vk)
+        total += int((n - 2) * kernel_h_s(vi, vj, vk) + pair_part)
+    return total / ((n + 1) * math.comb(n, 3))
 
 
 # ---------------------------------------------------------------- samples
@@ -61,13 +91,11 @@ def test_sample_container_validates_input() -> None:
 
 
 def test_sample_container_is_immutable_and_round_trips() -> None:
-    s = BivariateSample.from_pairs([(1.0, 2.0), (3.0, 4.0)])
+    s = _from_pairs([(1.0, 2.0), (3.0, 4.0)])
     assert s.n == 2
     assert s.pairs == [(1.0, 2.0), (3.0, 4.0)]
     with pytest.raises(ValueError):
         s.x[0] = 99.0
-    with pytest.raises(DomainError):
-        BivariateSample.from_pairs([1.0, 2.0, 3.0])
 
 
 def test_sampling_is_deterministic_and_prefix_coupled() -> None:
@@ -90,6 +118,9 @@ def test_sampling_hits_the_requested_correlation() -> None:
 
 
 def test_sampling_rejects_bad_arguments() -> None:
+    for seed in (-1, np.int64(-1), SEED_LIMIT):
+        with pytest.raises(DomainError):
+            sample_bivariate_normal(10, 0.5, seed)
     with pytest.raises(DomainError):
         sample_bivariate_normal(0, 0.5, 1)
     with pytest.raises(DomainError):
@@ -102,7 +133,7 @@ def test_sampling_rejects_bad_arguments() -> None:
 
 
 def test_pearson_matches_hand_evaluations() -> None:
-    zero = BivariateSample.from_pairs([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    zero = _from_pairs([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
     assert pearson_r(zero) == pytest.approx(0.0, abs=1e-15)
     xs = np.linspace(-2.0, 3.0, 17)
     line = BivariateSample(x=xs, y=2.0 * xs + 1.0)
@@ -121,7 +152,7 @@ def test_pearson_rejects_degenerate_and_tiny_samples() -> None:
 
 
 def test_spearman_matches_hand_evaluations() -> None:
-    s = BivariateSample.from_pairs([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)])
+    s = _from_pairs([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)])
     assert spearman_s(s) == 0.5  # (12/24)*13 - 6, exact
     xs = np.linspace(0.0, 1.0, 11)
     assert spearman_s(BivariateSample(x=xs, y=np.exp(xs))) == 1.0
@@ -135,8 +166,8 @@ def test_spearman_equals_pearson_of_ranks() -> None:
 
 
 def test_kendall_matches_hand_evaluations() -> None:
-    assert kendall_t(BivariateSample.from_pairs([(1, 1), (2, 2), (3, 3)])) == 1.0
-    s = BivariateSample.from_pairs([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)])
+    assert kendall_t(_from_pairs([(1, 1), (2, 2), (3, 3)])) == 1.0
+    s = _from_pairs([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)])
     assert kendall_t(s) == (2 - 1) / 3  # 2 concordant, 1 discordant
 
 
@@ -176,7 +207,7 @@ def test_estimators_stay_in_range() -> None:
 
 
 def test_tied_coordinates_warn_but_still_evaluate() -> None:
-    tied = BivariateSample.from_pairs([(1.0, 5.0), (1.0, 2.0), (3.0, 4.0)])
+    tied = _from_pairs([(1.0, 5.0), (1.0, 2.0), (3.0, 4.0)])
     with pytest.warns(TiesPresent):
         sv = spearman_s(tied)
     assert math.isfinite(sv)
@@ -198,11 +229,15 @@ _TIED_SAMPLES = st.integers(2, 40).flatmap(
 @example(([0, 1], [1, 0]))
 @example(([1, 1, 2], [1, 2, 3]))
 def test_tied_estimators_match_the_oracles(columns) -> None:
+    # S is its triple-kernel average on tied samples too; at n = 2 the
+    # kernel keeps only its pair part, so S equals T there.
     s = BivariateSample(x=np.array(columns[0]), y=np.array(columns[1]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TiesPresent)
         assert kendall_t(s) == kendall_t_brute(s)
-        assert spearman_s(s) == _spearman_oracle(s)
+        want = _spearman_kernel_average(s) if s.n >= 3 else kendall_t_brute(s)
+        assert spearman_s(s) == want
+        assert _spearman_oracle(s) == want
 
 
 def test_tied_estimators_run_in_linear_memory() -> None:
@@ -261,10 +296,25 @@ def test_spearman_ustat_identity_on_seeded_samples() -> None:
 
 
 def test_spearman_ustat_identity_on_concordant_quadruple() -> None:
-    s = BivariateSample.from_pairs([(1, 1), (2, 2), (3, 3), (4, 4)])
+    s = _from_pairs([(1, 1), (2, 2), (3, 3), (4, 4)])
     direct, ustat = spearman_ustat_identity(s)
     assert direct == 1.0
     assert ustat == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spearman_ustat_identity_holds_on_tied_samples() -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiesPresent)
+        assert spearman_ustat_identity(_from_pairs([(1, 1), (1, 2), (2, 3)])) == (0.5, 0.5)
+        constant = BivariateSample(x=np.ones(7), y=np.arange(7.0))
+        direct, ustat = spearman_ustat_identity(constant)
+        assert direct == -3 * 6 / 8  # the low end of S on tied samples
+        assert ustat == pytest.approx(direct, abs=1e-12)
+        for stream in range(5):
+            s = _sample(15, 0.5, stream=300 + stream)
+            tied = BivariateSample(x=np.round(s.x), y=np.round(2.0 * s.y))
+            direct, ustat = spearman_ustat_identity(tied)
+            assert abs(direct - ustat) <= 1e-12, stream
 
 
 def test_spearman_ustat_identity_rejects_out_of_range_n() -> None:
@@ -361,6 +411,14 @@ def test_cached_replicates_are_read_only() -> None:
     assert not values.flags.writeable
     with pytest.raises(ValueError):
         values[0, 0] = 0.0
+
+
+def test_mc_moments_refuses_seeds_that_would_alias() -> None:
+    # Philox takes the seed as one 64-bit word: -1 would draw as 2**64 - 1.
+    for seed in (-1, SEED_LIMIT, SEED_LIMIT + DEFAULT_SEED):
+        with pytest.raises(DomainError, match="seed"):
+            mc_moments("T", 0.5, 10, 100, seed=seed)
+    assert mc_moments("T", 0.5, 10, 100, seed=SEED_LIMIT - 1).seed == SEED_LIMIT - 1
 
 
 def test_mc_moments_report_is_plausible() -> None:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from arecorr.taylor import Jet
@@ -38,23 +39,28 @@ def test_reciprocal_matches_geometric_series() -> None:
     assert inv.coeffs == pytest.approx((1.0,) * 6, abs=1e-15)
 
 
+def derivative(j: Jet, k: int) -> float:
+    """k-th derivative value at the center (coefficient times k!)."""
+    return j.coeffs[k] * math.factorial(k)
+
+
 def test_sqrt_derivatives_match_closed_forms() -> None:
     x0 = 0.49
     j = Jet.variable(x0, 3).sqrt()
-    assert j.derivative(0) == pytest.approx(math.sqrt(x0), abs=1e-15)
-    assert j.derivative(1) == pytest.approx(0.5 / math.sqrt(x0), abs=1e-14)
-    assert j.derivative(2) == pytest.approx(-0.25 * x0**-1.5, abs=1e-13)
-    assert j.derivative(3) == pytest.approx(0.375 * x0**-2.5, abs=1e-12)
+    assert derivative(j, 0) == pytest.approx(math.sqrt(x0), abs=1e-15)
+    assert derivative(j, 1) == pytest.approx(0.5 / math.sqrt(x0), abs=1e-14)
+    assert derivative(j, 2) == pytest.approx(-0.25 * x0**-1.5, abs=1e-13)
+    assert derivative(j, 3) == pytest.approx(0.375 * x0**-2.5, abs=1e-12)
 
 
 def test_asin_derivatives_match_closed_forms() -> None:
     x0 = 0.3
     j = Jet.variable(x0, 3).asin()
     d = 1.0 - x0 * x0
-    assert j.derivative(0) == pytest.approx(math.asin(x0), abs=1e-15)
-    assert j.derivative(1) == pytest.approx(d**-0.5, abs=1e-14)
-    assert j.derivative(2) == pytest.approx(x0 * d**-1.5, abs=1e-13)
-    assert j.derivative(3) == pytest.approx((1.0 + 2.0 * x0 * x0) * d**-2.5, abs=1e-12)
+    assert derivative(j, 0) == pytest.approx(math.asin(x0), abs=1e-15)
+    assert derivative(j, 1) == pytest.approx(d**-0.5, abs=1e-14)
+    assert derivative(j, 2) == pytest.approx(x0 * d**-1.5, abs=1e-13)
+    assert derivative(j, 3) == pytest.approx((1.0 + 2.0 * x0 * x0) * d**-2.5, abs=1e-12)
 
 
 def test_power_matches_repeated_product() -> None:
@@ -99,3 +105,47 @@ def test_sqrt_and_asin_domain_checks() -> None:
 def test_negative_power_rejected() -> None:
     with pytest.raises(ValueError):
         Jet.variable(0.5, 2) ** -1
+
+
+def test_array_jets_hold_the_bits_of_float_jets() -> None:
+    xs = np.linspace(-0.9, 0.9, 37)
+    order = 4
+
+    def expr(x: Jet) -> Jet:
+        u = 0.5 * x
+        return (1.0 + x * x).sqrt() * u.asin() / (2.0 - x) - 3.0 * x**3
+
+    got = expr(Jet.variable(xs, order))
+    for j, x0 in enumerate(xs.tolist()):
+        want = expr(Jet.variable(x0, order))
+        for k in range(order + 1):
+            assert float(got.coeffs[k][j]).hex() == want.coeffs[k].hex()
+
+
+def test_array_guards_reject_a_single_bad_element() -> None:
+    # One failing element fails the jet, with the float path's exception.
+    xs = np.array([0.25, 0.5, 0.75])
+    for bad, op, exc in (
+        (0.0, lambda v: 1.0 / v, ZeroDivisionError),
+        (0.0, lambda v: (1.0 + v) / v, ZeroDivisionError),
+        (-0.5, lambda v: v.sqrt(), ValueError),
+        (0.0, lambda v: v.sqrt(), ValueError),
+        (1.0, lambda v: v.asin(), ValueError),
+        (-1.5, lambda v: v.asin(), ValueError),
+    ):
+        with pytest.raises(exc):
+            op(Jet.variable(bad, 2))
+        for j in range(xs.size):
+            centers = xs.copy()
+            centers[j] = bad
+            with pytest.raises(exc):
+                op(Jet.variable(centers, 2))
+        op(Jet.variable(xs, 2))
+
+
+def test_array_centers_must_agree_elementwise() -> None:
+    a = Jet.variable(np.array([0.1, 0.2, 0.3]), 2)
+    same = Jet.variable(np.array([0.1, 0.2, 0.3]), 2)
+    assert (a + same).coeffs[0].tolist() == [0.2, 0.4, 0.6]
+    with pytest.raises(ValueError):
+        a + Jet.variable(np.array([0.1, 0.2, 0.4]), 2)
