@@ -8,6 +8,7 @@ write them afresh run `PYTHONPATH=src python tests/test_golden.py`.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -41,6 +42,16 @@ def _stdout_of(argv: list[str]) -> str:
 def test_cli_output_matches_golden_bytes(name: str) -> None:
     want = (GOLDEN_DIR / name).read_bytes()
     assert _stdout_of(GOLDENS[name]).encode("utf-8") == want
+
+
+# The `table` benchmark workload's stdout, pinned by digest (the digest in
+# bench/expected.json) because the file itself is 5,000 lines.
+TABLE_GRID4999_SHA256 = "6007c975bddecb3adfc73a03f02c94a0c2eb93b3346d58608260445633b91cd2"
+
+
+def test_table_grid4999_stdout_matches_its_digest() -> None:
+    out = _stdout_of(["table", "--grid", "4999"]).encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == TABLE_GRID4999_SHA256
 
 
 if __name__ == "__main__":
