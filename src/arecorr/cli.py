@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
+from .corrmath import sigma_s2
 from .errors import ArecorrError, DomainError, Indeterminate
 from .reduction import (
     build_chain_rt,
@@ -41,6 +42,10 @@ __all__ = ["main", "run"]
 
 _PAIR_CHOICES = ("rt", "ts", "rs", "all")
 _ANCHOR_CHOICES = ("0", "1", "both")
+
+# `table` builds its rows in blocks of abscissae that fit in the sigma_s2
+# memo, each block after one array call of sigma_s2 that fills it.
+_TABLE_BLOCK = 4096
 
 
 class _UsageError(Exception):
@@ -94,10 +99,15 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_table(args) -> int:
     if args.grid < 2:
         raise _UsageError(f"--grid must be >= 2, got {args.grid}")
-    rows = [
-        {"x": x, "are_rt": are("RT", x), "are_ts": are("TS", x), "are_rs": are("RS", x)}
-        for x in interior_grid(0.0, 1.0, args.grid)
-    ]
+    xs = interior_grid(0.0, 1.0, args.grid)
+    rows = []
+    for i in range(0, len(xs), _TABLE_BLOCK):
+        block = xs[i : i + _TABLE_BLOCK]
+        sigma_s2(np.array(block))
+        rows += [
+            {"x": x, "are_rt": are("RT", x), "are_ts": are("TS", x), "are_rs": are("RS", x)}
+            for x in block
+        ]
     _write_out(_render(rows, args.format), args.out)
     return 0
 
@@ -287,3 +297,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

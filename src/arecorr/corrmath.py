@@ -11,11 +11,14 @@ happens anywhere in this module.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
 from .taylor import Jet
 
 __all__ = [
@@ -26,7 +29,6 @@ __all__ = [
     "moments_t",
     "moments_s",
     "mu_s_finite_n",
-    "isin_integrand",
     "sigma_s2",
     "sigma_s2_jet",
 ]
@@ -64,57 +66,122 @@ def _asin(x: float) -> float:
 
 
 def _sqrt(v):
-    return v.sqrt() if isinstance(v, Jet) else math.sqrt(v)
+    if isinstance(v, Jet):
+        return v.sqrt()
+    # Both square roots are correctly rounded.
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+# On arrays, powers and arcsines go through math per element: numpy's
+# `**` and np.arcsin may differ from them in the last bit.
+
+
+def _pow(v, n: int):
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(math.pow, memoryview(v), repeat(n)), np.float64, len(v))
+    return v**n
 
 
 def _arcsine(v):
-    return v.asin() if isinstance(v, Jet) else _asin(v)
+    if isinstance(v, Jet):
+        return v.asin()
+    if isinstance(v, np.ndarray):
+        # _asin's clamp has nothing to do unless an element exceeds 1.
+        asin = math.asin if bool((np.abs(v) <= 1.0).all()) else _asin
+        return np.fromiter(map(asin, memoryview(v)), np.float64, len(v))
+    return _asin(v)
 
 
 def _integrand(k: int, u):
-    """The k-th Spearman-variance integrand; works on floats and jets."""
+    """The k-th Spearman-variance integrand; works on floats, float64
+    arrays and jets, and each array element is bitwise the float value."""
+    u2 = _pow(u, 2)
     if k == 1:
-        arg = u**3 / (4.0 * (2.0 - u**2))
+        arg = _pow(u, 3) / (4.0 * (2.0 - u2))
     elif k == 2:
-        arg = u / (2.0 * (3.0 - u**2))
+        arg = u / (2.0 * (3.0 - u2))
     elif k == 3:
-        arg = u * (4.0 - u**2) / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u**2 + u**4))
+        arg = u * (4.0 - u2) / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u2 + _pow(u, 4)))
     elif k == 4:
-        arg = u * (4.0 - u**2) / (2.0 * _sqrt(12.0 - 7.0 * u**2 + u**4))
+        arg = u * (4.0 - u2) / (2.0 * _sqrt(12.0 - 7.0 * u2 + _pow(u, 4)))
     else:
         raise DomainError(f"integrand index must be 1..4, got {k!r}")
-    return _arcsine(arg) / _sqrt(4.0 - u**2)
-
-
-def isin_integrand(k: int, u: float) -> float:
-    if not (0.0 <= u <= 1.0):
-        raise DomainError(f"integrand argument must lie in [0, 1], got {u!r}")
-    return _integrand(k, float(u))
+    return _arcsine(arg) / _sqrt(4.0 - u2)
 
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 
+# Bounded memo of sigma_s2 values keyed by (x, abs_tol), least recently
+# used first; the array form fills it _BLOCK abscissae at a time, which
+# bounds the lockstep quadrature's working arrays.
+_MEMO: OrderedDict[tuple[float, float], float] = OrderedDict()
+_MEMO_SIZE = 65536
+_BLOCK = 256
 
-@lru_cache(maxsize=65536)
-def _sigma_s2_cached(x: float, abs_tol: float) -> float:
-    isum = 0.0
+
+def _remember(key: tuple[float, float], value: float) -> None:
+    _MEMO[key] = value
+    if len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
+
+
+def _sigma_s2_block(xs: list[float], abs_tol: float) -> list[float]:
+    """sigma_s2 at each of xs, one lockstep quadrature per integrand."""
+    isums = [0.0] * len(xs)
     for k, w in enumerate(_WEIGHTS, start=1):
-        isum += w * integrate(lambda u, k=k: _integrand(k, u), 0.0, x, abs_tol / _SPLIT).value
+        rows = integrate_many(
+            lambda u, k=k: _integrand(k, u), [0.0] * len(xs), xs, abs_tol / _SPLIT
+        )
+        isums = [isum + w * row.value for isum, row in zip(isums, rows)]
     pi2 = math.pi**2
-    return 1.0 - (324.0 / pi2) * _asin(0.5 * x) ** 2 + (72.0 / pi2) * isum
+    return [
+        1.0 - (324.0 / pi2) * _asin(0.5 * x) ** 2 + (72.0 / pi2) * isum
+        for x, isum in zip(xs, isums)
+    ]
 
 
-def sigma_s2(x: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> float:
+def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
     """Asymptotic Spearman variance at x = |rho| in [0, 1).
 
-    Values are memoized per (x, abs_tol): the function is pure, and the
-    invariant suites revisit the same grid abscissae many times.
+    x is a float, or a 1-D float64 array whose elements give bitwise the
+    float values.  Values are memoized per (x, abs_tol) in a bounded
+    least-recently-used memo: the function is pure, and the invariant
+    suites revisit the same grid abscissae many times.  An array's
+    missing abscissae are integrated in blocks of _BLOCK, each block by
+    one lockstep quadrature per integrand, and enter the memo, so an
+    array call ahead of a loop of float calls on the same abscissae
+    turns those into memo reads.
     """
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {x!r}")
+    if not isinstance(x, np.ndarray):
+        if not (0.0 <= x < 1.0):
+            raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {x!r}")
+        if not (abs_tol > 0.0):
+            raise DomainError("abs_tol must be > 0")
+        key = (float(x), float(abs_tol))
+        got = _MEMO.get(key)
+        if got is None:
+            got = _sigma_s2_block([key[0]], key[1])[0]
+            _remember(key, got)
+        else:
+            _MEMO.move_to_end(key)
+        return got
+    if x.ndim != 1:
+        raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
+    xs = x.astype(np.float64).tolist()
+    for v in xs:
+        if not (0.0 <= v < 1.0):
+            raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
     if not (abs_tol > 0.0):
         raise DomainError("abs_tol must be > 0")
-    return _sigma_s2_cached(float(x), float(abs_tol))
+    tol = float(abs_tol)
+    out = {v: _MEMO.get((v, tol)) for v in xs}
+    todo = [v for v, got in out.items() if got is None]
+    for i in range(0, len(todo), _BLOCK):
+        block = todo[i : i + _BLOCK]
+        for v, got in zip(block, _sigma_s2_block(block, tol)):
+            out[v] = got
+            _remember((v, tol), got)
+    return np.array([out[v] for v in xs])
 
 
 def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> Jet:

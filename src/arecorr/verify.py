@@ -23,6 +23,7 @@ from .are_bounds import (
     quartic_bounds_rs,
     ratio_slope,
 )
+from .corrmath import sigma_s2
 from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde, tabulated
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
@@ -66,6 +67,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     xs = interior_grid(0.0, 1.0, grid)
+    # One array quadrature pass; the float sigma_s2 calls below read the memo.
+    sigma_s2(np.array(xs))
     results: list[CheckResult] = []
 
     # --- endpoint constants against closed forms --------------------------

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arecorr import cli
 from arecorr.cli import main
@@ -275,3 +282,101 @@ def test_unknown_flags_exit_with_usage_error() -> None:
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------ the module entry
+
+
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "arecorr.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_python_dash_m_runs_the_command_line() -> None:
+    done = _module_run("verify", "--grid", "99")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "38/38 checks passed"
+    done = _module_run("table", "--grid", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+
+
+# ------------------------------------------------------------- flag fuzz
+
+_INTS = st.sampled_from(["-1", "0", "1", "2", "5", "abc", "1.5", ""])
+_SIGN_GRIDS = st.sampled_from(["-1", "0", "3", "98", "99", "100", "x"])
+_TOLS = st.sampled_from(["inf", "-inf", "nan", "0", "-0.0", "-1e-10", "1e-10", "1e-6", "tol"])
+_SEEDS = st.sampled_from(
+    ["0", "7", str(2**64 - 1), "-1", str(2**64), str(2**70), "-" + str(2**64), "s"]
+)
+_RHOS = st.sampled_from(
+    ["0.0", "0.5,-0.3", "-0.99", " 0.2 ", "1.0", "-1", "nan", "inf", "", "0.1,,0.2", "zero"]
+)
+_FORMATS = st.sampled_from(["csv", "json", "text", "xml"])
+
+
+def _flags(**values) -> st.SearchStrategy[list[str]]:
+    """Each flag given or left out, with the strategy's value."""
+    parts = [
+        st.one_of(st.just([]), strat.map(lambda v, flag=flag: [flag, v]))
+        for flag, strat in values.items()
+    ]
+    return st.tuples(*parts).map(lambda chunks: [tok for chunk in chunks for tok in chunk])
+
+
+_ARGVS = st.one_of(
+    _flags(**{"--grid": _INTS, "--format": _FORMATS}).map(lambda f: ["table", *f]),
+    _flags(
+        **{
+            "--pair": st.sampled_from(["rt", "ts", "rs", "all", "RT", "xy"]),
+            "--anchor": st.sampled_from(["0", "1", "both", "2"]),
+            "--format": _FORMATS,
+        }
+    ).map(lambda f: ["bounds", *f]),
+    _flags(**{"--grid": _SIGN_GRIDS, "--tol": _TOLS, "--format": _FORMATS}).map(
+        lambda f: ["verify", *f]
+    ),
+    _flags(
+        **{
+            "--pair": st.sampled_from(["rt", "ts", "all"]),
+            "--anchor": st.sampled_from(["0", "1", "both"]),
+            "--grid": _SIGN_GRIDS,
+        }
+    ).map(lambda f: ["reduce", *f]),
+    st.tuples(
+        st.sampled_from(["10", "12", "9", "n"]),
+        st.sampled_from(["100", "100", "99", "r"]),
+        _SEEDS,
+        _RHOS,
+    ).map(lambda v: ["mc", "--n", v[0], "--reps", v[1], "--seed", v[2], "--rho", v[3]]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_ARGVS)
+@example(["verify", "--grid", "99", "--tol", "nan"])
+@example(["mc", "--n", "10", "--reps", "100", "--seed", str(2**64), "--rho", "0.5"])
+@example(["mc", "--n", "10", "--reps", "100", "--seed", str(2**64 - 1), "--rho", "0.5,-0.3"])
+@example(["table", "--grid", "2", "--format", "json"])
+def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        # Exit 1 from verify with a report on stdout is a failed check;
+        # every other nonzero exit leaves stdout empty.
+        report = out.getvalue().splitlines()
+        failed_check = argv[0] == "verify" and rc == 1 and "checks passed" in report[-1]
+        assert out.getvalue() == "" or failed_check

@@ -2,10 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from arecorr import corrmath
 from arecorr.corrmath import (
-    isin_integrand,
+    RHO_CAP,
+    _integrand,
     moments_r,
     moments_s,
     moments_t,
@@ -18,6 +23,13 @@ from arecorr.errors import DomainError
 # Frozen from this package's quadrature at abs_tol 1e-14, cross-checked
 # against a 2**20-panel Simpson evaluation of each arcsine integral.
 SIGMA_S2_HALF = 0.63087331600121588
+
+
+def isin_integrand(k: int, u: float) -> float:
+    """The k-th Spearman-variance integrand at one u in [0, 1]."""
+    if not (0.0 <= u <= 1.0):
+        raise DomainError(f"integrand argument must lie in [0, 1], got {u!r}")
+    return _integrand(k, float(u))
 
 
 def dsigma_s2(x: float) -> float:
@@ -137,3 +149,51 @@ def test_out_of_range_rho_rejected() -> None:
         moments_t(1.0)
     with pytest.raises(DomainError):
         moments_s(-1.2)
+
+
+# ------------------------------------------------------ the array form
+
+
+def _cold_float_values(xs: list[float]) -> list[str]:
+    """sigma_s2 of each x through the float path from an empty memo, as hex."""
+    out = []
+    for x in xs:
+        corrmath._MEMO.clear()
+        out.append(sigma_s2(x).hex())
+    corrmath._MEMO.clear()
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=10))
+@example([0.0, 5e-324, 1e-300, 0.5, 0.99, RHO_CAP])
+@example([0.7, 0.2, 0.7, 0.0, 0.2])
+def test_array_sigma_s2_has_the_bits_of_the_float_path(xs: list[float]) -> None:
+    want = _cold_float_values(xs)
+    got = sigma_s2(np.array(xs))
+    assert [v.hex() for v in got.tolist()] == want
+    # The array call left its values in the memo for the float path.
+    assert [sigma_s2(x).hex() for x in xs] == want
+
+
+def test_array_sigma_s2_across_quadrature_blocks() -> None:
+    xs = [j / 301 for j in range(300, -1, -1)]
+    want = _cold_float_values(xs)
+    assert [v.hex() for v in sigma_s2(np.array(xs)).tolist()] == want
+
+
+def test_integrand_arrays_have_the_bits_of_floats() -> None:
+    us = [0.0, 5e-324, 1e-300, 1e-8, 0.3, 0.5, 0.77, 0.999, 1.0]
+    for k in (1, 2, 3, 4):
+        got = _integrand(k, np.array(us)).tolist()
+        assert [v.hex() for v in got] == [_integrand(k, u).hex() for u in us]
+
+
+def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:
+    for bad in ([0.5, 1.0], [-0.1], [0.2, math.nan], [math.inf]):
+        with pytest.raises(DomainError):
+            sigma_s2(np.array(bad))
+    with pytest.raises(DomainError):
+        sigma_s2(np.array([[0.5]]))
+    with pytest.raises(DomainError):
+        sigma_s2(np.array([0.5]), 0.0)

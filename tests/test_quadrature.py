@@ -1,12 +1,17 @@
-"""Adaptive Gauss-Kronrod integration: exactness, error control, limits."""
+"""Adaptive Gauss-Kronrod integration: exactness, error control, limits,
+and the lockstep rows of integrate_many against a one-node-at-a-time
+reference."""
 
+import heapq
 import math
 
+import numpy as np
 import pytest
 
-from arecorr.corrmath import isin_integrand
+from arecorr import quadrature
+from arecorr.corrmath import _integrand
 from arecorr.errors import NoConvergence, NonFinite
-from arecorr.quadrature import integrate
+from arecorr.quadrature import MAX_INTERVALS, integrate, integrate_many
 
 # Frozen reference for the second arcsine integral on [0, 1], computed
 # with composite Simpson on 2**20 panels plus Richardson extrapolation.
@@ -20,16 +25,16 @@ def test_polynomial_exact_in_one_panel() -> None:
 
 
 def test_sine_integral() -> None:
-    res = integrate(math.sin, 0.0, math.pi, 1e-12)
+    res = integrate(np.sin, 0.0, math.pi, 1e-12)
     assert res.value == pytest.approx(2.0, abs=1e-13)
     assert res.err_estimate >= abs(res.value - 2.0)
 
 
 def test_error_estimate_envelopes_true_error() -> None:
     for f, lo, hi, truth in (
-        (math.exp, 0.0, 1.0, math.e - 1.0),
+        (np.exp, 0.0, 1.0, math.e - 1.0),
         (lambda u: 1.0 / (1.0 + u * u), 0.0, 1.0, math.pi / 4.0),
-        (lambda u: math.cos(10.0 * u), 0.0, 1.0, math.sin(10.0) / 10.0),
+        (lambda u: np.cos(10.0 * u), 0.0, 1.0, math.sin(10.0) / 10.0),
     ):
         res = integrate(f, lo, hi, 1e-12)
         assert abs(res.value - truth) <= max(res.err_estimate, 1e-15)
@@ -37,19 +42,19 @@ def test_error_estimate_envelopes_true_error() -> None:
 
 
 def test_arcsine_integral_matches_frozen_reference() -> None:
-    res = integrate(lambda u: isin_integrand(2, u), 0.0, 1.0, 1e-13)
+    res = integrate(lambda u: _integrand(2, u), 0.0, 1.0, 1e-13)
     assert res.value == pytest.approx(I2_REFERENCE, abs=1e-14)
 
 
 def test_integrable_endpoint_singularity() -> None:
-    res = integrate(lambda u: 1.0 / math.sqrt(u), 1e-300, 1.0, 1e-9)
+    res = integrate(lambda u: 1.0 / np.sqrt(u), 1e-300, 1.0, 1e-9)
     assert res.value == pytest.approx(2.0, abs=1e-8)
     assert res.evaluations > 15
     assert res.evaluations % 15 == 0
 
 
 def test_degenerate_interval_is_zero() -> None:
-    res = integrate(math.sin, 0.7, 0.7, 1e-12)
+    res = integrate(np.sin, 0.7, 0.7, 1e-12)
     assert res.value == 0.0
     assert res.evaluations == 15
 
@@ -58,20 +63,143 @@ def test_unreachable_tolerance_raises_no_convergence() -> None:
     # Below the rounding floor of the error estimator the subdivision
     # budget runs out; this must fail loudly, not return a bad value.
     with pytest.raises(NoConvergence):
-        integrate(math.exp, 0.0, 1.0, 1e-18)
+        integrate(np.exp, 0.0, 1.0, 1e-18)
 
 
 def test_non_finite_integrand_raises() -> None:
     with pytest.raises(NonFinite):
-        integrate(lambda u: math.inf if u < 0.5 else 1.0, 0.0, 1.0, 1e-6)
+        integrate(lambda u: np.where(u < 0.5, math.inf, 1.0), 0.0, 1.0, 1e-6)
     with pytest.raises(NonFinite):
-        integrate(lambda u: math.nan, 0.0, 1.0, 1e-6)
+        integrate(lambda u: np.full_like(u, math.nan), 0.0, 1.0, 1e-6)
 
 
 def test_invalid_arguments_rejected() -> None:
     with pytest.raises(ValueError):
-        integrate(math.sin, 1.0, 0.0, 1e-12)
+        integrate(np.sin, 1.0, 0.0, 1e-12)
     with pytest.raises(ValueError):
-        integrate(math.sin, 0.0, 1.0, 0.0)
+        integrate(np.sin, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(math.sin, 0.0, math.inf, 1e-12)
+        integrate(np.sin, 0.0, math.inf, 1e-12)
+    with pytest.raises(ValueError):
+        integrate_many(np.sin, [0.0, 0.0], [1.0], 1e-12)
+
+
+# --------------------------------------------------------- lockstep rows
+
+# The rule as it ran before the lockstep: one node at a time, in Python
+# floats, one interval at a time.
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_EPMACH = 2.220446049250313e-16
+_UFLOW = 2.2250738585072014e-308
+
+
+def _gk15_reference(f, lo: float, hi: float) -> tuple[float, float]:
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    fc = f(centr)
+    resg = fc * _WG[3]
+    resk = fc * _WGK[7]
+    resabs = abs(resk)
+    pairs = []
+    for j in range(7):
+        absc = hlgth * _XGK[j]
+        f1, f2 = f(centr - absc), f(centr + absc)
+        pairs.append((f1, f2))
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f1 + f2)
+    reskh = resk * 0.5
+    resasc = _WGK[7] * abs(fc - reskh)
+    for j in range(7):
+        resasc += _WGK[j] * (abs(pairs[j][0] - reskh) + abs(pairs[j][1] - reskh))
+    result = resk * hlgth
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max(_EPMACH * 50.0 * resabs, abserr)
+    return result, abserr
+
+
+def _integrate_reference(f, lo: float, hi: float, abs_tol: float) -> tuple[float, float, int]:
+    value, err = _gk15_reference(f, lo, hi)
+    evaluations = 15
+    if lo == hi:
+        return value, err, evaluations
+    seq = 0
+    heap = [(-err, seq, lo, hi, value, err)]
+    while err > abs_tol:
+        assert len(heap) < MAX_INTERVALS
+        _, _, a, b, v, e = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        v1, e1 = _gk15_reference(f, a, mid)
+        v2, e2 = _gk15_reference(f, mid, b)
+        evaluations += 30
+        value += v1 + v2 - v
+        err += e1 + e2 - e
+        seq += 1
+        heapq.heappush(heap, (-e1, seq, a, mid, v1, e1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, b, v2, e2))
+    return value, err, evaluations
+
+
+def _elementwise(f):
+    """f on a float64 array, one math call per element."""
+    return lambda u: np.array([f(v) for v in u.tolist()])
+
+
+_SCALAR_INTEGRANDS = {
+    "u^4": lambda u: u**4,
+    "sin": math.sin,
+    "exp": math.exp,
+    "lorentz": lambda u: 1.0 / (1.0 + u * u),
+    "cos10": lambda u: math.cos(10.0 * u),
+    "inv_sqrt": lambda u: 1.0 / math.sqrt(u),
+    **{f"arcsine{k}": (lambda u, k=k: _integrand(k, u)) for k in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_INTEGRANDS))
+def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
+    f = _SCALAR_INTEGRANDS[name]
+    # Rows of different lengths converge in different rounds; the
+    # degenerate row stops after one pass.
+    los = [1e-300, 1e-300, 0.25, 0.5, 0.3]
+    his = [1.0, 0.01, 0.75, 0.999, 0.3]
+    for tol in (1e-12, 1e-9):
+        rows = integrate_many(_elementwise(f), los, his, tol)
+        for lo, hi, row in zip(los, his, rows):
+            value, err, evaluations = _integrate_reference(f, lo, hi, tol)
+            assert row.value.hex() == value.hex()
+            assert row.err_estimate.hex() == err.hex()
+            assert row.evaluations == evaluations
+            alone = integrate(_elementwise(f), lo, hi, tol)
+            assert alone == row
+
+
+def test_one_failing_row_fails_the_call(monkeypatch) -> None:
+    spike = lambda u: np.where(u > 2.5, math.inf, 1.0)  # noqa: E731
+    with pytest.raises(NonFinite):
+        integrate_many(spike, [0.0, 2.0], [1.0, 3.0], 1e-9)
+    # exp on [0, 30] has a rounding floor far above 1e-12; a lower cap
+    # keeps the test short.
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 64)
+    with pytest.raises(NoConvergence):
+        integrate_many(np.exp, [0.0, 0.0], [1.0, 30.0], 1e-12)
+
+
+def test_no_rows_give_no_integrals() -> None:
+    assert integrate_many(np.sin, [], [], 1e-12) == []
