@@ -11,7 +11,6 @@ happens anywhere in this module.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -111,18 +110,18 @@ def _integrand(k: int, u):
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 
-# Bounded memo of sigma_s2 values keyed by (x, abs_tol), least recently
-# used first; the array form fills it _BLOCK abscissae at a time, which
-# bounds the lockstep quadrature's working arrays.
-_MEMO: OrderedDict[tuple[float, float], float] = OrderedDict()
+# Memo of sigma_s2 values keyed by (x, abs_tol).  It is emptied when the
+# values about to enter would take it past _MEMO_SIZE entries, so all the
+# new values of one call stay in it if there are at most _MEMO_SIZE.
+_MEMO: dict[tuple[float, float], float] = {}
 _MEMO_SIZE = 65536
+# Abscissae per lockstep quadrature; bounds its working arrays.
 _BLOCK = 256
 
 
-def _remember(key: tuple[float, float], value: float) -> None:
-    _MEMO[key] = value
-    if len(_MEMO) > _MEMO_SIZE:
-        _MEMO.popitem(last=False)
+def _make_room(n: int) -> None:
+    if len(_MEMO) + n > _MEMO_SIZE:
+        _MEMO.clear()
 
 
 def _sigma_s2_block(xs: list[float], abs_tol: float) -> list[float]:
@@ -145,7 +144,7 @@ def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
 
     x is a float, or a 1-D float64 array whose elements give bitwise the
     float values.  Values are memoized per (x, abs_tol) in a bounded
-    least-recently-used memo: the function is pure, and the invariant
+    memo (emptied when full): the function is pure, and the invariant
     suites revisit the same grid abscissae many times.  An array's
     missing abscissae are integrated in blocks of _BLOCK, each block by
     one lockstep quadrature per integrand, and enter the memo, so an
@@ -161,9 +160,8 @@ def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
         got = _MEMO.get(key)
         if got is None:
             got = _sigma_s2_block([key[0]], key[1])[0]
-            _remember(key, got)
-        else:
-            _MEMO.move_to_end(key)
+            _make_room(1)
+            _MEMO[key] = got
         return got
     if x.ndim != 1:
         raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
@@ -176,11 +174,13 @@ def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
     tol = float(abs_tol)
     out = {v: _MEMO.get((v, tol)) for v in xs}
     todo = [v for v, got in out.items() if got is None]
+    _make_room(min(len(todo), _MEMO_SIZE))
     for i in range(0, len(todo), _BLOCK):
         block = todo[i : i + _BLOCK]
         for v, got in zip(block, _sigma_s2_block(block, tol)):
             out[v] = got
-            _remember((v, tol), got)
+            _make_room(1)
+            _MEMO[(v, tol)] = got
     return np.array([out[v] for v in xs])
 
 

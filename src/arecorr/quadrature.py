@@ -11,10 +11,11 @@ interval cap, exactly as if it ran alone; each round bisects the worst
 interval of every row still above tolerance and evaluates the 15 nodes
 of all the new intervals in one call of the integrand on a 1-D float64
 array.  `integrate` is its one-row case.  The rule's sums run in the
-same order on every row, the error estimate's `** 1.5` is Python float
-arithmetic, and ordering is worst-first with a deterministic tiebreak,
-so each row's result is reproducible bit for bit and does not depend on
-which rows share its call.
+same order on every row, the error estimate's power 1.5 is taken by
+libm's pow per element (as Python's float `**` takes it), and ordering
+is worst-first with a deterministic tiebreak, so each row's result is
+reproducible bit for bit and does not depend on which rows share its
+call.
 """
 
 from __future__ import annotations

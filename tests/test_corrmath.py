@@ -183,10 +183,33 @@ def test_array_sigma_s2_across_quadrature_blocks() -> None:
 
 
 def test_integrand_arrays_have_the_bits_of_floats() -> None:
+    # numpy's `**` and np.arcsin differ from math in the last bit on a
+    # fraction of inputs, so a few thousand draws expose either.
     us = [0.0, 5e-324, 1e-300, 1e-8, 0.3, 0.5, 0.77, 0.999, 1.0]
+    us += np.random.default_rng(7).random(4000).tolist()
     for k in (1, 2, 3, 4):
         got = _integrand(k, np.array(us)).tolist()
         assert [v.hex() for v in got] == [_integrand(k, u).hex() for u in us]
+
+
+def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) -> None:
+    monkeypatch.setattr(corrmath, "_MEMO_SIZE", 8)
+    corrmath._MEMO.clear()
+    first = [0.11, 0.12, 0.13, 0.14, 0.15]
+    second = [0.21, 0.22, 0.23, 0.24, 0.25]
+    want = _cold_float_values(first + second)
+    sigma_s2(np.array(first))
+    got = sigma_s2(np.array(second))
+    assert len(corrmath._MEMO) <= 8
+    assert {x for x, _ in corrmath._MEMO} >= set(second)
+    assert [v.hex() for v in got.tolist()] == want[5:]
+    # An array with more new values than the memo holds still returns all.
+    many = [j / 20 for j in range(20)]
+    want = _cold_float_values(many)
+    got = sigma_s2(np.array(many))
+    assert len(corrmath._MEMO) <= 8
+    assert [v.hex() for v in got.tolist()] == want
+    corrmath._MEMO.clear()
 
 
 def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:
