@@ -1,6 +1,8 @@
 """Byte-for-byte CLI output against the committed files in tests/golden/.
 
-Each golden is the exact stdout of one command.  A golden changes only on
+Each golden is the exact stdout of one command, with the exit code it
+must end with (a failing `verify` still prints its report and exits 1).
+A golden changes only on
 purpose, in its own commit, with the reason recorded in CHANGES.md; to
 write them afresh run `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -20,28 +22,33 @@ from arecorr.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDENS = {
-    "table_grid99.csv": ["table", "--grid", "99"],
-    "bounds.csv": ["bounds"],
-    "verify.json": ["verify", "--format", "json"],
-    "verify_grid999.txt": ["verify", "--grid", "999"],
-    "reduce_grid99.csv": ["reduce", "--grid", "99"],
-    "reduce_grid999.json": ["reduce", "--grid", "999", "--format", "json"],
-    "mc_n50_reps200.csv": ["mc", "--n", "50", "--reps", "200", "--rho", "0.0,0.5"],
+    "table_grid99.csv": (["table", "--grid", "99"], 0),
+    "bounds.csv": (["bounds"], 0),
+    "verify.json": (["verify", "--format", "json"], 0),
+    "verify_grid999.txt": (["verify", "--grid", "999"], 0),
+    # The four tolerance checks fail, which pins their pass rule.
+    "verify_tol1e-300.json": (
+        ["verify", "--grid", "99", "--tol", "1e-300", "--format", "json"],
+        1,
+    ),
+    "reduce_grid99.csv": (["reduce", "--grid", "99"], 0),
+    "reduce_grid999.json": (["reduce", "--grid", "999", "--format", "json"], 0),
+    "mc_n50_reps200.csv": (["mc", "--n", "50", "--reps", "200", "--rho", "0.0,0.5"], 0),
 }
 
 
-def _stdout_of(argv: list[str]) -> str:
+def _stdout_of(argv: list[str], want_rc: int = 0) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(argv)
-    assert rc == 0, f"{argv} exited {rc}"
+    assert rc == want_rc, f"{argv} exited {rc}, want {want_rc}"
     return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_cli_output_matches_golden_bytes(name: str) -> None:
     want = (GOLDEN_DIR / name).read_bytes()
-    assert _stdout_of(GOLDENS[name]).encode("utf-8") == want
+    assert _stdout_of(*GOLDENS[name]).encode("utf-8") == want
 
 
 # The `table` benchmark workload's stdout, pinned by digest (the digest in
@@ -56,6 +63,6 @@ def test_table_grid4999_stdout_matches_its_digest() -> None:
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in GOLDENS.items():
-        (GOLDEN_DIR / name).write_bytes(_stdout_of(argv).encode("utf-8"))
+    for name, (argv, want_rc) in GOLDENS.items():
+        (GOLDEN_DIR / name).write_bytes(_stdout_of(argv, want_rc).encode("utf-8"))
         print(f"wrote {name}", file=sys.stderr)
