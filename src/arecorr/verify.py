@@ -1,9 +1,17 @@
 """Named invariant suites over the whole package, for the CLI and tests.
 
-Each check gets a stable dotted name, a pass flag, and a worst signed
-margin (positive slack means pass; for tolerance-style checks the
-margin is tolerance minus the worst observed deviation).  The grid is
-the interior scheme x_j = j/(grid+1), j = 1..grid, on (0, 1).
+Each check gets a stable dotted name, a pass flag and a worst signed
+margin.  The grid is the interior scheme x_j = j/(grid+1), j = 1..grid,
+on (0, 1).  A check passes by one of three rules:
+
+- a strict check (monotonicity, ranges, sandwiches, the endgame) passes
+  when its margin, the worst slack over the grid, is > 0;
+- a tolerance check (closed-form endpoints, factorization, moment
+  assembly) passes when its worst deviation is <= the tolerance, and
+  its margin is the tolerance minus that deviation;
+- a reduction trace check is strict on its worst bracket slack, and
+  reports margin -1.0 when a sign pattern is wrong (or, at anchor 0,
+  the third stage does not vanish at 0+).
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ def _closed_forms() -> dict[tuple[str, int], float]:
     }
 
 
+def _check(name: str, margin: float, detail: str, passed: bool | None = None) -> CheckResult:
+    """The result of one check; it passes when margin > 0 unless `passed` is given."""
+    return CheckResult(name, margin > 0.0 if passed is None else passed, margin, detail)
+
+
 def _strict_increase_margin(vals: list[float]) -> float:
     return min(b - a for a, b in zip(vals, vals[1:]))
 
@@ -69,172 +82,93 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     xs = interior_grid(0.0, 1.0, grid)
     # One array quadrature pass; the float sigma_s2 calls below read the memo.
     sigma_s2(np.array(xs))
+    pairs = [pair(tag) for tag in ("RT", "TS", "RS")]
     results: list[CheckResult] = []
 
     # --- endpoint constants against closed forms --------------------------
-    closed = _closed_forms()
-    for tag in ("RT", "TS", "RS"):
+    for (tag, a), want in _closed_forms().items():
         ep = endpoint_constants(pair(tag))
-        for a, got in ((0, ep.are_at_0), (1, ep.are_at_1)):
-            diff = abs(got - closed[(tag, a)])
-            results.append(
-                CheckResult(
-                    name=f"endpoints.closed_form.{tag}.{a}",
-                    passed=diff <= ENDPOINT_TOL,
-                    margin=ENDPOINT_TOL - diff,
-                    detail=f"|{got!r} - {closed[(tag, a)]!r}| = {diff:.3e}",
-                )
-            )
+        got = ep.are_at_1 if a else ep.are_at_0
+        diff = abs(got - want)
+        detail = f"|{got!r} - {want!r}| = {diff:.3e}"
+        name = f"endpoints.closed_form.{tag}.{a}"
+        results.append(_check(name, ENDPOINT_TOL - diff, detail, diff <= ENDPOINT_TOL))
 
-    # --- efficiency curves and their second differences -------------------
-    are_vals: dict[str, list[float]] = {}
-    for tag in ("RT", "TS", "RS"):
-        p = pair(tag)
-        vals = [are(p, x) for x in xs]
-        are_vals[tag] = vals
-        margin = _strict_increase_margin(vals)
-        results.append(
-            CheckResult(
-                name=f"are.monotone.{tag}",
-                passed=margin > 0.0,
-                margin=margin,
-                detail=f"min grid step {margin:.3e}",
-            )
-        )
+    # --- efficiency curves and the second-difference functions -------------
+    are_vals = {p.tag: [are(p, x) for x in xs] for p in pairs}
+    for p in pairs:
+        margin = _strict_increase_margin(are_vals[p.tag])
+        results.append(_check(f"are.monotone.{p.tag}", margin, f"min grid step {margin:.3e}"))
 
-    for tag in ("RT", "TS", "RS"):
-        p = pair(tag)
+    for p in pairs:
         for a in (0, 1):
             qs = [q(p, a, x) for x in xs]
             margin = _strict_increase_margin(qs)
             results.append(
-                CheckResult(
-                    name=f"theorem1.q_monotone.{tag}.{a}",
-                    passed=margin > 0.0,
-                    margin=margin,
-                    detail=f"min grid step {margin:.3e}",
-                )
+                _check(f"theorem1.q_monotone.{p.tag}.{a}", margin, f"min grid step {margin:.3e}")
             )
-            lower, upper = quad_bounds(p, a)
-            lo_lim, hi_lim = lower.q, upper.q
-            margin = min(min(v - lo_lim for v in qs), min(hi_lim - v for v in qs))
+            lo, hi = (bound.q for bound in quad_bounds(p, a))
+            margin = min(min(v - lo for v in qs), min(hi - v for v in qs))
             results.append(
-                CheckResult(
-                    name=f"theorem1.q_range.{tag}.{a}",
-                    passed=margin > 0.0,
-                    margin=margin,
-                    detail=f"q in ({lo_lim:.6f}, {hi_lim:.6f})",
-                )
+                _check(f"theorem1.q_range.{p.tag}.{a}", margin, f"q in ({lo:.6f}, {hi:.6f})")
             )
 
     # --- quadratic sandwich and quartic refinement -------------------------
-    for tag in ("RT", "TS", "RS"):
-        p = pair(tag)
+    for p in pairs:
         for a in (0, 1):
             lower, upper = quad_bounds(p, a)
+            vals = are_vals[p.tag]
             margin = min(
-                min(v - lower(x) for x, v in zip(xs, are_vals[tag])),
-                min(upper(x) - v for x, v in zip(xs, are_vals[tag])),
+                min(v - lower(x) for x, v in zip(xs, vals)),
+                min(upper(x) - v for x, v in zip(xs, vals)),
             )
-            results.append(
-                CheckResult(
-                    name=f"bounds.sandwich.{tag}.{a}",
-                    passed=margin > 0.0,
-                    margin=margin,
-                    detail=f"min slack {margin:.3e}",
-                )
-            )
+            detail = f"min slack {margin:.3e}"
+            results.append(_check(f"bounds.sandwich.{p.tag}.{a}", margin, detail))
 
     for a in (0, 1):
-        lo_rt, up_rt = quad_bounds(pair("RT"), a)
-        lo_ts, up_ts = quad_bounds(pair("TS"), a)
-        lo_rs, up_rs = quad_bounds(pair("RS"), a)
+        (lo_rt, up_rt), (lo_ts, up_ts), (lo_rs, up_rs) = (quad_bounds(p, a) for p in pairs)
         margin = math.inf
         for x, v in zip(xs, are_vals["RS"]):
-            ltilde = lo_rt(x) * lo_ts(x)
-            utilde = up_rt(x) * up_ts(x)
-            margin = min(
-                margin,
-                ltilde - lo_rs(x),
-                v - ltilde,
-                utilde - v,
-                up_rs(x) - utilde,
-            )
-        results.append(
-            CheckResult(
-                name=f"bounds.quartic.RS.{a}",
-                passed=margin > 0.0,
-                margin=margin,
-                detail=f"min slack in quartic chain {margin:.3e}",
-            )
-        )
+            ltilde, utilde = lo_rt(x) * lo_ts(x), up_rt(x) * up_ts(x)
+            margin = min(margin, ltilde - lo_rs(x), v - ltilde, utilde - v, up_rs(x) - utilde)
+        detail = f"min slack in quartic chain {margin:.3e}"
+        results.append(_check(f"bounds.quartic.RS.{a}", margin, detail))
 
-    combined_margin = math.inf
+    margin = math.inf
     for x, v in zip(xs, are_vals["RS"]):
         lo, hi = quartic_bounds_rs(x)
-        combined_margin = min(combined_margin, v - lo, hi - v)
-    results.append(
-        CheckResult(
-            name="bounds.quartic_combined.RS",
-            passed=combined_margin > 0.0,
-            margin=combined_margin,
-            detail=f"min slack {combined_margin:.3e}",
-        )
-    )
+        margin = min(margin, v - lo, hi - v)
+    results.append(_check("bounds.quartic_combined.RS", margin, f"min slack {margin:.3e}"))
 
     # --- cross-pair and cross-module consistency ---------------------------
-    worst = max(
-        abs(rs - rt * ts)
-        for rt, ts, rs in zip(are_vals["RT"], are_vals["TS"], are_vals["RS"])
-    )
-    results.append(
-        CheckResult(
-            name="factorization.identity",
-            passed=worst <= tol,
-            margin=tol - worst,
-            detail=f"max |are_RS - are_RT*are_TS| = {worst:.3e}",
-        )
-    )
+    worst = max(abs(rs - rt * ts) for rt, ts, rs in zip(*are_vals.values()))
+    detail = f"max |are_RS - are_RT*are_TS| = {worst:.3e}"
+    results.append(_check("factorization.identity", tol - worst, detail, worst <= tol))
 
-    for tag in ("RT", "TS", "RS"):
-        p = pair(tag)
+    for p in pairs:
         worst = max(abs(p.f(x) / p.g(x) - are_from_moments(p, x)) for x in xs)
+        detail = f"max |f/g - moment assembly| = {worst:.3e}"
         results.append(
-            CheckResult(
-                name=f"consistency.moment_assembly.{tag}",
-                passed=worst <= tol,
-                margin=tol - worst,
-                detail=f"max |f/g - moment assembly| = {worst:.3e}",
-            )
+            _check(f"consistency.moment_assembly.{p.tag}", tol - worst, detail, worst <= tol)
         )
 
     # --- reduction chain ----------------------------------------------------
     for a in (0, 1):
         f4, g4 = build_chain_rt(a)[4].jets(np.array(xs), 1)
-        slopes = ratio_slope(f4, g4)
         # Python's min in grid order, as the scalar scan took it (np.min
         # treats NaN differently).
         margin = math.inf
-        for vals in zip((-f4.value).tolist(), (-g4.value).tolist(), slopes.tolist()):
+        for vals in zip((-f4.value).tolist(), (-g4.value).tolist(), ratio_slope(f4, g4).tolist()):
             margin = min(margin, *vals)
-        results.append(
-            CheckResult(
-                name=f"reduction.endgame.RT.{a}",
-                passed=margin > 0.0,
-                margin=margin,
-                detail="needs f4 < 0, g4 < 0, r4' > 0 on the grid",
-            )
-        )
+        detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
+        results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
 
-    results.append(_trace_rt0(xs))
-    results.append(_trace_rt1(xs))
-    return results
+    return results + [_trace_rt0(xs), _trace_rt1(xs)]
 
 
-def _pattern_checks(
-    nodes: list, xs: list[float], wants: list[tuple[str, str]]
-) -> tuple[bool, str]:
-    """Classify each named f_i or g_i on xs, one array pass per node."""
+def _pattern_problems(nodes: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
+    """Classify each named f_i or g_i on xs, one array pass per node; one
+    line per pattern that is not the wanted one."""
     funcs = {}
     for node in nodes:
         fj, gj = node.jets(np.array(xs))
@@ -245,12 +179,12 @@ def _pattern_checks(
         got = classify_sign(funcs[name], 0.0, 1.0, len(xs)).symbols
         if got != want:
             problems.append(f"{name}: got {got!r}, want {want!r}")
-    return (not problems, "; ".join(problems))
+    return problems
 
 
 def _trace_rt0(xs: list[float]) -> CheckResult:
     chain = build_chain_rt(0)
-    ok, detail = _pattern_checks(
+    problems = _pattern_problems(
         chain[:3],
         xs,
         [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")],
@@ -262,28 +196,19 @@ def _trace_rt0(xs: list[float]) -> CheckResult:
     f3, g3 = chain[3].jets(1e-6)
     vanish = max(abs(f3.value), abs(g3.value))
     if vanish > 1e-4:
-        ok = False
-        detail = (detail + "; " if detail else "") + f"stage-3 at 0+ = {vanish:.3e}"
-    return CheckResult(
-        name="reduction.trace.RT.0",
-        passed=ok and margin > 0.0,
-        margin=margin if ok else -1.0,
-        detail=detail or f"min bracket slack {margin:.3e}",
-    )
+        problems.append(f"stage-3 at 0+ = {vanish:.3e}")
+    detail = "; ".join(problems) or f"min bracket slack {margin:.3e}"
+    return _check("reduction.trace.RT.0", -1.0 if problems else margin, detail)
 
 
 def _trace_rt1(xs: list[float]) -> CheckResult:
     chain = build_chain_rt(1)
-    ok, detail = _pattern_checks(
+    problems = _pattern_problems(
         chain[:4],
         xs,
         [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")],
     )
     f3, g3 = chain[3].jets(0.6)
     margin = min(-g3.value, f3.value, rho_tilde(chain[2], 1e-6))
-    return CheckResult(
-        name="reduction.trace.RT.1",
-        passed=ok and margin > 0.0,
-        margin=margin if ok else -1.0,
-        detail=detail or f"min bracket/rho_tilde slack {margin:.3e}",
-    )
+    detail = "; ".join(problems) or f"min bracket/rho_tilde slack {margin:.3e}"
+    return _check("reduction.trace.RT.1", -1.0 if problems else margin, detail)
