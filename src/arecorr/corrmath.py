@@ -139,39 +139,15 @@ def _sigma_s2_block(xs: list[float], abs_tol: float) -> list[float]:
     ]
 
 
-def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
-    """Asymptotic Spearman variance at x = |rho| in [0, 1).
-
-    x is a float, or a 1-D float64 array whose elements give bitwise the
-    float values.  Values are memoized per (x, abs_tol) in a bounded
-    memo (emptied when full): the function is pure, and the invariant
-    suites revisit the same grid abscissae many times.  An array's
-    missing abscissae are integrated in blocks of _BLOCK, each block by
-    one lockstep quadrature per integrand, and enter the memo, so an
-    array call ahead of a loop of float calls on the same abscissae
-    turns those into memo reads.
-    """
-    if not isinstance(x, np.ndarray):
-        if not (0.0 <= x < 1.0):
-            raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {x!r}")
-        if not (abs_tol > 0.0):
-            raise DomainError("abs_tol must be > 0")
-        key = (float(x), float(abs_tol))
-        got = _MEMO.get(key)
-        if got is None:
-            got = _sigma_s2_block([key[0]], key[1])[0]
-            _make_room(1)
-            _MEMO[key] = got
-        return got
-    if x.ndim != 1:
-        raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
-    xs = x.astype(np.float64).tolist()
+def _memoized(xs: list[float], abs_tol: float) -> list[float]:
+    """sigma_s2 at each of xs: memo reads, and the missing values integrated
+    in blocks of _BLOCK and put in the memo."""
     for v in xs:
         if not (0.0 <= v < 1.0):
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
     if not (abs_tol > 0.0):
         raise DomainError("abs_tol must be > 0")
-    tol = float(abs_tol)
+    xs, tol = [float(v) for v in xs], float(abs_tol)
     out = {v: _MEMO.get((v, tol)) for v in xs}
     todo = [v for v, got in out.items() if got is None]
     _make_room(min(len(todo), _MEMO_SIZE))
@@ -181,7 +157,27 @@ def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
             out[v] = got
             _make_room(1)
             _MEMO[(v, tol)] = got
-    return np.array([out[v] for v in xs])
+    return [out[v] for v in xs]
+
+
+def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
+    """Asymptotic Spearman variance at x = |rho| in [0, 1).
+
+    x is a float, or a 1-D float64 array whose elements give bitwise the
+    float values.  Values are memoized per (x, abs_tol) in a bounded
+    memo (emptied when full): the function is pure, and the invariant
+    suites revisit the same grid abscissae many times.  Missing
+    abscissae are integrated in blocks of _BLOCK, each block by one
+    lockstep quadrature per integrand, and enter the memo, so an array
+    call ahead of a loop of float calls on the same abscissae turns
+    those into memo reads.
+    """
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1:
+            raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
+        return np.array(_memoized(x.astype(np.float64).tolist(), abs_tol))
+    got = _MEMO.get((x, abs_tol))
+    return _memoized([x], abs_tol)[0] if got is None else got
 
 
 def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> Jet:
