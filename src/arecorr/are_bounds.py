@@ -13,6 +13,7 @@ functions q_a.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -288,14 +289,7 @@ class PiecewiseBounds:
 
     def _cell(self, x: float) -> int:
         ax = _check_open_unit(x)
-        lo, hi = 0, len(self.edges) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.edges[mid] <= ax:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect.bisect_right(self.edges, ax, 1, len(self.edges) - 1) - 1
 
     def lower_at(self, x: float) -> float:
         return self.lower[self._cell(x)](x)

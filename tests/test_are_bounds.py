@@ -228,6 +228,10 @@ def test_partition_bounds_refine_the_quadratic_bounds() -> None:
             # Strict refinement away from the first/last cell edges.
             assert pw.lower_at(0.5) > lower(0.5)
             assert pw.upper_at(0.5) < upper(0.5)
+    # An inner edge opens the cell to its right.
+    below = math.nextafter(0.31, 0.0)
+    for x, cell in [(5e-324, 0), (below, 0), (0.31, 1), (-0.31, 1), (0.73, 2), (1.0 - 2**-53, 2)]:
+        assert pw._cell(x) == cell, x
 
 
 def test_bad_partitions_rejected() -> None:
