@@ -24,6 +24,7 @@ same code on a one-row block.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -143,16 +144,28 @@ def sample_bivariate_normal(
     return BivariateSample(x=xs, y=ys)
 
 
+def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    xc = x - x.mean()
+    yc = y - y.mean()
+    return float(xc @ xc), float(yc @ yc), float(xc @ yc)
+
+
+def _pow2_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that takes its largest magnitude into [0.5, 1)."""
+    return np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+
+
 def pearson_r(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    xc = s.x - s.x.mean()
-    yc = s.y - s.y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
+    sxx, syy, sxy = _centred_sums(s.x, s.y)
+    if not (sys.float_info.min <= sxx * syy < math.inf):
+        # The sums overflowed or underflowed (or a coordinate is constant).
+        # Scaling by powers of two is exact, so r is the scaled sample's.
+        sxx, syy, sxy = _centred_sums(_pow2_scaled(s.x), _pow2_scaled(s.y))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateSample("a coordinate is constant; R undefined")
-    r = float(xc @ yc) / math.sqrt(sxx * syy)
+    r = sxy / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
 

@@ -149,6 +149,39 @@ def test_pearson_rejects_degenerate_and_tiny_samples() -> None:
         pearson_r(BivariateSample(x=np.array([0.0, 2.0]), y=np.array([5.0, 5.0])))
     with pytest.raises(DomainError):
         pearson_r(BivariateSample(x=np.array([1.0]), y=np.array([1.0])))
+    # Constant columns at the ends of the float range are degenerate too.
+    for const in (1e300, 1e-310):
+        with pytest.raises(DegenerateSample):
+            pearson_r(BivariateSample(x=np.full(3, const), y=np.array([0.0, 1.0, 2.0])))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "x, y, scales, want",
+    [
+        ([1e200, 2e200, 3e200], [1e200, 2e200, 3e200], (-660, -660), 1.0),
+        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], (660, 0), 1.0),
+        # Centred, x/1e308 is (5, -11, 5, 1)/8 and y is (0, 1, -4, 3).
+        (
+            [1e308, -1e308, 1e308, 0.5e308],
+            [1.0, 2.0, -3.0, 4.0],
+            (-1020, 0),
+            -3.5 / math.sqrt(2.6875 * 26.0),
+        ),
+    ],
+    ids=["overflow", "underflow", "max-finite"],
+)
+def test_pearson_of_an_extreme_scale_sample_is_that_of_the_sample_scaled(
+    x: list[float], y: list[float], scales: tuple[int, int], want: float
+) -> None:
+    # Sums of squares that overflow or underflow used to give -1.0 or a
+    # DegenerateSample.  Scaling a coordinate by a power of two is exact,
+    # so r must equal its value on a sample scaled into the normal range.
+    got = pearson_r(BivariateSample(x=np.array(x), y=np.array(y)))
+    sx, sy = scales
+    ref = pearson_r(BivariateSample(x=np.ldexp(np.array(x), sx), y=np.ldexp(np.array(y), sy)))
+    assert got == ref
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_spearman_matches_hand_evaluations() -> None:
