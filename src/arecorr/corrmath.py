@@ -147,8 +147,8 @@ def _memoized(xs: list[float], abs_tol: float) -> list[float]:
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
     if not (abs_tol > 0.0):
         raise DomainError("abs_tol must be > 0")
-    xs, tol = [float(v) for v in xs], float(abs_tol)
-    out = {v: _MEMO.get((v, tol)) for v in xs}
+    tol = float(abs_tol)
+    out = {v: _MEMO.get((v, tol)) for v in map(float, xs)}
     todo = [v for v, got in out.items() if got is None]
     _make_room(min(len(todo), _MEMO_SIZE))
     for i in range(0, len(todo), _BLOCK):
