@@ -18,15 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .corrmath import (
-    DEFAULT_S_ABS_TOL,
-    _arcsine,
-    moments_r,
-    moments_s,
-    moments_t,
-    sigma_s2,
-    sigma_s2_jet,
-)
+from .corrmath import _arcsine, moments_r, moments_s, moments_t, sigma_s2, sigma_s2_jet
 from .errors import BadPartition, DomainError, NoBracket
 from .taylor import Jet
 
@@ -37,7 +29,6 @@ __all__ = [
     "PiecewiseBounds",
     "PAIR_TAGS",
     "pair",
-    "anchor_line",
     "bisect_root",
     "are",
     "ratio_slope",
@@ -92,7 +83,7 @@ def _g_rt(x):
 def _f_s(x):
     if isinstance(x, Jet):
         return sigma_s2_jet(x.center, x.order)
-    return sigma_s2(x, DEFAULT_S_ABS_TOL)
+    return sigma_s2(x)
 
 
 def _g_ts(x):
@@ -200,7 +191,7 @@ def ratio_slope(f: Jet, g: Jet) -> float:
     return (f1 * g0 - f0 * g1) / (g0 * g0)
 
 
-def are_from_moments(p: Pair | str, x: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> float:
+def are_from_moments(p: Pair | str, x: float) -> float:
     """Assembly from the moment formulas: (sigma2_2/sigma2_1) * (dmu_1/dmu_2)^2."""
     tag = _as_tag(p)
     ax = _check_open_unit(x)
@@ -209,48 +200,12 @@ def are_from_moments(p: Pair | str, x: float, abs_tol: float = DEFAULT_S_ABS_TOL
         "TS": (moments_s, moments_t),
         "RS": (moments_s, moments_r),
     }[tag]
-    m1 = den(ax) if den is not moments_s else den(ax, abs_tol)
-    m2 = num(ax) if num is not moments_s else num(ax, abs_tol)
+    m1, m2 = den(ax), num(ax)
     return (m2.sigma2 / m1.sigma2) * (m1.dmu / m2.dmu) ** 2
 
 
 # ---------------------------------------------------------------------------
 # q functions and bounds
-
-
-def _q_limit(tag: PairTag, a: int, end: int) -> float:
-    """One-sided limit of q_a at x -> end (end in {0, 1})."""
-    s0 = _series(tag, 0)
-    s1 = _series(tag, 1)
-    b0, b1, c1 = s0.coeffs[0], s1.coeffs[0], s1.coeffs[1]
-    if a == 0:
-        return s0.coeffs[2] if end == 0 else b1 - b0
-    return b0 - b1 + c1 if end == 0 else s1.coeffs[2]
-
-
-def anchor_line(p: Pair | str, a: int) -> tuple[float, float]:
-    """(b, c) of the line b + c(x - a) through are at the anchor a in {0, 1}.
-
-    b is are(a); c is are'(1-) at a = 1 and 0 at a = 0, where are is even.
-    """
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
-    s_a = _series(_as_tag(p), a)
-    return s_a.coeffs[0], (s_a.coeffs[1] if a == 1 else 0.0)
-
-
-def q(p: Pair | str, a: int, x: float) -> float:
-    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2."""
-    tag = _as_tag(p)
-    b, c = anchor_line(tag, a)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"q needs x in (0, 1), got {x!r}")
-    t = x - a
-    if abs(t) < Q_GUARD:
-        return _q_limit(tag, a, a)
-    if abs(t) <= SERIES_RADIUS:
-        return Jet(0.0, _series(tag, a).coeffs[2:])(t)
-    return (are(tag, x) - b - c * t) / (t * t)
 
 
 @dataclass(frozen=True)
@@ -267,14 +222,50 @@ class QuadCoeffs:
         return self.b + self.c * t + self.q * t * t
 
 
+_quad_cache: dict[tuple[PairTag, int], tuple[QuadCoeffs, QuadCoeffs]] = {}
+
+
 def quad_bounds(p: Pair | str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
-    """(lower, upper) quadratic bounds anchored at a in {0, 1}."""
+    """(lower, upper) quadratic bounds anchored at a in {0, 1}.
+
+    Both share the line b + c(x - a) through are at the anchor: b is
+    are(a); c is are'(1-) at a = 1 and 0 at a = 0, where are is even.
+    The lower q is q_a(0+) and the upper q is q_a(1-), the one-sided
+    limits of the second-difference function.  All four constants come
+    from the endpoint series, and each (pair, anchor) is built once.
+    """
     tag = _as_tag(p)
-    b, c = anchor_line(tag, a)
-    return (
-        QuadCoeffs(a=a, b=b, c=c, q=_q_limit(tag, a, 0)),
-        QuadCoeffs(a=a, b=b, c=c, q=_q_limit(tag, a, 1)),
-    )
+    if a not in (0, 1):
+        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
+    key = (tag, a)
+    got = _quad_cache.get(key)
+    if got is not None:
+        return got
+    s0, s1 = _series(tag, 0), _series(tag, 1)
+    b0, b1, c1 = s0.coeffs[0], s1.coeffs[0], s1.coeffs[1]
+    if a == 0:
+        b, c, q_low, q_high = b0, 0.0, s0.coeffs[2], b1 - b0
+    else:
+        b, c, q_low, q_high = b1, c1, b0 - b1 + c1, s1.coeffs[2]
+    made = (QuadCoeffs(a=a, b=b, c=c, q=q_low), QuadCoeffs(a=a, b=b, c=c, q=q_high))
+    _quad_cache[key] = made
+    return made
+
+
+def q(p: Pair | str, a: int, x: float) -> float:
+    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2."""
+    tag = _as_tag(p)
+    bounds = quad_bounds(tag, a)
+    if not (0.0 < x < 1.0):
+        raise DomainError(f"q needs x in (0, 1), got {x!r}")
+    t = x - a
+    if abs(t) < Q_GUARD:
+        # The one-sided limit at the anchor: q_0(0+) or q_1(1-).
+        return bounds[a].q
+    if abs(t) <= SERIES_RADIUS:
+        return Jet(0.0, _series(tag, a).coeffs[2:])(t)
+    line = bounds[0]
+    return (are(tag, x) - line.b - line.c * t) / (t * t)
 
 
 @dataclass(frozen=True)
@@ -298,27 +289,21 @@ class PiecewiseBounds:
         return self.upper[self._cell(x)](x)
 
 
-def _q_at_edge(tag: PairTag, a: int, edge: float) -> float:
-    """q_a at a partition edge; one-sided limits at 0 and 1, else the value."""
-    if edge <= 0.0:
-        return _q_limit(tag, a, 0)
-    if edge >= 1.0:
-        return _q_limit(tag, a, 1)
-    return q(tag, a, edge)
-
-
 def partition_bounds(p: Pair | str, a: int, partition: list[float]) -> PiecewiseBounds:
     """Per cell (x_{i-1}, x_i): lower q = q_a(x_{i-1}+), upper q = q_a(x_i-)."""
     tag = _as_tag(p)
-    b, c = anchor_line(tag, a)
+    lower, upper = quad_bounds(tag, a)
     pts = [float(v) for v in partition]
     if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
         raise BadPartition(f"partition must run from 0 to 1, got {partition!r}")
     if any(not (lo < hi) for lo, hi in zip(pts, pts[1:])):
         raise BadPartition(f"partition must be strictly increasing, got {partition!r}")
-    lower = tuple(QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, lo)) for lo in pts[:-1])
-    upper = tuple(QuadCoeffs(a=a, b=b, c=c, q=_q_at_edge(tag, a, hi)) for hi in pts[1:])
-    return PiecewiseBounds(tag=tag, a=a, edges=tuple(pts), lower=lower, upper=upper)
+    # q_a at each edge: its one-sided limits at 0 and 1, else its value.
+    qs = [lower.q, *(q(tag, a, v) for v in pts[1:-1]), upper.q]
+    cells = [QuadCoeffs(a=a, b=lower.b, c=lower.c, q=v) for v in qs]
+    return PiecewiseBounds(
+        tag=tag, a=a, edges=tuple(pts), lower=tuple(cells[:-1]), upper=tuple(cells[1:])
+    )
 
 
 def quartic_bounds_rs(x: float) -> tuple[float, float]:

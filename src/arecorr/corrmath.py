@@ -2,8 +2,9 @@
 
 All moment functions take the population correlation rho in (-1, 1) and
 return closed-form values; the Spearman variance is the one quantity
-that needs quadrature (four smooth integrals on [0, |rho|]).  First
-derivatives are analytic throughout: the integral terms differentiate
+that needs quadrature (four smooth integrals on [0, |rho|]), to a fixed
+absolute tolerance of 1e-12, with its values memoized per x = |rho|.
+First derivatives are analytic throughout: the integral terms differentiate
 by the fundamental theorem of calculus, so no numerical differentiation
 happens anywhere in this module.
 """
@@ -23,7 +24,6 @@ from .taylor import Jet
 __all__ = [
     "MomentSet",
     "RHO_CAP",
-    "DEFAULT_S_ABS_TOL",
     "moments_r",
     "moments_t",
     "moments_s",
@@ -36,11 +36,10 @@ __all__ = [
 # queries between the cap and 1.
 RHO_CAP = 1.0 - 1e-12
 
-DEFAULT_S_ABS_TOL = 1e-12
-
-# Per-integral tolerance split: sigma_s2 carries 72/pi^2 * (1+2+2+4) ~ 66
-# times the worst single-integral error.
-_SPLIT = 66.0
+# Absolute tolerance of each integral: sigma_s2 carries 72/pi^2 *
+# (1+2+2+4) ~ 66 times the worst single-integral error, so this holds
+# sigma_s2 to an absolute 1e-12.
+_INTEGRAL_TOL = 1e-12 / 66.0
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,10 @@ def _integrand(k: int, u):
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 
-# Memo of sigma_s2 values keyed by (x, abs_tol).  It is emptied when the
-# values about to enter would take it past _MEMO_SIZE entries, so all the
-# new values of one call stay in it if there are at most _MEMO_SIZE.
-_MEMO: dict[tuple[float, float], float] = {}
+# Memo of sigma_s2 values keyed by x.  It is emptied when the values
+# about to enter would take it past _MEMO_SIZE entries, so all the new
+# values of one call stay in it if there are at most _MEMO_SIZE.
+_MEMO: dict[float, float] = {}
 _MEMO_SIZE = 65536
 # Abscissae per lockstep quadrature; bounds its working arrays.
 _BLOCK = 256
@@ -124,13 +123,11 @@ def _make_room(n: int) -> None:
         _MEMO.clear()
 
 
-def _sigma_s2_block(xs: list[float], abs_tol: float) -> list[float]:
+def _sigma_s2_block(xs: list[float]) -> list[float]:
     """sigma_s2 at each of xs, one lockstep quadrature per integrand."""
     isums = [0.0] * len(xs)
     for k, w in enumerate(_WEIGHTS, start=1):
-        rows = integrate_many(
-            lambda u, k=k: _integrand(k, u), [0.0] * len(xs), xs, abs_tol / _SPLIT
-        )
+        rows = integrate_many(lambda u, k=k: _integrand(k, u), [0.0] * len(xs), xs, _INTEGRAL_TOL)
         isums = [isum + w * row.value for isum, row in zip(isums, rows)]
     pi2 = math.pi**2
     return [
@@ -139,48 +136,45 @@ def _sigma_s2_block(xs: list[float], abs_tol: float) -> list[float]:
     ]
 
 
-def _memoized(xs: list[float], abs_tol: float) -> list[float]:
+def _memoized(xs: list[float]) -> list[float]:
     """sigma_s2 at each of xs: memo reads, and the missing values integrated
     in blocks of _BLOCK and put in the memo."""
     for v in xs:
         if not (0.0 <= v < 1.0):
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
-    if not (abs_tol > 0.0):
-        raise DomainError("abs_tol must be > 0")
-    tol = float(abs_tol)
-    out = {v: _MEMO.get((v, tol)) for v in map(float, xs)}
+    out = {v: _MEMO.get(v) for v in map(float, xs)}
     todo = [v for v, got in out.items() if got is None]
     _make_room(min(len(todo), _MEMO_SIZE))
     for i in range(0, len(todo), _BLOCK):
         block = todo[i : i + _BLOCK]
-        for v, got in zip(block, _sigma_s2_block(block, tol)):
+        for v, got in zip(block, _sigma_s2_block(block)):
             out[v] = got
             _make_room(1)
-            _MEMO[(v, tol)] = got
+            _MEMO[v] = got
     return [out[v] for v in xs]
 
 
-def sigma_s2(x, abs_tol: float = DEFAULT_S_ABS_TOL):
+def sigma_s2(x):
     """Asymptotic Spearman variance at x = |rho| in [0, 1).
 
     x is a float, or a 1-D float64 array whose elements give bitwise the
-    float values.  Values are memoized per (x, abs_tol) in a bounded
-    memo (emptied when full): the function is pure, and the invariant
-    suites revisit the same grid abscissae many times.  Missing
-    abscissae are integrated in blocks of _BLOCK, each block by one
-    lockstep quadrature per integrand, and enter the memo, so an array
-    call ahead of a loop of float calls on the same abscissae turns
-    those into memo reads.
+    float values.  Each value is computed to a fixed absolute tolerance
+    of 1e-12 and memoized per x in a bounded memo (emptied when full):
+    the function is pure, and the invariant suites revisit the same grid
+    abscissae many times.  Missing abscissae are integrated in blocks of
+    _BLOCK, each block by one lockstep quadrature per integrand, and
+    enter the memo, so an array call ahead of a loop of float calls on
+    the same abscissae turns those into memo reads.
     """
     if isinstance(x, np.ndarray):
         if x.ndim != 1:
             raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
-        return np.array(_memoized(x.astype(np.float64).tolist(), abs_tol))
-    got = _MEMO.get((x, abs_tol))
-    return _memoized([x], abs_tol)[0] if got is None else got
+        return np.array(_memoized(x.astype(np.float64).tolist()))
+    got = _MEMO.get(x)
+    return _memoized([x])[0] if got is None else got
 
 
-def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> Jet:
+def sigma_s2_jet(x0: float, order: int) -> Jet:
     """Taylor jet of sigma_s2 at x0 in [0, 1].
 
     Only the order-0 coefficient touches quadrature; every higher
@@ -193,7 +187,7 @@ def sigma_s2_jet(x0: float, order: int, abs_tol: float = DEFAULT_S_ABS_TOL) -> J
     pi2 = math.pi**2
     total = 1.0 - (324.0 / pi2) * _arcsine(0.5 * x) ** 2
     for k, w in enumerate(_WEIGHTS, start=1):
-        value = integrate(lambda u, k=k: _integrand(k, u), 0.0, x0, abs_tol / _SPLIT).value
+        value = integrate(lambda u, k=k: _integrand(k, u), 0.0, x0, _INTEGRAL_TOL).value
         coeffs = [value]
         if order >= 1:
             igrand = _integrand(k, Jet.variable(x0, order - 1))
@@ -221,7 +215,7 @@ def moments_t(rho: float) -> MomentSet:
     )
 
 
-def moments_s(rho: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet:
+def moments_s(rho: float) -> MomentSet:
     """Spearman S: mu = (6/pi) asin(rho/2); variance by quadrature.
 
     sigma2 is even in rho and evaluated at |rho|; magnitudes above
@@ -234,7 +228,7 @@ def moments_s(rho: float, abs_tol: float = DEFAULT_S_ABS_TOL) -> MomentSet:
     return MomentSet(
         mu=(6.0 / pi) * _asin(0.5 * v),
         dmu=3.0 / (pi * math.sqrt(1.0 - 0.25 * v * v)),
-        sigma2=sigma_s2(x, abs_tol),
+        sigma2=sigma_s2(x),
     )
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .are_bounds import anchor_line, bisect_root, pair
+from .are_bounds import bisect_root, pair, quad_bounds
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
@@ -94,8 +94,8 @@ class ChainNode:
 
 def build_chain_rt(a: int) -> list[ChainNode]:
     """Nodes 0..4 of the RT reduction anchored at a in {0, 1}."""
-    b, c = anchor_line("RT", a)
-    return [ChainNode(float(a), i, b, c) for i in range(len(MULTIPLIERS) + 1)]
+    line = quad_bounds("RT", a)[0]
+    return [ChainNode(float(a), i, line.b, line.c) for i in range(len(MULTIPLIERS) + 1)]
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,7 @@ def test_quad_bounds_structure_and_sandwich() -> None:
         ep = endpoint_constants(tag)
         for a in (0, 1):
             lower, upper = quad_bounds(tag, a)
+            assert quad_bounds(tag, a) == (lower, upper)
             assert lower.a == a and upper.a == a
             assert lower.b == (ep.are_at_0 if a == 0 else ep.are_at_1)
             assert lower.c == (0.0 if a == 0 else ep.dare_at_1)
@@ -211,6 +212,11 @@ def test_quad_bounds_structure_and_sandwich() -> None:
                 v = are(tag, x)
                 assert lower(x) < v < upper(x)
                 assert lower(-x) == lower(x)  # even in x
+    cached = dict(ab._quad_cache)
+    for a in (2, -1):
+        with pytest.raises(DomainError):
+            quad_bounds("RT", a)
+    assert ab._quad_cache == cached
 
 
 def test_partition_bounds_refine_the_quadratic_bounds() -> None:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from arecorr.are_bounds import endpoint_constants, q, ratio_slope
+from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
@@ -39,6 +39,8 @@ def test_chain_has_five_nodes_with_multipliers() -> None:
         nodes = build_chain_rt(a)
         assert [n.index for n in nodes] == [0, 1, 2, 3, 4]
         assert all(n.anchor == float(a) for n in nodes)
+        line = quad_bounds("RT", a)[0]
+        assert all((n.b, n.c) == (line.b, line.c) for n in nodes)
     assert len(MULTIPLIERS) == 4
     for mult in MULTIPLIERS:
         # Every multiplier must be strictly positive on (0, 1): the
