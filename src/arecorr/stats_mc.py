@@ -24,6 +24,7 @@ same code on a one-row block.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -117,6 +118,14 @@ def _rho_strict(rho: float) -> float:
     return value
 
 
+def _key_word(name: str, v) -> int:
+    """v as an int; int() would truncate a float into another key's draws."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+
+
 def sample_bivariate_normal(
     n: int, rho: float, seed: int, stream: int = 0
 ) -> BivariateSample:
@@ -129,11 +138,12 @@ def sample_bivariate_normal(
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
+    seed, stream = _key_word("seed", seed), _key_word("stream", stream)
     if stream < 0:
         raise DomainError(f"need stream >= 0, got {stream!r}")
     value = _rho_strict(rho)
     try:
-        key = np.array([int(seed), int(stream)], dtype=np.uint64)
+        key = np.array([seed, stream], dtype=np.uint64)
     except OverflowError:
         raise DomainError(f"seed {seed!r} or stream {stream!r} not in [0, 2**64)") from None
     raw = np.random.Philox(key=key).random_raw(2 * n)
@@ -158,7 +168,9 @@ def _pow2_scaled(v: np.ndarray) -> np.ndarray:
 def pearson_r(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    sxx, syy, sxy = _centred_sums(s.x, s.y)
+    # Overflow here is caught by the range test below, not reported.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx, syy, sxy = _centred_sums(s.x, s.y)
     if not (sys.float_info.min <= sxx * syy < math.inf):
         # The sums overflowed or underflowed (or a coordinate is constant).
         # Scaling by powers of two is exact, so r is the scaled sample's.
@@ -398,6 +410,7 @@ def mc_moments(
         raise DomainError(f"need n >= 10, got {n!r}")
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps!r}")
+    seed = _key_word("seed", seed)
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
     value = _rho_strict(rho)

@@ -118,9 +118,16 @@ def test_sampling_hits_the_requested_correlation() -> None:
 
 
 def test_sampling_rejects_bad_arguments() -> None:
-    for seed in (-1, np.int64(-1), SEED_LIMIT):
+    # int() of 1.5 would draw seed 1's sample.
+    for seed in (-1, np.int64(-1), SEED_LIMIT, 1.5, np.float64(2.0), "3"):
         with pytest.raises(DomainError):
             sample_bivariate_normal(10, 0.5, seed)
+    for stream in (2.7, np.float64(1.0)):
+        with pytest.raises(DomainError, match="stream"):
+            sample_bivariate_normal(10, 0.5, 1, stream=stream)
+    by_int = sample_bivariate_normal(10, 0.5, 3, stream=2)
+    by_np = sample_bivariate_normal(10, 0.5, np.uint64(3), stream=np.int32(2))
+    assert by_np.x.tolist() == by_int.x.tolist() and by_np.y.tolist() == by_int.y.tolist()
     with pytest.raises(DomainError):
         sample_bivariate_normal(0, 0.5, 1)
     with pytest.raises(DomainError):
@@ -155,7 +162,7 @@ def test_pearson_rejects_degenerate_and_tiny_samples() -> None:
             pearson_r(BivariateSample(x=np.full(3, const), y=np.array([0.0, 1.0, 2.0])))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "x, y, scales, want",
     [
@@ -448,7 +455,8 @@ def test_cached_replicates_are_read_only() -> None:
 
 def test_mc_moments_refuses_seeds_that_would_alias() -> None:
     # Philox takes the seed as one 64-bit word: -1 would draw as 2**64 - 1.
-    for seed in (-1, SEED_LIMIT, SEED_LIMIT + DEFAULT_SEED):
+    # A float seed would be truncated and report numbers of another seed.
+    for seed in (-1, SEED_LIMIT, SEED_LIMIT + DEFAULT_SEED, 1.9):
         with pytest.raises(DomainError, match="seed"):
             mc_moments("T", 0.5, 10, 100, seed=seed)
     assert mc_moments("T", 0.5, 10, 100, seed=SEED_LIMIT - 1).seed == SEED_LIMIT - 1
