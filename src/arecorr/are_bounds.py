@@ -7,8 +7,13 @@ evaluation within SERIES_RADIUS of 1 therefore goes through a cached
 Taylor expansion of f/g at the endpoint, whose coefficients are free of
 quadrature noise (the noisy vanishing coefficients are dropped before
 dividing the series).  The same expansions supply the endpoint constants
-are(1-), are'(1-) and the one-sided limits of the second-difference
-functions q_a.
+are(0), are(1-), are'(1-) and the one-sided limits of the second-difference
+functions q_a, and q_a within SERIES_RADIUS of its anchor.
+
+A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
+checked where they are first looked up: an unknown one raises
+DomainError through `pair` on a cache miss, and a cache holds only
+valid tags.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ __all__ = [
     "quartic_bounds_rs",
     "crossover",
     "SERIES_RADIUS",
-    "Q_GUARD",
 ]
 
 PairTag = Literal["RT", "TS", "RS"]
@@ -52,10 +56,6 @@ _PI2 = math.pi**2
 # distance from x = 1; the expansions' nearest singularity sits at
 # |t| ~ 0.236, so truncation error at 0.01 is far below 1e-12.
 SERIES_RADIUS = 0.01
-
-# Within this distance of the anchor, q_a returns its one-sided limit
-# (the ratio is 0/0 there).
-Q_GUARD = 1e-4
 
 _JET_ORDER = 12
 
@@ -102,14 +102,9 @@ _PAIRS: dict[PairTag, Pair] = {
 
 
 def pair(tag: str) -> Pair:
-    key = tag.upper()
-    if key not in _PAIRS:
+    if tag not in _PAIRS:
         raise DomainError(f"unknown pair tag {tag!r}; expected one of {PAIR_TAGS}")
-    return _PAIRS[key]  # type: ignore[index]
-
-
-def _as_tag(p: Pair | str) -> PairTag:
-    return p.tag if isinstance(p, Pair) else pair(p).tag
+    return _PAIRS[tag]  # type: ignore[index]
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +128,15 @@ class Endpoints:
 _series_cache: dict[tuple[PairTag, int], Jet] = {}
 
 
-def _series(tag: PairTag, anchor: int) -> Jet:
+def _series(tag: str, anchor: int) -> Jet:
     """Truncated expansion of are(anchor + t) in t, as a jet centred at t = 0."""
     key = (tag, anchor)
     got = _series_cache.get(key)
     if got is not None:
         return got
+    p = pair(tag)
     x = Jet.variable(float(anchor), _JET_ORDER)
-    fj, gj = _PAIRS[tag].f(x), _PAIRS[tag].g(x)
+    fj, gj = p.f(x), p.g(x)
     m = _VANISH_AT_1[tag] if anchor == 1 else 0
     for k in range(m):
         if abs(fj.coeffs[k]) > _VANISH_NOISE or abs(gj.coeffs[k]) > _VANISH_NOISE:
@@ -151,14 +147,6 @@ def _series(tag: PairTag, anchor: int) -> Jet:
     made = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
     _series_cache[key] = made
     return made
-
-
-def endpoint_constants(p: Pair | str) -> Endpoints:
-    """are(0), are(1-), are'(1-); lazily computed once per pair."""
-    tag = _as_tag(p)
-    s0 = _series(tag, 0)
-    s1 = _series(tag, 1)
-    return Endpoints(are_at_0=s0.coeffs[0], are_at_1=s1.coeffs[0], dare_at_1=s1.coeffs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +160,13 @@ def _check_open_unit(x: float) -> float:
     return ax
 
 
-def are(p: Pair | str, x: float) -> float:
-    """are(x) = f(|x|)/g(|x|); even in x; x = 0 returns the limit constant."""
-    tag = _as_tag(p)
+def are(tag: str, x: float) -> float:
+    """are(x) = f(|x|)/g(|x|); even in x."""
     ax = _check_open_unit(x)
-    if ax == 0.0:
-        return _series(tag, 0).coeffs[0]
     if 1.0 - ax <= SERIES_RADIUS:
         return _series(tag, 1)(ax - 1.0)
-    pr = _PAIRS[tag]
-    return pr.f(ax) / pr.g(ax)
+    p = pair(tag)
+    return p.f(ax) / p.g(ax)
 
 
 def ratio_slope(f: Jet, g: Jet) -> float:
@@ -191,15 +176,18 @@ def ratio_slope(f: Jet, g: Jet) -> float:
     return (f1 * g0 - f0 * g1) / (g0 * g0)
 
 
-def are_from_moments(p: Pair | str, x: float) -> float:
+# (numerator, denominator) statistic of each pair's efficiency ratio.
+_MOMENTS = {
+    "RT": (moments_t, moments_r),
+    "TS": (moments_s, moments_t),
+    "RS": (moments_s, moments_r),
+}
+
+
+def are_from_moments(tag: str, x: float) -> float:
     """Assembly from the moment formulas: (sigma2_2/sigma2_1) * (dmu_1/dmu_2)^2."""
-    tag = _as_tag(p)
     ax = _check_open_unit(x)
-    num, den = {
-        "RT": (moments_t, moments_r),
-        "TS": (moments_s, moments_t),
-        "RS": (moments_s, moments_r),
-    }[tag]
+    num, den = _MOMENTS[pair(tag).tag]
     m1, m2 = den(ax), num(ax)
     return (m2.sigma2 / m1.sigma2) * (m1.dmu / m2.dmu) ** 2
 
@@ -222,10 +210,10 @@ class QuadCoeffs:
         return self.b + self.c * t + self.q * t * t
 
 
-_quad_cache: dict[tuple[PairTag, int], tuple[QuadCoeffs, QuadCoeffs]] = {}
+_quad_cache: dict[tuple[str, int], tuple[QuadCoeffs, QuadCoeffs]] = {}
 
 
-def quad_bounds(p: Pair | str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
+def quad_bounds(tag: str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
     """(lower, upper) quadratic bounds anchored at a in {0, 1}.
 
     Both share the line b + c(x - a) through are at the anchor: b is
@@ -234,13 +222,12 @@ def quad_bounds(p: Pair | str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
     limits of the second-difference function.  All four constants come
     from the endpoint series, and each (pair, anchor) is built once.
     """
-    tag = _as_tag(p)
-    if a not in (0, 1):
-        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
     key = (tag, a)
     got = _quad_cache.get(key)
     if got is not None:
         return got
+    if a not in (0, 1):
+        raise DomainError(f"anchor must be 0 or 1, got {a!r}")
     s0, s1 = _series(tag, 0), _series(tag, 1)
     b0, b1, c1 = s0.coeffs[0], s1.coeffs[0], s1.coeffs[1]
     if a == 0:
@@ -252,19 +239,24 @@ def quad_bounds(p: Pair | str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
     return made
 
 
-def q(p: Pair | str, a: int, x: float) -> float:
-    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2."""
-    tag = _as_tag(p)
-    bounds = quad_bounds(tag, a)
+def endpoint_constants(tag: str) -> Endpoints:
+    """are(0), are(1-), are'(1-): b at anchor 0, and b and c at anchor 1."""
+    at0, at1 = quad_bounds(tag, 0)[0], quad_bounds(tag, 1)[0]
+    return Endpoints(are_at_0=at0.b, are_at_1=at1.b, dare_at_1=at1.c)
+
+
+def q(tag: str, a: int, x: float) -> float:
+    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2.
+
+    Within SERIES_RADIUS of the anchor, where the ratio is near 0/0, it
+    is the endpoint series with its first two terms dropped.
+    """
+    line = quad_bounds(tag, a)[0]
     if not (0.0 < x < 1.0):
         raise DomainError(f"q needs x in (0, 1), got {x!r}")
     t = x - a
-    if abs(t) < Q_GUARD:
-        # The one-sided limit at the anchor: q_0(0+) or q_1(1-).
-        return bounds[a].q
     if abs(t) <= SERIES_RADIUS:
         return Jet(0.0, _series(tag, a).coeffs[2:])(t)
-    line = bounds[0]
     return (are(tag, x) - line.b - line.c * t) / (t * t)
 
 
@@ -289,9 +281,8 @@ class PiecewiseBounds:
         return self.upper[self._cell(x)](x)
 
 
-def partition_bounds(p: Pair | str, a: int, partition: list[float]) -> PiecewiseBounds:
+def partition_bounds(tag: str, a: int, partition: list[float]) -> PiecewiseBounds:
     """Per cell (x_{i-1}, x_i): lower q = q_a(x_{i-1}+), upper q = q_a(x_i-)."""
-    tag = _as_tag(p)
     lower, upper = quad_bounds(tag, a)
     pts = [float(v) for v in partition]
     if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
@@ -333,9 +324,8 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float, flo: float) -
     return 0.5 * (lo + hi)
 
 
-def crossover(p: Pair | str, which: str) -> float:
+def crossover(tag: str, which: str) -> float:
     """Root in (0, 1) of L0 - L1 (which='L') or U0 - U1 (which='U')."""
-    tag = _as_tag(p)
     w = which.upper()
     if w not in ("L", "U"):
         raise DomainError(f"which must be 'L' or 'U', got {which!r}")

@@ -52,7 +52,7 @@ class MomentSet:
 def _rho_value(rho: float) -> float:
     v = float(rho)
     if not (abs(v) < 1.0):
-        raise DomainError(f"moments need |rho| < 1, got {v!r}")
+        raise DomainError(f"|rho| must be < 1, got {v!r}")
     return v
 
 

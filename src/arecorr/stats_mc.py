@@ -34,7 +34,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from .corrmath import moments_r, moments_s, moments_t, mu_s_finite_n
+from .corrmath import _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import DegenerateSample, DomainError, TiesPresent
 
 __all__ = [
@@ -111,15 +111,8 @@ class McReport:
     seed: int
 
 
-def _rho_strict(rho: float) -> float:
-    value = float(rho)
-    if not abs(value) < 1.0:
-        raise DomainError(f"sampling needs |rho| < 1, got {value!r}")
-    return value
-
-
 def _key_word(name: str, v) -> int:
-    """v as an int; int() would truncate a float into another key's draws."""
+    """v as an int, refusing a float that int() would silently truncate."""
     try:
         return operator.index(v)
     except TypeError:
@@ -136,12 +129,12 @@ def sample_bivariate_normal(
     53 bits of each 64-bit word, offset to the cell center so 0 and 1
     never occur; the inverse normal CDF then maps them to variates.
     """
+    n, seed, stream = _key_word("n", n), _key_word("seed", seed), _key_word("stream", stream)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n!r}")
-    seed, stream = _key_word("seed", seed), _key_word("stream", stream)
     if stream < 0:
         raise DomainError(f"need stream >= 0, got {stream!r}")
-    value = _rho_strict(rho)
+    value = _rho_value(rho)
     try:
         key = np.array([seed, stream], dtype=np.uint64)
     except OverflowError:
@@ -406,14 +399,14 @@ def mc_moments(
     stat_u = str(stat).upper()
     if stat_u not in _STAT_NAMES:
         raise DomainError(f"stat must be one of {_STAT_NAMES}, got {stat!r}")
+    n, reps, seed = _key_word("n", n), _key_word("reps", reps), _key_word("seed", seed)
     if n < 10:
         raise DomainError(f"need n >= 10, got {n!r}")
     if reps < 100:
         raise DomainError(f"need reps >= 100, got {reps!r}")
-    seed = _key_word("seed", seed)
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
-    value = _rho_strict(rho)
+    value = _rho_value(rho)
     vals = _replicates(value, n, reps, seed)[_STAT_NAMES.index(stat_u)]
 
     mean_hat = float(vals.mean())

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .are_bounds import (
+    PAIR_TAGS,
     are,
     are_from_moments,
     endpoint_constants,
@@ -82,12 +83,11 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     xs = interior_grid(0.0, 1.0, grid)
     # One array quadrature pass; the float sigma_s2 calls below read the memo.
     sigma_s2(np.array(xs))
-    pairs = [pair(tag) for tag in ("RT", "TS", "RS")]
     results: list[CheckResult] = []
 
     # --- endpoint constants against closed forms --------------------------
     for (tag, a), want in _closed_forms().items():
-        ep = endpoint_constants(pair(tag))
+        ep = endpoint_constants(tag)
         got = ep.are_at_1 if a else ep.are_at_0
         diff = abs(got - want)
         detail = f"|{got!r} - {want!r}| = {diff:.3e}"
@@ -95,38 +95,38 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         results.append(_check(name, ENDPOINT_TOL - diff, detail, diff <= ENDPOINT_TOL))
 
     # --- efficiency curves and the second-difference functions -------------
-    are_vals = {p.tag: [are(p, x) for x in xs] for p in pairs}
-    for p in pairs:
-        margin = _strict_increase_margin(are_vals[p.tag])
-        results.append(_check(f"are.monotone.{p.tag}", margin, f"min grid step {margin:.3e}"))
+    are_vals = {tag: [are(tag, x) for x in xs] for tag in PAIR_TAGS}
+    for tag in PAIR_TAGS:
+        margin = _strict_increase_margin(are_vals[tag])
+        results.append(_check(f"are.monotone.{tag}", margin, f"min grid step {margin:.3e}"))
 
-    for p in pairs:
+    for tag in PAIR_TAGS:
         for a in (0, 1):
-            qs = [q(p, a, x) for x in xs]
+            qs = [q(tag, a, x) for x in xs]
             margin = _strict_increase_margin(qs)
             results.append(
-                _check(f"theorem1.q_monotone.{p.tag}.{a}", margin, f"min grid step {margin:.3e}")
+                _check(f"theorem1.q_monotone.{tag}.{a}", margin, f"min grid step {margin:.3e}")
             )
-            lo, hi = (bound.q for bound in quad_bounds(p, a))
+            lo, hi = (bound.q for bound in quad_bounds(tag, a))
             margin = min(min(v - lo for v in qs), min(hi - v for v in qs))
             results.append(
-                _check(f"theorem1.q_range.{p.tag}.{a}", margin, f"q in ({lo:.6f}, {hi:.6f})")
+                _check(f"theorem1.q_range.{tag}.{a}", margin, f"q in ({lo:.6f}, {hi:.6f})")
             )
 
     # --- quadratic sandwich and quartic refinement -------------------------
-    for p in pairs:
+    for tag in PAIR_TAGS:
         for a in (0, 1):
-            lower, upper = quad_bounds(p, a)
-            vals = are_vals[p.tag]
+            lower, upper = quad_bounds(tag, a)
+            vals = are_vals[tag]
             margin = min(
                 min(v - lower(x) for x, v in zip(xs, vals)),
                 min(upper(x) - v for x, v in zip(xs, vals)),
             )
             detail = f"min slack {margin:.3e}"
-            results.append(_check(f"bounds.sandwich.{p.tag}.{a}", margin, detail))
+            results.append(_check(f"bounds.sandwich.{tag}.{a}", margin, detail))
 
     for a in (0, 1):
-        (lo_rt, up_rt), (lo_ts, up_ts), (lo_rs, up_rs) = (quad_bounds(p, a) for p in pairs)
+        (lo_rt, up_rt), (lo_ts, up_ts), (lo_rs, up_rs) = (quad_bounds(tag, a) for tag in PAIR_TAGS)
         margin = math.inf
         for x, v in zip(xs, are_vals["RS"]):
             ltilde, utilde = lo_rt(x) * lo_ts(x), up_rt(x) * up_ts(x)
@@ -145,11 +145,12 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     detail = f"max |are_RS - are_RT*are_TS| = {worst:.3e}"
     results.append(_check("factorization.identity", tol - worst, detail, worst <= tol))
 
-    for p in pairs:
-        worst = max(abs(p.f(x) / p.g(x) - are_from_moments(p, x)) for x in xs)
+    for tag in PAIR_TAGS:
+        p = pair(tag)
+        worst = max(abs(p.f(x) / p.g(x) - are_from_moments(tag, x)) for x in xs)
         detail = f"max |f/g - moment assembly| = {worst:.3e}"
         results.append(
-            _check(f"consistency.moment_assembly.{p.tag}", tol - worst, detail, worst <= tol)
+            _check(f"consistency.moment_assembly.{tag}", tol - worst, detail, worst <= tol)
         )
 
     # --- reduction chain ----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import arecorr.are_bounds as ab
 from arecorr.are_bounds import (
-    Q_GUARD,
+    PAIR_TAGS,
     QuadCoeffs,
     are,
     are_from_moments,
@@ -53,10 +53,40 @@ GRID = [k / 20 for k in range(1, 20)]
 
 
 def test_pair_lookup() -> None:
-    assert pair("rt").tag == "RT"
+    assert pair("RT").tag == "RT"
     assert pair("TS").tag == "TS"
+    for bad in ("xy", "rt", pair("RT")):
+        with pytest.raises(DomainError):
+            pair(bad)
+
+
+# One call of each public function that takes a tag; `are` and `q` both
+# off and on their endpoint-series paths.
+TAG_CALLS = {
+    "are": lambda tag: are(tag, 0.5),
+    "are_series": lambda tag: are(tag, 0.995),
+    "q": lambda tag: q(tag, 0, 0.5),
+    "q_series": lambda tag: q(tag, 1, 0.995),
+    "quad_bounds": lambda tag: quad_bounds(tag, 1),
+    "endpoint_constants": endpoint_constants,
+    "are_from_moments": lambda tag: are_from_moments(tag, 0.5),
+    "partition_bounds": lambda tag: partition_bounds(tag, 0, [0.0, 0.5, 1.0]),
+    "crossover": lambda tag: crossover(tag, "U"),
+}
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+@pytest.mark.parametrize("bad", ["xy", "rt", pair("RT")], ids=["xy", "rt", "Pair"])
+@pytest.mark.parametrize("name", list(TAG_CALLS))
+def test_every_tag_taking_function_refuses_a_bad_tag(monkeypatch, name, bad, cold) -> None:
+    # Tags are checked only on cache misses, so a bad tag must miss every cache.
+    for tag in PAIR_TAGS:
+        TAG_CALLS[name](tag)
+    if cold:
+        monkeypatch.setattr(ab, "_series_cache", {})
+        monkeypatch.setattr(ab, "_quad_cache", {})
     with pytest.raises(DomainError):
-        pair("xy")
+        TAG_CALLS[name](bad)
 
 
 def test_endpoint_constants_match_closed_forms() -> None:
@@ -95,12 +125,9 @@ def test_endpoint_constants_idempotent() -> None:
 
 def test_are_value_at_zero_and_symmetry() -> None:
     for tag in ("RT", "TS", "RS"):
-        p = pair(tag)
-        assert are(p, 0.0) == ORACLE[(tag, "b0")] == pytest.approx(
-            ORACLE[(tag, "b0")], abs=0
-        )
+        assert are(tag, 0.0) == ORACLE[(tag, "b0")] == endpoint_constants(tag).are_at_0
         for x in (0.25, 0.7, 0.995):
-            assert are(p, -x) == are(p, x)
+            assert are(tag, -x) == are(tag, x)
 
 
 def test_are_rt_matches_hand_formula() -> None:
@@ -165,19 +192,20 @@ def test_moment_assembly_agrees_with_curve() -> None:
         p = pair(tag)
         for x in GRID:
             direct = p.f(x) / p.g(x)
-            assert are_from_moments(p, x) == pytest.approx(direct, abs=1e-10)
+            assert are_from_moments(tag, x) == pytest.approx(direct, abs=1e-10)
 
 
-def test_q_guard_returns_limits_near_anchors() -> None:
+def test_q_strictly_increases_next_to_its_anchor() -> None:
+    # q_a is strictly increasing (the paper's Theorem 1) right up to its
+    # anchor, so it takes its limits q_a(0+), q_a(1-) only in the limit.
+    offsets = (1e-6, 1e-5, 2e-5, 5e-5, 9e-5, 1.1e-4, 2e-4)
     for tag in ("RT", "TS", "RS"):
-        lower0, upper0 = quad_bounds(tag, 0)
-        lower1, upper1 = quad_bounds(tag, 1)
-        assert q(tag, 0, 0.5 * Q_GUARD) == lower0.q
-        assert q(tag, 1, 1.0 - 0.5 * Q_GUARD) == upper1.q
-        # Jump across the guard edge is bounded by slope * guard width:
-        # q_0 is flat at 0 (even series), q_1 has slope O(1) at 1.
-        assert q(tag, 0, 1.01 * Q_GUARD) == pytest.approx(lower0.q, abs=1e-8)
-        assert q(tag, 1, 1.0 - 1.01 * Q_GUARD) == pytest.approx(upper1.q, abs=1e-3)
+        for a in (0, 1):
+            lower, upper = quad_bounds(tag, a)
+            xs = sorted(d if a == 0 else 1.0 - d for d in offsets)
+            vals = [q(tag, a, x) for x in xs]
+            assert all(u < v for u, v in zip(vals, vals[1:])), (tag, a, vals)
+            assert all(lower.q < v < upper.q for v in vals), (tag, a, vals)
 
 
 def test_q_monotone_within_limits() -> None:
@@ -312,7 +340,7 @@ def test_crossover_requires_a_bracket(monkeypatch) -> None:
 def richardson_q_limit(tag: str, a: int, end: int, kmax: int = 8) -> float:
     """Extrapolated one-sided limit of q_a at x -> end over x = end -+ 2^-k/100.
 
-    Evaluates q through its raw difference quotient (no anchor guard) and
+    Evaluates q through its raw difference quotient (no series branch) and
     runs a Richardson table assuming an expansion in the distance to the
     endpoint.
     """

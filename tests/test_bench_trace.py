@@ -39,8 +39,9 @@ def _child(tmp_path: Path, traced: bool, argv: list[str]) -> tuple[str, dict]:
         ["mc", "--n", "20", "--reps", "100", "--rho", "0.5"],
         ["reduce", "--grid", "99"],
         ["table", "--grid", "5"],
+        ["bounds"],
     ],
-    ids=["verify", "mc", "reduce", "table"],
+    ids=["verify", "mc", "reduce", "table", "bounds"],
 )
 def test_traced_child_runs_and_keeps_stdout(tmp_path: Path, argv: list[str]) -> None:
     traced_out, record = _child(tmp_path, True, argv)

@@ -125,8 +125,11 @@ def test_sampling_rejects_bad_arguments() -> None:
     for stream in (2.7, np.float64(1.0)):
         with pytest.raises(DomainError, match="stream"):
             sample_bivariate_normal(10, 0.5, 1, stream=stream)
+    for n in (10.0, np.float64(10.0), 2.5):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            sample_bivariate_normal(n, 0.5, 1)
     by_int = sample_bivariate_normal(10, 0.5, 3, stream=2)
-    by_np = sample_bivariate_normal(10, 0.5, np.uint64(3), stream=np.int32(2))
+    by_np = sample_bivariate_normal(np.int64(10), 0.5, np.uint64(3), stream=np.int32(2))
     assert by_np.x.tolist() == by_int.x.tolist() and by_np.y.tolist() == by_int.y.tolist()
     with pytest.raises(DomainError):
         sample_bivariate_normal(0, 0.5, 1)
@@ -387,6 +390,12 @@ def test_mc_moments_validates_arguments() -> None:
         mc_moments("T", 0.5, 50, 99)
     with pytest.raises(DomainError):
         mc_moments("T", 1.0, 50, 100)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        mc_moments("T", 0.5, 50.0, 100)
+    with pytest.raises(DomainError, match="reps must be an integer"):
+        mc_moments("T", 0.5, 50, 100.0)
+    report = mc_moments("T", 0.5, np.int64(50), np.int32(100))
+    assert report == mc_moments("T", 0.5, 50, 100)
 
 
 @pytest.mark.parametrize("n", [10, 50, 1000])
