@@ -15,10 +15,12 @@ Normal variates come from the inverse-CDF map applied to 53-bit
 uniforms; X and Z draws interleave within one stream, so a smaller n
 yields a prefix of a larger n's sample at the same key.
 
-Monte Carlo draws each replicate once and evaluates R, S and T on that
-one sample.  S and T are computed over blocks of stacked replicates
-from exact integer rank counts; the per-sample estimators are the
-same code on a one-row block.
+Monte Carlo works on blocks of replicates held as two (rows, n) arrays
+of x and y: one generator re-keyed per row fills the block's words,
+one inverse-CDF call maps them, R comes from batched row dot products
+and S and T from exact integer rank counts.  The per-sample sampler
+and estimators are the same code on a one-row block, so each
+replicate's values are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -119,6 +121,54 @@ def _key_word(name: str, v) -> int:
         raise DomainError(f"{name} must be an integer, got {v!r}") from None
 
 
+# The largest uniform.  The centre of the top 53-bit cell, 1 - 2**-54,
+# rounds to 1.0, where the inverse normal CDF is +inf; every other
+# cell's centre is below this.
+_U_MAX = 1.0 - 2.0**-53
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1): the top 53 bits of each 64-bit word, offset to
+    the cell centre and clamped at _U_MAX.  Shifts `raw` in place."""
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, _U_MAX, out=u)
+
+
+def _normal_rows(n: int, rho: float, seed: int, streams: range) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y), each (len(streams), n): row k is the sample of stream streams[k].
+
+    One Philox generator is re-keyed to (seed, stream) for each row by
+    its state setter, with counter 0 and an empty buffer, so it draws
+    what a new generator with that key would.  The 2n words of a row
+    interleave the uniforms of X and Z, which one `ndtri` call maps to
+    normal variates for the whole block.
+    """
+    try:
+        key = np.array([seed, streams[-1]], dtype=np.uint64)
+    except OverflowError:
+        raise DomainError(f"seed {seed!r} or stream {streams[-1]!r} not in [0, 2**64)") from None
+    bitgen = np.random.Philox(key=key)
+    state = bitgen.state
+    raw = np.empty((len(streams), 2 * n), dtype=np.uint64)
+    for row, stream in zip(raw, streams):
+        state["state"]["key"][1] = stream
+        bitgen.state = state
+        row[:] = bitgen.random_raw(2 * n)
+    u = _uniforms(raw)
+    del raw
+    ndtri(u, out=u)
+    if not np.isfinite(u).all():
+        raise DomainError("sample values must be finite")
+    z = u[:, 1::2]
+    z *= math.sqrt(1.0 - rho * rho)
+    y = np.multiply(u[:, 0::2], rho)
+    y += z
+    return np.ascontiguousarray(u[:, 0::2]), y
+
+
 def sample_bivariate_normal(
     n: int, rho: float, seed: int, stream: int = 0
 ) -> BivariateSample:
@@ -134,23 +184,20 @@ def sample_bivariate_normal(
         raise DomainError(f"need n >= 1, got {n!r}")
     if stream < 0:
         raise DomainError(f"need stream >= 0, got {stream!r}")
-    value = _rho_value(rho)
-    try:
-        key = np.array([seed, stream], dtype=np.uint64)
-    except OverflowError:
-        raise DomainError(f"seed {seed!r} or stream {stream!r} not in [0, 2**64)") from None
-    raw = np.random.Philox(key=key).random_raw(2 * n)
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    xs = ndtri(u[0::2])
-    zs = ndtri(u[1::2])
-    ys = value * xs + math.sqrt(1.0 - value * value) * zs
-    return BivariateSample(x=xs, y=ys)
+    x, y = _normal_rows(n, _rho_value(rho), seed, range(stream, stream + 1))
+    return BivariateSample(x=x[0], y=y[0])
 
 
-def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    return float(xc @ xc), float(yc @ yc), float(xc @ yc)
+def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sxx, syy and sxy of each row of two (rows, n) arrays.
+
+    A (1, n) @ (n, 1) matmul is numpy's vector dot, the kernel of a 1-D
+    `@`, so each row's sums are those of the row alone.
+    """
+    xc = (x - x.mean(axis=1, keepdims=True))[:, None, :]
+    yc = (y - y.mean(axis=1, keepdims=True))[:, None, :]
+    xt, yt = xc.transpose(0, 2, 1), yc.transpose(0, 2, 1)
+    return (xc @ xt).ravel(), (yc @ yt).ravel(), (xc @ yt).ravel()
 
 
 def _pow2_scaled(v: np.ndarray) -> np.ndarray:
@@ -158,20 +205,27 @@ def _pow2_scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
 
 
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R of each row of two (rows, n) arrays, n >= 2."""
+    # Overflow here is caught by the range test below, not reported.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx, syy, sxy = _centred_sums(x, y)
+        prod = sxx * syy
+    for k in np.flatnonzero(~((sys.float_info.min <= prod) & (prod < math.inf))):
+        # The sums overflowed or underflowed (or a coordinate is constant).
+        # Scaling by powers of two is exact, so r is the scaled row's.
+        sums = _centred_sums(_pow2_scaled(x[k, None]), _pow2_scaled(y[k, None]))
+        sxx[k], syy[k], sxy[k] = (v[0] for v in sums)
+    if not (sxx.all() and syy.all()):
+        raise DegenerateSample("a coordinate is constant; R undefined")
+    r = sxy / np.sqrt(sxx * syy)
+    return np.clip(r, -1.0, 1.0, out=r)
+
+
 def pearson_r(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    # Overflow here is caught by the range test below, not reported.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sxx, syy, sxy = _centred_sums(s.x, s.y)
-    if not (sys.float_info.min <= sxx * syy < math.inf):
-        # The sums overflowed or underflowed (or a coordinate is constant).
-        # Scaling by powers of two is exact, so r is the scaled sample's.
-        sxx, syy, sxy = _centred_sums(_pow2_scaled(s.x), _pow2_scaled(s.y))
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSample("a coordinate is constant; R undefined")
-    r = sxy / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    return float(_pearson_rows(s.x[None], s.y[None])[0])
 
 
 def _spearman_value(n: int, a: int) -> float:
@@ -242,8 +296,8 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
     return total
 
 
-def _block_st(samples: list[BivariateSample]) -> np.ndarray:
-    """(2, rows) array of S and T for samples of one size n >= 2.
+def _block_st(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(2, rows) array of S and T of each row of two (rows, n) arrays, n >= 2.
 
     S comes from the row sums A of products of "<" counts.  T counts the
     pairs that are not strictly concordant as the pairs p < q whose y
@@ -251,17 +305,17 @@ def _block_st(samples: list[BivariateSample]) -> np.ndarray:
     in descending y: rows with an x tie are sorted again that way.  Both
     counts are exact integers.  A block with a tie warns once.
     """
-    n = samples[0].n
-    ox, rx, tied_x = _ranked_rows(np.stack([s.x for s in samples]))
-    ry, tied_y = _ranked_rows(np.stack([s.y for s in samples]))[1:]
+    rows, n = x.shape
+    ox, rx, tied_x = _ranked_rows(x)
+    ry, tied_y = _ranked_rows(y)[1:]
     if tied_x.any() or tied_y.any():
         warnings.warn("tied coordinates present; S counts smaller values", TiesPresent)
         for k in np.flatnonzero(tied_x):
-            ox[k] = np.lexsort((-ry[k], samples[k].x))
+            ox[k] = np.lexsort((-ry[k], x[k]))
     totals = np.einsum("ij,ij->i", rx, ry)
     del rx
     inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
-    out = np.empty((2, len(samples)))
+    out = np.empty((2, rows))
     for k, (total, count) in enumerate(zip(totals.tolist(), inversions.tolist())):
         out[:, k] = _spearman_value(n, total), _kendall_value(n, count)
     return out
@@ -270,7 +324,7 @@ def _block_st(samples: list[BivariateSample]) -> np.ndarray:
 def spearman_s(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    return float(_block_st([s])[0, 0])
+    return float(_block_st(s.x[None], s.y[None])[0, 0])
 
 
 def kendall_t(s: BivariateSample) -> float:
@@ -279,7 +333,7 @@ def kendall_t(s: BivariateSample) -> float:
     from exact counts in O(n log n) time and O(n) memory."""
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    return float(_block_st([s])[1, 0])
+    return float(_block_st(s.x[None], s.y[None])[1, 0])
 
 
 def kendall_t_brute(s: BivariateSample) -> float:
@@ -364,8 +418,11 @@ def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
 def _replicates(rho: float, n: int, reps: int, seed: int) -> np.ndarray:
     """Read-only (3, reps) array of R, S and T on replicates 0..reps-1.
 
-    Replicate i is drawn once, from stream i of `seed`.  R is evaluated
-    per replicate, S and T over blocks of _BLOCK_CELLS // n replicates.
+    Replicate i is drawn once, from stream i of `seed`.  Blocks of
+    _BLOCK_CELLS // n replicates are drawn as two (rows, n) arrays, and
+    R, S and T are evaluated on each block at once, by the code that the
+    per-sample estimators run on a one-row block; so column i equals
+    their values on sample_bivariate_normal(n, rho, seed, stream=i).
     The cache holds a few (rho, n, reps, seed) keys, so the three
     statistics of one key share their draws.
     """
@@ -373,9 +430,9 @@ def _replicates(rho: float, n: int, reps: int, seed: int) -> np.ndarray:
     rows = max(1, _BLOCK_CELLS // n)
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
-        block = [sample_bivariate_normal(n, rho, seed, stream=i) for i in range(lo, hi)]
-        out[0, lo:hi] = [_ESTIMATORS["R"](s) for s in block]
-        out[1:, lo:hi] = _block_st(block)
+        x, y = _normal_rows(n, rho, seed, range(lo, hi))
+        out[0, lo:hi] = _pearson_rows(x, y)
+        out[1:, lo:hi] = _block_st(x, y)
     out.flags.writeable = False
     return out
 
@@ -418,7 +475,7 @@ def mc_moments(
 
     mu, sigma2 = _asymptotics(stat_u, value, n)
     z = np.sort(math.sqrt(n) * (vals - mu) / math.sqrt(sigma2))
-    cdf = np.array([phi(v) for v in z])
+    cdf = np.array([phi(v) for v in z.tolist()])
     steps = np.arange(1, reps + 1, dtype=np.float64) / reps
     sup_dist = float(max((steps - cdf).max(), (cdf - (steps - 1.0 / reps)).max()))
 

@@ -61,6 +61,26 @@ def test_table_grid4999_stdout_matches_its_digest() -> None:
     assert hashlib.sha256(out).hexdigest() == TABLE_GRID4999_SHA256
 
 
+# The `mc` benchmark workloads' stdout at the CLI's default seed, pinned by
+# their digests in bench/expected.json.
+MC_WORKLOAD_SHA256 = {
+    "mc-large": (
+        ["mc", "--n", "1000", "--reps", "400", "--rho", "0.0,0.5,0.9", "--seed", "20260814"],
+        "bba1555ecb514e134668b3960bb2d45eba6900da0b077e057095c5f43d8e8cba",
+    ),
+    "mc-small": (
+        ["mc", "--n", "50", "--reps", "2000", "--rho", "0.0,0.5,0.9", "--seed", "20260814"],
+        "90f03d48c2a3997f6ec1a140359dfe23b486a60a41ba68a4de366ba8aaa89b6c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_WORKLOAD_SHA256))
+def test_mc_workload_stdout_matches_its_digest(name: str) -> None:
+    argv, digest = MC_WORKLOAD_SHA256[name]
+    assert hashlib.sha256(_stdout_of(argv).encode("utf-8")).hexdigest() == digest
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, (argv, want_rc) in GOLDENS.items():

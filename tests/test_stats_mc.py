@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from arecorr import stats_mc
 from arecorr.corrmath import moments_s, mu_s_finite_n
@@ -110,6 +112,42 @@ def test_sampling_is_deterministic_and_prefix_coupled() -> None:
     assert not np.array_equal(a.x, other.x)
 
 
+def _new_generator_sample(n: int, rho: float, seed: int, stream: int):
+    """The sampler by its definition: a new Philox generator per key."""
+    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(2 * n)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    x = ndtri(u[0::2])
+    return x, rho * x + math.sqrt(1.0 - rho * rho) * ndtri(u[1::2])
+
+
+@pytest.mark.parametrize("n", [1, 10, 333])
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.9])
+def test_a_rekeyed_generator_draws_what_a_new_one_would(n: int, rho: float) -> None:
+    seed = 5 + n
+    xs, ys = stats_mc._normal_rows(n, rho, seed, range(3, 40))
+    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    for stream, x, y in zip(range(3, 40), xs, ys):
+        want_x, want_y = _new_generator_sample(n, rho, seed, stream)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y), stream
+        s = sample_bivariate_normal(n, rho, seed, stream=stream)
+        assert np.array_equal(s.x, want_x) and np.array_equal(s.y, want_y), stream
+
+
+def test_uniform_map_clamps_the_top_cell_below_one() -> None:
+    # The centre of the top 53-bit cell, 1 - 2**-54, rounds to 1.0, where
+    # ndtri is +inf; both words in that cell used to give a non-finite sample.
+    words = [2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1, 2**64 - 2**12, 2**63, 2**11 - 1, 0]
+    raw = np.array(words, dtype=np.uint64)
+    unclamped = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert unclamped[:2].tolist() == [1.0, 1.0]
+    u = stats_mc._uniforms(raw.copy())
+    assert u[:2].tolist() == [1.0 - 2.0**-53] * 2
+    assert np.array_equal(u[2:], unclamped[2:])
+    assert u[-1] == 2.0**-54 and u[-2] == 2.0**-54
+    assert 0.0 < u.min() and u.max() < 1.0
+    assert np.isfinite(ndtri(u)).all()
+
+
 def test_sampling_hits_the_requested_correlation() -> None:
     s = _sample(100_000, 0.0, stream=0)
     assert abs(pearson_r(s)) < 4.0 / math.sqrt(100_000)
@@ -192,6 +230,43 @@ def test_pearson_of_an_extreme_scale_sample_is_that_of_the_sample_scaled(
     ref = pearson_r(BivariateSample(x=np.ldexp(np.array(x), sx), y=np.ldexp(np.array(y), sy)))
     assert got == ref
     assert got == pytest.approx(want, abs=1e-15)
+
+
+def _pearson_1d(x: np.ndarray, y: np.ndarray) -> float:
+    """r of one row by 1-D dot products, for rows in the normal range."""
+    xc, yc = x - x.mean(), y - y.mean()
+    return float(xc @ yc) / math.sqrt(float(xc @ xc) * float(yc @ yc))
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_r_equals_pearson_r_on_every_row_at_any_scale() -> None:
+    base = stats_mc._normal_rows(50, 0.6, DEFAULT_SEED, range(4))
+    x, y = (np.concatenate([v, np.ldexp(v, 600), np.ldexp(v, -600)]) for v in base)
+    # The scaled rows' sums overflow or underflow, so they take the fallback.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx, syy, _ = stats_mc._centred_sums(x, y)
+        prod = sxx * syy
+    assert not ((prod[4:] >= sys.float_info.min) & (prod[4:] < math.inf)).any()
+    r = stats_mc._pearson_rows(x, y)
+    for k in range(len(r)):
+        assert r[k] == pearson_r(BivariateSample(x=x[k], y=y[k])), k
+    # Scaling by a power of two is exact, so r is the unscaled row's.
+    assert np.array_equal(r[4:8], r[:4]) and np.array_equal(r[8:], r[:4])
+    for k in range(4):
+        assert r[k] == _pearson_1d(x[k], y[k]), k
+
+
+@pytest.mark.parametrize("n, const", [(10, 0.5), (3, 1e300), (3, 1e-310)])
+def test_block_r_refuses_a_constant_row(n: int, const: float) -> None:
+    x, y = stats_mc._normal_rows(n, 0.3, DEFAULT_SEED, range(3))
+    for v in (x, y):
+        saved = v[1].copy()
+        v[1] = const
+        with pytest.raises(DegenerateSample):
+            stats_mc._pearson_rows(x, y)
+        with pytest.raises(DegenerateSample):
+            pearson_r(BivariateSample(x=x[1], y=y[1]))
+        v[1] = saved
 
 
 def test_spearman_matches_hand_evaluations() -> None:
@@ -398,17 +473,20 @@ def test_mc_moments_validates_arguments() -> None:
     assert report == mc_moments("T", 0.5, 50, 100)
 
 
+# Warnings are errors: a block of ordinary draws emits none.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [10, 50, 1000])
 def test_replicates_match_per_sample_estimators_across_block_boundaries(n) -> None:
     rows = max(1, stats_mc._BLOCK_CELLS // n)
     reps = 2 * rows + rows // 2 + 1  # two full blocks and a partial one
-    rho, seed = 0.7, 20 + n
-    values = stats_mc._replicates(rho, n, reps, seed)
-    assert values.shape == (3, reps)
-    for i in range(reps):
-        s = sample_bivariate_normal(n, rho, seed, stream=i)
-        for k, stat in enumerate("RST"):
-            assert values[k, i] == stats_mc._ESTIMATORS[stat](s), (stat, i)
+    seed = 20 + n
+    for rho in (0.7, 0.0, -0.9):
+        values = stats_mc._replicates(rho, n, reps, seed)
+        assert values.shape == (3, reps)
+        for i in range(reps):
+            s = sample_bivariate_normal(n, rho, seed, stream=i)
+            for k, stat in enumerate("RST"):
+                assert values[k, i] == stats_mc._ESTIMATORS[stat](s), (rho, stat, i)
 
 
 # n = 2, 3, and powers of two and their neighbours, where padding changes;
@@ -439,17 +517,14 @@ def test_row_inversion_counts_match_the_kernel_sum(rows) -> None:
 
 
 def test_block_values_on_tied_rows_match_the_oracles() -> None:
-    block = [_sample(12, 0.4, stream=k) for k in range(4)]
-    x = block[1].x.copy()
-    x[5] = x[2]
-    block[1] = BivariateSample(x=x, y=block[1].y)
-    y = block[2].y.copy()
-    y[0] = y[7]
-    block[2] = BivariateSample(x=block[2].x, y=y)
+    x, y = stats_mc._normal_rows(12, 0.4, DEFAULT_SEED, range(4))
+    x[1, 5] = x[1, 2]
+    y[2, 0] = y[2, 7]
     with pytest.warns(TiesPresent) as record:
-        values = stats_mc._block_st(block)
+        values = stats_mc._block_st(x, y)
     assert len(record) == 1
-    for k, s in enumerate(block):
+    for k in range(4):
+        s = BivariateSample(x=x[k], y=y[k])
         assert values[0, k] == _spearman_oracle(s)
         assert values[1, k] == kendall_t_brute(s)
 
