@@ -34,6 +34,8 @@ GOLDENS = {
     "reduce_grid99.csv": (["reduce", "--grid", "99"], 0),
     "reduce_grid999.json": (["reduce", "--grid", "999", "--format", "json"], 0),
     "mc_n50_reps200.csv": (["mc", "--n", "50", "--reps", "200", "--rho", "0.0,0.5"], 0),
+    # A repeated rho, a negative rho and a signed zero, each its own row.
+    "mc_rho_list.csv": (["mc", "--n", "20", "--reps", "100", "--rho", "0.9,-0.5,0.9,-0.0"], 0),
 }
 
 
