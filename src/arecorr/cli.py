@@ -9,7 +9,8 @@ or any other error the package, the file system or the memory
 allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.
 
-`mc` draws each replicate once per rho and evaluates R, S and T on it.
+`mc` draws each replicate once for every rho and evaluates R, S and T
+on it for each rho.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .reduction import (
     rho_tilde,
     tabulated,
 )
-from .stats_mc import DEFAULT_SEED, SEED_LIMIT, mc_moments
+from .stats_mc import DEFAULT_SEED, SEED_LIMIT, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -46,6 +47,11 @@ _ANCHOR_CHOICES = ("0", "1", "both")
 # `table` builds its rows in blocks of abscissae that fit in the sigma_s2
 # memo, each block after one array call of sigma_s2 that fills it.
 _TABLE_BLOCK = 4096
+
+# `mc` reports its rhos in blocks that fit in the replicate memo, each
+# block after one mc_replicates call that draws the block's replicates
+# once for all its rhos.
+_MC_BLOCK = 8
 
 
 class _UsageError(Exception):
@@ -168,13 +174,17 @@ def _cmd_mc(args) -> int:
     if not 0 <= args.seed < SEED_LIMIT:
         raise _UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
     rhos = _parse_rho_list(args.rho)
-    # rho outermost, so the three statistics of one rho share its draws;
-    # the stable sort restores one block of rows per statistic.
-    reports = [
-        mc_moments(stat, rho, n=args.n, reps=args.reps, seed=args.seed)
-        for rho in rhos
-        for stat in "RST"
-    ]
+    # rho outermost, so the three statistics of one rho read one memo
+    # entry; the stable sort restores one block of rows per statistic.
+    reports = []
+    for i in range(0, len(rhos), _MC_BLOCK):
+        block = rhos[i : i + _MC_BLOCK]
+        mc_replicates(block, args.n, args.reps, args.seed)
+        reports += [
+            mc_moments(stat, rho, n=args.n, reps=args.reps, seed=args.seed)
+            for rho in block
+            for stat in "RST"
+        ]
     reports.sort(key=lambda rep: "RST".index(rep.stat))
     _write_out(_render([dataclasses.asdict(rep) for rep in reports], args.format), args.out)
     return 0

@@ -15,11 +15,12 @@ Normal variates come from the inverse-CDF map applied to 53-bit
 uniforms; X and Z draws interleave within one stream, so a smaller n
 yields a prefix of a larger n's sample at the same key.
 
-Monte Carlo works on blocks of replicates held as two (rows, n) arrays
-of x and y: one generator re-keyed per row fills the block's words,
-one inverse-CDF call maps them, R comes from batched row dot products
-and S and T from exact integer rank counts.  The per-sample sampler
-and estimators are the same code on a one-row block, so each
+Monte Carlo works on blocks of replicates held as (rows, n) arrays:
+one generator re-keyed per row fills the block's words, one
+inverse-CDF call maps them to x and z, and x is ranked once.  Each rho
+then forms its own y from x and z, R comes from batched row dot
+products and S and T from exact integer rank counts.  The per-sample
+sampler and estimators are the same code on a one-row block, so each
 replicate's values are theirs bit for bit.
 """
 
@@ -30,7 +31,6 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +54,7 @@ __all__ = [
     "kernel_h_s_n",
     "spearman_ustat_identity",
     "mc_moments",
+    "mc_replicates",
     "phi",
 ]
 
@@ -66,7 +67,14 @@ _STAT_NAMES = ("R", "S", "T")
 
 # Replicates per block are this many sample cells over n, so a block's
 # working arrays stay a few hundred KiB whatever n is.
-_BLOCK_CELLS = 2**14
+_BLOCK_CELLS = 2**13
+
+# Memo of read-only (3, reps) replicate arrays keyed by (rho, n, reps,
+# seed).  It is emptied when the entries about to enter would take it
+# past _MEMO_SIZE, so all the new entries of one call stay in it if
+# there are at most _MEMO_SIZE.
+_MEMO: dict[tuple[float, int, int, int], np.ndarray] = {}
+_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -137,8 +145,9 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return np.minimum(u, _U_MAX, out=u)
 
 
-def _normal_rows(n: int, rho: float, seed: int, streams: range) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y), each (len(streams), n): row k is the sample of stream streams[k].
+def _normal_rows(n: int, seed: int, streams: range) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normal (x, z), each (len(streams), n): row k is drawn
+    from stream streams[k].
 
     One Philox generator is re-keyed to (seed, stream) for each row by
     its state setter, with counter 0 and an empty buffer, so it draws
@@ -162,11 +171,14 @@ def _normal_rows(n: int, rho: float, seed: int, streams: range) -> tuple[np.ndar
     ndtri(u, out=u)
     if not np.isfinite(u).all():
         raise DomainError("sample values must be finite")
-    z = u[:, 1::2]
-    z *= math.sqrt(1.0 - rho * rho)
-    y = np.multiply(u[:, 0::2], rho)
-    y += z
-    return np.ascontiguousarray(u[:, 0::2]), y
+    return np.ascontiguousarray(u[:, 0::2]), np.ascontiguousarray(u[:, 1::2])
+
+
+def _correlated(x: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
+    """y = rho*x + sqrt(1-rho^2)*z, elementwise."""
+    y = np.multiply(x, rho)
+    y += z * math.sqrt(1.0 - rho * rho)
+    return y
 
 
 def sample_bivariate_normal(
@@ -184,8 +196,9 @@ def sample_bivariate_normal(
         raise DomainError(f"need n >= 1, got {n!r}")
     if stream < 0:
         raise DomainError(f"need stream >= 0, got {stream!r}")
-    x, y = _normal_rows(n, _rho_value(rho), seed, range(stream, stream + 1))
-    return BivariateSample(x=x[0], y=y[0])
+    rho = _rho_value(rho)
+    x, z = _normal_rows(n, seed, range(stream, stream + 1))
+    return BivariateSample(x=x[0], y=_correlated(x, z, rho)[0])
 
 
 def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,17 +220,20 @@ def _pow2_scaled(v: np.ndarray) -> np.ndarray:
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """R of each row of two (rows, n) arrays, n >= 2."""
+    # A row's max equals its min exactly when it is constant; its centred
+    # sums need not be 0, since the mean can differ from the value.
+    for v in (x, y):
+        if (v.max(axis=1) == v.min(axis=1)).any():
+            raise DegenerateSample("a coordinate is constant; R undefined")
     # Overflow here is caught by the range test below, not reported.
     with np.errstate(over="ignore", invalid="ignore"):
         sxx, syy, sxy = _centred_sums(x, y)
         prod = sxx * syy
     for k in np.flatnonzero(~((sys.float_info.min <= prod) & (prod < math.inf))):
-        # The sums overflowed or underflowed (or a coordinate is constant).
-        # Scaling by powers of two is exact, so r is the scaled row's.
+        # The sums overflowed or underflowed.  Scaling by powers of two
+        # is exact, so r is the scaled row's.
         sums = _centred_sums(_pow2_scaled(x[k, None]), _pow2_scaled(y[k, None]))
         sxx[k], syy[k], sxy[k] = (v[0] for v in sums)
-    if not (sxx.all() and syy.all()):
-        raise DegenerateSample("a coordinate is constant; R undefined")
     r = sxy / np.sqrt(sxx * syy)
     return np.clip(r, -1.0, 1.0, out=r)
 
@@ -271,19 +287,25 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
     its block and 2v in the right half, and sorting a block merges its
     halves.  A left key at merged position p with i left keys before it
     has p - i right values <= its own, so the block's count is the sum
-    of the left positions minus size * (size - 1) / 2.  Rows are padded
-    to a power of two with the increasing sentinels n + 1, n + 2, ...,
-    which add no pairs; blocks never straddle rows.
+    of the left positions minus size * (size - 1) / 2.  The first three
+    levels are one direct count of the pairs inside each block of 8 and
+    one sort.  Rows are padded to a power of two, at least 8, with the
+    increasing sentinels n + 1, n + 2, ..., which add no pairs; blocks
+    never straddle rows.
     """
     rows, n = seq.shape
     total = np.zeros(rows, dtype=np.int64)
     if n < 2:
         return total
-    m = 1 << (n - 1).bit_length()
+    m = max(8, 1 << (n - 1).bit_length())
     work = np.empty((rows, m), dtype=np.int64)
     work[:, :n] = seq
     work[:, n:] = np.arange(n + 1, m + 1)
-    size = 1
+    cube = work.reshape(rows, -1, 8)
+    for d in range(1, 8):
+        total += (cube[..., :-d] >= cube[..., d:]).sum(axis=(1, 2))
+    cube.sort(axis=2)
+    size = 8
     while size < m:
         keys = work.reshape(-1, 2 * size)
         keys <<= 1
@@ -296,24 +318,26 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
     return total
 
 
-def _block_st(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(2, rows) array of S and T of each row of two (rows, n) arrays, n >= 2.
+def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
+    """(2, rows) array of S and T of each row of two (rows, n) arrays, n >= 2,
+    given ranked_x = _ranked_rows(x), which is left unchanged.
 
     S comes from the row sums A of products of "<" counts.  T counts the
     pairs that are not strictly concordant as the pairs p < q whose y
     counts in x order have L_p >= L_q, which needs each run of equal x
-    in descending y: rows with an x tie are sorted again that way.  Both
-    counts are exact integers.  A block with a tie warns once.
+    in descending y: rows with an x tie are sorted again that way, in a
+    copy of the x order.  Both counts are exact integers.  A block with
+    a tie warns once.
     """
     rows, n = x.shape
-    ox, rx, tied_x = _ranked_rows(x)
+    ox, rx, tied_x = ranked_x
     ry, tied_y = _ranked_rows(y)[1:]
     if tied_x.any() or tied_y.any():
         warnings.warn("tied coordinates present; S counts smaller values", TiesPresent)
+        ox = ox.copy()
         for k in np.flatnonzero(tied_x):
             ox[k] = np.lexsort((-ry[k], x[k]))
     totals = np.einsum("ij,ij->i", rx, ry)
-    del rx
     inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
     out = np.empty((2, rows))
     for k, (total, count) in enumerate(zip(totals.tolist(), inversions.tolist())):
@@ -321,19 +345,23 @@ def _block_st(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def spearman_s(s: BivariateSample) -> float:
+def _sample_st(s: BivariateSample) -> np.ndarray:
+    """(S, T) of one sample, n >= 2."""
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    return float(_block_st(s.x[None], s.y[None])[0, 0])
+    x = s.x[None]
+    return _block_st(x, s.y[None], _ranked_rows(x))[:, 0]
+
+
+def spearman_s(s: BivariateSample) -> float:
+    return float(_sample_st(s)[0])
 
 
 def kendall_t(s: BivariateSample) -> float:
     """(concordant - other pairs) / C(n,2), concordant meaning strictly
     ordered alike in both coordinates: the kernel average, ties or not,
     from exact counts in O(n log n) time and O(n) memory."""
-    if s.n < 2:
-        raise DomainError(f"need n >= 2, got {s.n}")
-    return float(_block_st(s.x[None], s.y[None])[1, 0])
+    return float(_sample_st(s)[1])
 
 
 def kendall_t_brute(s: BivariateSample) -> float:
@@ -414,27 +442,66 @@ def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
     return mu_s_finite_n(rho, n), ms.sigma2
 
 
-@lru_cache(maxsize=8)
-def _replicates(rho: float, n: int, reps: int, seed: int) -> np.ndarray:
-    """Read-only (3, reps) array of R, S and T on replicates 0..reps-1.
+def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.ndarray:
+    """Read-only (len(rhos), 3, reps) array: R, S and T of each rho on
+    replicates 0..reps-1.
 
-    Replicate i is drawn once, from stream i of `seed`.  Blocks of
-    _BLOCK_CELLS // n replicates are drawn as two (rows, n) arrays, and
-    R, S and T are evaluated on each block at once, by the code that the
-    per-sample estimators run on a one-row block; so column i equals
-    their values on sample_bivariate_normal(n, rho, seed, stream=i).
-    The cache holds a few (rho, n, reps, seed) keys, so the three
-    statistics of one key share their draws.
+    Replicate i is drawn once for all of rhos, from stream i of `seed`.
+    Blocks of _BLOCK_CELLS // n replicates are drawn as (rows, n) arrays
+    x and z, and x is ranked once; each rho forms its y and evaluates R,
+    S and T on the block at once, by the code that the per-sample
+    estimators run on a one-row block.  So entry [j, :, i] equals their
+    values on sample_bivariate_normal(n, rhos[j], seed, stream=i).
     """
-    out = np.empty((3, reps))
+    out = np.empty((len(rhos), 3, reps))
     rows = max(1, _BLOCK_CELLS // n)
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
-        x, y = _normal_rows(n, rho, seed, range(lo, hi))
-        out[0, lo:hi] = _pearson_rows(x, y)
-        out[1:, lo:hi] = _block_st(x, y)
+        x, z = _normal_rows(n, seed, range(lo, hi))
+        ranked_x = _ranked_rows(x)
+        for rho, values in zip(rhos, out):
+            y = _correlated(x, z, rho)
+            values[0, lo:hi] = _pearson_rows(x, y)
+            values[1:, lo:hi] = _block_st(x, y, ranked_x)
     out.flags.writeable = False
     return out
+
+
+def _mc_key(n, reps, seed) -> tuple[int, int, int]:
+    """(n, reps, seed) as ints, checked for a Monte Carlo run."""
+    n, reps, seed = _key_word("n", n), _key_word("reps", reps), _key_word("seed", seed)
+    if n < 10:
+        raise DomainError(f"need n >= 10, got {n!r}")
+    if reps < 100:
+        raise DomainError(f"need reps >= 100, got {reps!r}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return n, reps, seed
+
+
+def _make_room(n: int) -> None:
+    if len(_MEMO) + n > _MEMO_SIZE:
+        _MEMO.clear()
+
+
+def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
+    """Read-only (3, reps) arrays of R, S and T on replicates 0..reps-1,
+    one per rho of `rhos`, from the memo or one _replicates call.
+
+    The rhos missing from the memo share their draws, and at most
+    _MEMO_SIZE of them stay in it for later calls such as mc_moments.
+    """
+    n, reps, seed = _mc_key(n, reps, seed)
+    keys = [(_rho_value(rho), n, reps, seed) for rho in rhos]
+    out = {key: _MEMO.get(key) for key in keys}
+    todo = [key for key, got in out.items() if got is None]
+    _make_room(min(len(todo), _MEMO_SIZE))
+    if todo:
+        for key, got in zip(todo, _replicates(tuple(k[0] for k in todo), n, reps, seed)):
+            out[key] = got
+            _make_room(1)
+            _MEMO[key] = got
+    return [out[key] for key in keys]
 
 
 def mc_moments(
@@ -448,7 +515,8 @@ def mc_moments(
 
     Replicate i draws its sample from stream i of `seed`, so the result
     is a pure function of (stat, rho, n, reps, seed); the values of R, S
-    and T come from the same draws and are computed once per key.
+    and T come from the same draws and are read from the mc_replicates
+    memo, which one mc_replicates call can fill for many rhos.
     `cdf_sup_dist` is the sup distance between the empirical CDF of
     sqrt(n)*(stat - mu)/sigma and the standard normal CDF, where mu is
     the exact finite-n mean for S and the asymptotic mean otherwise.
@@ -456,15 +524,9 @@ def mc_moments(
     stat_u = str(stat).upper()
     if stat_u not in _STAT_NAMES:
         raise DomainError(f"stat must be one of {_STAT_NAMES}, got {stat!r}")
-    n, reps, seed = _key_word("n", n), _key_word("reps", reps), _key_word("seed", seed)
-    if n < 10:
-        raise DomainError(f"need n >= 10, got {n!r}")
-    if reps < 100:
-        raise DomainError(f"need reps >= 100, got {reps!r}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
+    n, reps, seed = _mc_key(n, reps, seed)
     value = _rho_value(rho)
-    vals = _replicates(value, n, reps, seed)[_STAT_NAMES.index(stat_u)]
+    vals = mc_replicates([value], n, reps, seed)[0][_STAT_NAMES.index(stat_u)]
 
     mean_hat = float(vals.mean())
     var_hat = float(vals.var(ddof=1))

@@ -36,7 +36,7 @@ def _child(tmp_path: Path, traced: bool, argv: list[str]) -> tuple[str, dict]:
     "argv",
     [
         ["verify", "--grid", "99", "--format", "json"],
-        ["mc", "--n", "20", "--reps", "100", "--rho", "0.5"],
+        ["mc", "--n", "20", "--reps", "100", "--rho", "0.0,0.5,-0.9"],
         ["reduce", "--grid", "99"],
         ["table", "--grid", "5"],
         ["bounds"],

@@ -124,8 +124,9 @@ def _new_generator_sample(n: int, rho: float, seed: int, stream: int):
 @pytest.mark.parametrize("rho", [0.0, 0.5, -0.9])
 def test_a_rekeyed_generator_draws_what_a_new_one_would(n: int, rho: float) -> None:
     seed = 5 + n
-    xs, ys = stats_mc._normal_rows(n, rho, seed, range(3, 40))
-    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    xs, zs = stats_mc._normal_rows(n, seed, range(3, 40))
+    assert xs.flags.c_contiguous and zs.flags.c_contiguous
+    ys = stats_mc._correlated(xs, zs, rho)
     for stream, x, y in zip(range(3, 40), xs, ys):
         want_x, want_y = _new_generator_sample(n, rho, seed, stream)
         assert np.array_equal(x, want_x) and np.array_equal(y, want_y), stream
@@ -197,10 +198,14 @@ def test_pearson_rejects_degenerate_and_tiny_samples() -> None:
         pearson_r(BivariateSample(x=np.array([0.0, 2.0]), y=np.array([5.0, 5.0])))
     with pytest.raises(DomainError):
         pearson_r(BivariateSample(x=np.array([1.0]), y=np.array([1.0])))
-    # Constant columns at the ends of the float range are degenerate too.
-    for const in (1e300, 1e-310):
+    # Constant columns at the ends of the float range are degenerate too,
+    # and so are those whose computed mean is not the value itself.
+    for n, const in ((3, 1e300), (3, 1e-310), (3, 0.1), (10, 0.3), (50, 0.3), (10, 0.1)):
+        line = np.arange(n, dtype=np.float64)
         with pytest.raises(DegenerateSample):
-            pearson_r(BivariateSample(x=np.full(3, const), y=np.array([0.0, 1.0, 2.0])))
+            pearson_r(BivariateSample(x=np.full(n, const), y=line))
+        with pytest.raises(DegenerateSample):
+            pearson_r(BivariateSample(x=line, y=np.full(n, const)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -240,7 +245,8 @@ def _pearson_1d(x: np.ndarray, y: np.ndarray) -> float:
 
 @pytest.mark.filterwarnings("error")
 def test_block_r_equals_pearson_r_on_every_row_at_any_scale() -> None:
-    base = stats_mc._normal_rows(50, 0.6, DEFAULT_SEED, range(4))
+    x0, z0 = stats_mc._normal_rows(50, DEFAULT_SEED, range(4))
+    base = (x0, stats_mc._correlated(x0, z0, 0.6))
     x, y = (np.concatenate([v, np.ldexp(v, 600), np.ldexp(v, -600)]) for v in base)
     # The scaled rows' sums overflow or underflow, so they take the fallback.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,9 +262,12 @@ def test_block_r_equals_pearson_r_on_every_row_at_any_scale() -> None:
         assert r[k] == _pearson_1d(x[k], y[k]), k
 
 
-@pytest.mark.parametrize("n, const", [(10, 0.5), (3, 1e300), (3, 1e-310)])
+@pytest.mark.parametrize(
+    "n, const", [(10, 0.5), (3, 1e300), (3, 1e-310), (3, 0.1), (10, 0.3), (50, 0.3)]
+)
 def test_block_r_refuses_a_constant_row(n: int, const: float) -> None:
-    x, y = stats_mc._normal_rows(n, 0.3, DEFAULT_SEED, range(3))
+    x, z = stats_mc._normal_rows(n, DEFAULT_SEED, range(3))
+    y = stats_mc._correlated(x, z, 0.3)
     for v in (x, y):
         saved = v[1].copy()
         v[1] = const
@@ -480,9 +489,11 @@ def test_replicates_match_per_sample_estimators_across_block_boundaries(n) -> No
     rows = max(1, stats_mc._BLOCK_CELLS // n)
     reps = 2 * rows + rows // 2 + 1  # two full blocks and a partial one
     seed = 20 + n
-    for rho in (0.7, 0.0, -0.9):
-        values = stats_mc._replicates(rho, n, reps, seed)
-        assert values.shape == (3, reps)
+    rhos = (0.7, 0.0, -0.9)
+    # One call draws and ranks each block once for all three rhos.
+    all_values = stats_mc._replicates(rhos, n, reps, seed)
+    assert all_values.shape == (3, 3, reps)
+    for rho, values in zip(rhos, all_values):
         for i in range(reps):
             s = sample_bivariate_normal(n, rho, seed, stream=i)
             for k, stat in enumerate("RST"):
@@ -517,11 +528,12 @@ def test_row_inversion_counts_match_the_kernel_sum(rows) -> None:
 
 
 def test_block_values_on_tied_rows_match_the_oracles() -> None:
-    x, y = stats_mc._normal_rows(12, 0.4, DEFAULT_SEED, range(4))
+    x, z = stats_mc._normal_rows(12, DEFAULT_SEED, range(4))
+    y = stats_mc._correlated(x, z, 0.4)
     x[1, 5] = x[1, 2]
     y[2, 0] = y[2, 7]
     with pytest.warns(TiesPresent) as record:
-        values = stats_mc._block_st(x, y)
+        values = stats_mc._block_st(x, y, stats_mc._ranked_rows(x))
     assert len(record) == 1
     for k in range(4):
         s = BivariateSample(x=x[k], y=y[k])
@@ -529,12 +541,54 @@ def test_block_values_on_tied_rows_match_the_oracles() -> None:
         assert values[1, k] == kendall_t_brute(s)
 
 
+def test_a_shared_x_ranking_serves_every_rho_of_a_tied_block() -> None:
+    # A row with an x tie re-sorts its x order by y, which differs per
+    # rho; the shared ranking must come out of each call unchanged.
+    x, z = stats_mc._normal_rows(12, DEFAULT_SEED, range(5))
+    x[1, 5] = x[1, 2]
+    x[3, :4] = x[3, 4]
+    z[3, :5] = np.arange(5.0)  # the tied x values meet distinct y
+    ranked_x = stats_mc._ranked_rows(x)
+    saved = [v.copy() for v in ranked_x]
+    for rho in (0.4, -0.8, 0.0, 0.95):
+        y = stats_mc._correlated(x, z, rho)
+        with pytest.warns(TiesPresent):
+            values = stats_mc._block_st(x, y, ranked_x)
+        for v, want in zip(ranked_x, saved):
+            assert np.array_equal(v, want), rho
+        for k in range(5):
+            s = BivariateSample(x=x[k], y=y[k])
+            assert values[0, k] == _spearman_oracle(s), (rho, k)
+            assert values[1, k] == kendall_t_brute(s), (rho, k)
+
+
 def test_cached_replicates_are_read_only() -> None:
-    values = stats_mc._replicates(0.2, 10, 100, 3)
-    assert stats_mc._replicates(0.2, 10, 100, 3) is values
+    values = stats_mc.mc_replicates([0.2], 10, 100, 3)[0]
+    assert stats_mc.mc_replicates([0.2], 10, 100, 3)[0] is values
+    assert values.shape == (3, 100)
     assert not values.flags.writeable
     with pytest.raises(ValueError):
         values[0, 0] = 0.0
+
+
+def test_one_fill_keeps_every_rho_and_matches_one_rho_at_a_time(monkeypatch) -> None:
+    rhos = [0.9, -0.5, 0.9, -0.0, 0.0]
+    filled = stats_mc.mc_replicates(rhos, 10, 100, 4)
+    # A repeated rho, and 0.0 after -0.0, are one entry.
+    assert filled[0] is filled[2] and filled[3] is filled[4]
+    for rho, values in zip(rhos, filled):
+        assert stats_mc.mc_replicates([rho], 10, 100, 4)[0] is values
+    # More new rhos than the memo holds still give every rho's values.
+    monkeypatch.setattr(stats_mc, "_MEMO", {})
+    monkeypatch.setattr(stats_mc, "_MEMO_SIZE", 1)
+    again = stats_mc.mc_replicates(rhos, 10, 100, 4)
+    assert len(stats_mc._MEMO) == 1
+    for got, want in zip(again, filled):
+        assert np.array_equal(got, want)
+    with pytest.raises(DomainError, match="n >= 10"):
+        stats_mc.mc_replicates([0.5], 9, 100)
+    with pytest.raises(DomainError):
+        stats_mc.mc_replicates([1.0], 10, 100)
 
 
 def test_mc_moments_refuses_seeds_that_would_alias() -> None:
