@@ -495,8 +495,8 @@ def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.
     keys = [(_rho_value(rho), n, reps, seed) for rho in rhos]
     out = {key: _MEMO.get(key) for key in keys}
     todo = [key for key, got in out.items() if got is None]
-    _make_room(min(len(todo), _MEMO_SIZE))
     if todo:
+        _make_room(min(len(todo), _MEMO_SIZE))
         for key, got in zip(todo, _replicates(tuple(k[0] for k in todo), n, reps, seed)):
             out[key] = got
             _make_room(1)
