@@ -9,8 +9,8 @@ or any other error the package, the file system or the memory
 allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.
 
-`mc` draws each replicate once for every rho and evaluates R, S and T
-on it for each rho.
+`mc` draws each replicate once for all its rhos and evaluates R, S and
+T on it at each rho.
 """
 
 from __future__ import annotations
