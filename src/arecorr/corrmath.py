@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate, integrate_arrays
 from .taylor import Jet
 
 __all__ = [
@@ -76,7 +76,7 @@ def _sqrt(v):
 
 def _pow(v, n: int):
     if isinstance(v, np.ndarray):
-        return np.fromiter(map(math.pow, memoryview(v), repeat(n)), np.float64, len(v))
+        return np.fromiter(map(math.pow, memoryview(v), repeat(float(n))), np.float64, len(v))
     return v**n
 
 
@@ -90,21 +90,34 @@ def _arcsine(v):
     return _asin(v)
 
 
-def _integrand(k: int, u):
-    """The k-th Spearman-variance integrand; works on floats, float64
-    arrays and jets, and each array element is bitwise the float value."""
+def _integrands(u):
+    """The four Spearman-variance integrands at u: a list of four for a
+    float or a jet, a (4, N) array for a 1-D float64 array, whose
+    elements are bitwise the float values."""
     u2 = _pow(u, 2)
-    if k == 1:
-        arg = _pow(u, 3) / (4.0 * (2.0 - u2))
-    elif k == 2:
-        arg = u / (2.0 * (3.0 - u2))
-    elif k == 3:
-        arg = u * (4.0 - u2) / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u2 + _pow(u, 4)))
-    elif k == 4:
-        arg = u * (4.0 - u2) / (2.0 * _sqrt(12.0 - 7.0 * u2 + _pow(u, 4)))
-    else:
-        raise DomainError(f"integrand index must be 1..4, got {k!r}")
-    return _arcsine(arg) / _sqrt(4.0 - u2)
+    root = _sqrt(4.0 - u2)
+    if isinstance(u, np.ndarray):
+        out = np.empty((4, len(u)))
+        for k, arg in enumerate(_arcsine_args(u, u2)):
+            out[k] = _arcsine(arg)
+        out /= root
+        return out
+    return [_arcsine(arg) / root for arg in _arcsine_args(u, u2)]
+
+
+def _integrand(k: int, u):
+    """Row k of `_integrands(u)` alone, for one-integrand quadrature."""
+    u2 = _pow(u, 2)
+    return _arcsine(next(islice(_arcsine_args(u, u2), k, None))) / _sqrt(4.0 - u2)
+
+
+def _arcsine_args(u, u2):
+    """The four integrands' arcsine arguments, one at a time."""
+    yield _pow(u, 3) / (4.0 * (2.0 - u2))
+    yield u / (2.0 * (3.0 - u2))
+    u4, w = _pow(u, 4), u * (4.0 - u2)
+    yield w / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u2 + u4))
+    yield w / (2.0 * _sqrt(12.0 - 7.0 * u2 + u4))
 
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
@@ -114,8 +127,9 @@ _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 # values of one call stay in it if there are at most _MEMO_SIZE.
 _MEMO: dict[float, float] = {}
 _MEMO_SIZE = 65536
-# Abscissae per lockstep quadrature; bounds its working arrays.
-_BLOCK = 256
+# Abscissae per lockstep quadrature; bounds its working arrays, which
+# hold the four integrands on up to four distinct intervals per abscissa.
+_BLOCK = 64
 
 
 def _make_room(n: int) -> None:
@@ -124,16 +138,15 @@ def _make_room(n: int) -> None:
 
 
 def _sigma_s2_block(xs: list[float]) -> list[float]:
-    """sigma_s2 at each of xs, one lockstep quadrature per integrand."""
-    isums = [0.0] * len(xs)
-    for k, w in enumerate(_WEIGHTS, start=1):
-        rows = integrate_many(lambda u, k=k: _integrand(k, u), [0.0] * len(xs), xs, _INTEGRAL_TOL)
-        isums = [isum + w * row.value for isum, row in zip(isums, rows)]
+    """sigma_s2 at each of xs, by one lockstep quadrature of the four
+    integrands together."""
+    values = integrate_arrays(_integrands, [0.0] * len(xs), xs, _INTEGRAL_TOL)[0]
+    isum = 0.0
+    for w, v in zip(_WEIGHTS, values.T):
+        isum = isum + w * v
     pi2 = math.pi**2
-    return [
-        1.0 - (324.0 / pi2) * _asin(0.5 * x) ** 2 + (72.0 / pi2) * isum
-        for x, isum in zip(xs, isums)
-    ]
+    asin2 = _pow(_arcsine(0.5 * np.array(xs)), 2)
+    return (1.0 - (324.0 / pi2) * asin2 + (72.0 / pi2) * isum).tolist()
 
 
 def _memoized(xs: list[float]) -> list[float]:
@@ -162,9 +175,9 @@ def sigma_s2(x):
     of 1e-12 and memoized per x in a bounded memo (emptied when full):
     the function is pure, and the invariant suites revisit the same grid
     abscissae many times.  Missing abscissae are integrated in blocks of
-    _BLOCK, each block by one lockstep quadrature per integrand, and
-    enter the memo, so an array call ahead of a loop of float calls on
-    the same abscissae turns those into memo reads.
+    _BLOCK, each block by one lockstep quadrature of the four integrands
+    together, and enter the memo, so an array call ahead of a loop of
+    float calls on the same abscissae turns those into memo reads.
     """
     if isinstance(x, np.ndarray):
         if x.ndim != 1:
@@ -186,12 +199,12 @@ def sigma_s2_jet(x0: float, order: int) -> Jet:
     x = Jet.variable(x0, order)
     pi2 = math.pi**2
     total = 1.0 - (324.0 / pi2) * _arcsine(0.5 * x) ** 2
-    for k, w in enumerate(_WEIGHTS, start=1):
+    igrands = _integrands(Jet.variable(x0, order - 1)) if order >= 1 else None
+    for k, w in enumerate(_WEIGHTS):
         value = integrate(lambda u, k=k: _integrand(k, u), 0.0, x0, _INTEGRAL_TOL).value
         coeffs = [value]
         if order >= 1:
-            igrand = _integrand(k, Jet.variable(x0, order - 1))
-            coeffs += [igrand.coeffs[m - 1] / m for m in range(1, order + 1)]
+            coeffs += [igrands[k].coeffs[m - 1] / m for m in range(1, order + 1)]
         total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
     return total
 

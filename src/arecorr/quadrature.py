@@ -5,22 +5,24 @@ largest error estimate is bisected until the summed estimate meets the
 absolute tolerance.  Node/weight constants and the error estimator are
 the classic QUADPACK dqk15 values.
 
-`integrate_many` runs that loop for many integrals ("rows") in
-lockstep.  Each row keeps its own heap of intervals, running sums and
-interval cap, exactly as if it ran alone; each round bisects the worst
-interval of every row still above tolerance and evaluates the 15 nodes
-of all the new intervals in one call of the integrand on a 1-D float64
-array.  `integrate` is its one-row case.  The rule's sums run in the
-same order on every row, the error estimate's power 1.5 is taken by
-libm's pow per element (as Python's float `**` takes it), and ordering
-is worst-first with a deterministic tiebreak, so each row's result is
-reproducible bit for bit and does not depend on which rows share its
-call.
+`integrate_many` runs that loop for many integrals in lockstep: one
+per row [lo, hi] and, when the integrand gives K values per node, per
+row and integrand (a "pair").  Each pair keeps its own intervals,
+running sums and interval cap, exactly as if it ran alone; each round
+bisects the worst interval of every pair still above tolerance,
+evaluates each distinct popped interval once (the K integrands of a
+row often pop the same one) and calls the integrand once, on the nodes
+of all the new intervals as a 1-D float64 array.  `integrate` is its
+one-row case and `integrate_arrays` its array form.  The rule's sums
+run in the same order on every interval, the error estimate's power
+1.5 is taken by libm's pow per element (as Python's float `**` takes
+it), and ordering is worst-first with a deterministic tiebreak, so each
+pair's result is reproducible bit for bit and does not depend on which
+pairs share its call.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,7 +33,14 @@ import numpy as np
 
 from .errors import NoConvergence, NonFinite
 
-__all__ = ["Integral", "integrate", "integrate_many", "DEFAULT_ABS_TOL", "MAX_INTERVALS"]
+__all__ = [
+    "Integral",
+    "integrate",
+    "integrate_arrays",
+    "integrate_many",
+    "DEFAULT_ABS_TOL",
+    "MAX_INTERVALS",
+]
 
 DEFAULT_ABS_TOL = 1e-12
 MAX_INTERVALS = 10_000
@@ -64,11 +73,19 @@ _WGK = (
     0.209482141084727828012999174891714,
 )
 
-# Columns over the intervals: the Kronrod abscissae off the centre and
-# their weights, and the Gauss weights of the odd ones.
-_XGK7 = np.array(_XGK[:7])[:, None]
-_WGK7 = np.array(_WGK[:7])[:, None]
-_WG3 = np.array(_WG[:3])[:, None]
+# Node offsets over the intervals, in units of the half-length: the
+# centre (-0.0, so that the centre node is the centre exactly), then
+# -_XGK[j], then +_XGK[j].
+_NODES = np.array((-0.0,) + tuple(-v for v in _XGK[:7]) + _XGK[:7])[:, None]
+# Weights over the node rows of `_paired` for resk, resabs and resg: the
+# Kronrod weights of the centre and then of each node pair twice, and
+# the Gauss weights of the centre and of the odd pairs, with zeros at
+# the even pairs.  Adding a zero term leaves a partial sum as it is, up
+# to the sign of an exact zero, which resg's only use |resk - resg|
+# does not see.
+_WK = np.array(_WGK[7:] + _WGK[:7])[:, None]
+_WGZ = (_WG[3], 0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
+_W3 = np.array((_WK[:, 0], _WK[:, 0], _WGZ))[..., None]
 
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
@@ -81,67 +98,72 @@ class Integral:
     evaluations: int
 
 
-def _ordered_sum(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """first + terms[0] + terms[1] + ..., added left to right per column."""
-    return np.add.accumulate(np.concatenate((first[None], terms)))[-1]
+def _paired(y: np.ndarray) -> np.ndarray:
+    """The centre row of y, then the sum of each pair of node rows, along
+    y's second-to-last axis."""
+    return np.concatenate((y[..., :1, :], y[..., 1:8, :] + y[..., 8:, :]), axis=-2)
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """One 15-point Kronrod pass on each interval [lo[i], hi[i]].
 
-    Returns the lists of integrals and of error estimates.
+    f gives one value per node, or a (K, N) array of K integrands'
+    values.  Returns a (2, K, m) array of the integrals and the error
+    estimates (K = 1 for a one-valued f), and whether f is one-valued.
     """
+    m = len(lo)
     centr = 0.5 * (lo + hi)
     hlgth = 0.5 * (hi - lo)
-    absc = _XGK7 * hlgth
     # Node rows: the centre, then centr - absc[j], then centr + absc[j].
-    x = np.concatenate((centr[None], centr - absc, centr + absc)).ravel()
-    y = np.asarray(f(x), dtype=np.float64)
-    finite = np.isfinite(y)
+    x = (centr + _NODES * hlgth).ravel()
+    ys = np.asarray(f(x), dtype=np.float64)
+    finite = np.isfinite(ys)
     if not finite.all():
-        at = int(np.argmin(finite))
-        raise NonFinite(f"integrand returned {float(y[at])!r} at x={float(x[at])!r}")
-    y = y.reshape(15, -1)
-    fc, f1, f2 = y[0], y[1:8], y[8:]
-    fsum = f1 + f2
-
-    resk = _ordered_sum(fc * _WGK[7], _WGK7 * fsum)
-    resabs = _ordered_sum(np.abs(fc * _WGK[7]), _WGK7 * (np.abs(f1) + np.abs(f2)))
-    resg = _ordered_sum(fc * _WG[3], _WG3 * fsum[1::2])
-    reskh = resk * 0.5
-    resasc = _ordered_sum(
-        _WGK[7] * np.abs(fc - reskh), _WGK7 * (np.abs(f1 - reskh) + np.abs(f2 - reskh))
-    )
-
-    result = resk * hlgth
-    resabs = resabs * np.abs(hlgth)
-    resasc = resasc * np.abs(hlgth)
-    abserr = np.abs((resk - resg) * hlgth)
-    # QUADPACK's rescaling, in Python's min/max semantics; the power is
-    # libm's pow, as Python's float `**` computes it.
-    scale = (resasc != 0.0) & (abserr != 0.0)
-    ratio = (200.0 * abserr[scale] / resasc[scale]).tolist()
-    power = np.fromiter(map(math.pow, ratio, repeat(1.5)), np.float64, len(ratio))
-    abserr[scale] = resasc[scale] * np.where(power < 1.0, power, 1.0)
-    floor = (_EPMACH * 50.0) * resabs
-    abserr = np.where((resabs > _UFLOW / (50.0 * _EPMACH)) & ~(abserr > floor), floor, abserr)
-    return result.tolist(), abserr.tolist()
+        at = int(np.argmin(finite.ravel()))
+        y, x0 = float(ys.flat[at]), float(x[at % x.size])
+        raise NonFinite(f"integrand returned {y!r} at x={x0!r}")
+    out = np.empty((2, ys.size // (15 * m), m))
+    ahl = np.abs(hlgth)
+    for k, y in enumerate(ys.reshape(-1, 15, m)):
+        # Each sum adds its terms left to right: the centre, then the pairs.
+        paired = _paired(np.concatenate((y, np.abs(y), y)).reshape(3, 15, m))
+        resk, resabs, resg = np.add.accumulate(_W3 * paired, axis=1)[:, -1]
+        resasc = np.add.accumulate(_WK * _paired(np.abs(y - resk * 0.5)))[-1] * ahl
+        resabs = resabs * ahl
+        out[0, k] = resk * hlgth
+        err = np.abs((resk - resg) * hlgth)
+        # QUADPACK's rescaling, in Python's min/max semantics; the power is
+        # libm's pow, as Python's float `**` computes it.
+        scale = (resasc != 0.0) & (err != 0.0)
+        scaled = resasc[scale]
+        ratio = (200.0 * err[scale] / scaled).tolist()
+        power = np.fromiter(map(math.pow, ratio, repeat(1.5)), np.float64, len(ratio))
+        err[scale] = scaled * np.where(power < 1.0, power, 1.0)
+        floor = (_EPMACH * 50.0) * resabs
+        floored = np.where(resabs > _UFLOW / (50.0 * _EPMACH), floor, err)
+        out[1, k] = np.where(err > floor, err, floored)
+    return out, ys.ndim == 1
 
 
-def integrate_many(
+def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct intervals among [a[i], b[i]], as bounds, and each
+    interval's index among them."""
+    # Equal bounds of opposite zero signs give equal nodes and weights.
+    index: dict[tuple[float, float], int] = {}
+    which = np.array([index.setdefault(ab, len(index)) for ab in zip(a.tolist(), b.tolist())])
+    lo, hi = np.array(list(index)).T
+    return lo, hi, which
+
+
+def integrate_arrays(
     f: Callable[[np.ndarray], np.ndarray],
     los: Sequence[float],
     his: Sequence[float],
     abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[Integral]:
-    """Integrate f over each [los[i], his[i]] to an absolute tolerance.
-
-    f maps a 1-D float64 array of abscissae to their values.  Row i is
-    the Integral that `integrate(f, los[i], his[i], abs_tol)` returns.
-    Raises NonFinite if f produces NaN/inf at an abscissa, NoConvergence
-    if a row reaches the interval cap before its error estimate drops
-    below abs_tol.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`integrate_many` as three arrays: the values, the error estimates
+    and the evaluation counts, each of shape (rows,) for a one-valued f
+    and (rows, K) for K integrands."""
     if not (abs_tol > 0.0):
         raise ValueError("abs_tol must be > 0")
     los = [float(v) for v in los]
@@ -154,48 +176,95 @@ def integrate_many(
         if lo > hi:
             raise ValueError("require lo <= hi")
     if not los:
-        return []
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
 
-    # values and errs start as each row's one-pass result and become its
-    # running totals.
-    values, errs = _gk15(f, np.array(los), np.array(his))
-    evaluations = [15] * len(los)
-    active = [i for i in range(len(los)) if los[i] != his[i] and errs[i] > abs_tol]
-    # Per row that subdivides, a heap of (-err, tiebreak, lo, hi, value,
-    # err); the tiebreak keeps ordering deterministic when two intervals
-    # carry equal error.
-    heaps = {i: [(-errs[i], 0, los[i], his[i], values[i], errs[i])] for i in active}
-    seq = 0
-    while active:
-        worst = []
-        for i in active:
-            if len(heaps[i]) >= MAX_INTERVALS:
-                raise NoConvergence(
-                    f"error estimate {errs[i]:.3e} above tolerance {abs_tol:.3e} "
-                    f"after {len(heaps[i])} intervals"
-                )
-            worst.append(heapq.heappop(heaps[i]))
-        a = np.array([w[2] for w in worst])
-        b = np.array([w[3] for w in worst])
-        mid = 0.5 * (a + b)
-        # The left halves of all active rows, then their right halves.
-        vs, es = _gk15(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        m = len(active)
-        for n, (i, mid) in enumerate(zip(active, mid.tolist())):
-            _, _, a, b, v, e = worst[n]
-            v1, e1, v2, e2 = vs[n], es[n], vs[m + n], es[m + n]
-            evaluations[i] += 30
-            values[i] += v1 + v2 - v
-            errs[i] += e1 + e2 - e
-            seq += 1
-            heapq.heappush(heaps[i], (-e1, seq, a, mid, v1, e1))
-            seq += 1
-            heapq.heappush(heaps[i], (-e2, seq, mid, b, v2, e2))
-        active = [i for i in active if errs[i] > abs_tol]
-    return [
-        Integral(value=v, err_estimate=e, evaluations=n)
-        for v, e, n in zip(values, errs, evaluations)
-    ]
+    # Pair p = K*i + k is integrand k on row i; totals[:, p] is its value
+    # and error estimate, the one-pass result until it stops subdividing.
+    lo, hi = np.array(los), np.array(his)
+    first_pass, one = _gk15(f, lo, hi)
+    K = first_pass.shape[1]
+    totals = first_pass.transpose(0, 2, 1).reshape(2, -1)
+    evaluations = np.full(totals.shape[1], 15)
+    k_of = np.tile(np.arange(K), len(los))
+    active = np.flatnonzero(np.repeat(lo != hi, K) & (totals[1] > abs_tol))
+    # run holds the running sums of the active pairs.  store holds their
+    # intervals: rows lo, hi, value, err, and one column per interval in
+    # push order, a popped interval's err set to -inf.  Each active pair
+    # has bisected once per round, so all have the same columns, and the
+    # first column of largest err is the pick of a heap by (-err, push
+    # order).
+    run = totals[:, active]
+    store = np.empty((4, len(active), 8))
+    store[0, :, 0], store[1, :, 0] = np.repeat(lo, K)[active], np.repeat(hi, K)[active]
+    store[2:, :, 0] = run
+    # Per active pair: its row in store and its integrand.
+    rows, k = np.arange(len(active)), k_of[active]
+    flat = store.reshape(4, -1)
+    rounds = 0
+    while len(active):
+        if rounds + 1 >= MAX_INTERVALS:
+            raise NoConvergence(
+                f"error estimate {run[1, 0]:.3e} above tolerance {abs_tol:.3e} "
+                f"after {rounds + 1} intervals"
+            )
+        used = 2 * rounds + 1
+        worst = store[3, :, :used].argmax(axis=1)
+        at = np.ravel_multi_index((rows, worst), store.shape[1:])
+        popped = flat.take(at, axis=1)
+        flat[3][at] = -math.inf
+        a, b = popped[0], popped[1]
+        # Pairs that pop the same interval share its evaluation: the left
+        # halves of the distinct intervals, then their right halves.
+        ua, ub, which = _distinct(a, b) if K > 1 else (a, b, slice(None))
+        mid = 0.5 * (ua + ub)
+        halves, _ = _gk15(f, np.concatenate((ua, mid)), np.concatenate((mid, ub)))
+        # Pair i takes integrand k[i] on distinct interval which[i].
+        ks = k if K > 1 else 0
+        halves = halves.reshape(2, K, 2, -1)
+        left, right = halves[:, ks, 0, which], halves[:, ks, 1, which]
+        run += left + right - popped[2:]
+        if used + 2 > store.shape[2]:
+            store = np.concatenate((store, np.empty_like(store)), axis=2)
+            flat = store.reshape(4, -1)
+        mid = mid[which]
+        store[0, :, used], store[1, :, used], store[2:, :, used] = a, mid, left
+        store[0, :, used + 1], store[1, :, used + 1], store[2:, :, used + 1] = mid, b, right
+        rounds += 1
+        keep = run[1] > abs_tol
+        if not keep.all():
+            done = active[~keep]
+            totals[:, done] = run[:, ~keep]
+            evaluations[done] = 15 + 30 * rounds
+            # compress keeps store C-contiguous, so flat is a view of it.
+            active, run, k = active[keep], run[:, keep], k[keep]
+            store = store.compress(keep, axis=1)
+            rows, flat = rows[: len(active)], store.reshape(4, -1)
+    if one:
+        return totals[0], totals[1], evaluations
+    return totals[0].reshape(-1, K), totals[1].reshape(-1, K), evaluations.reshape(-1, K)
+
+
+def integrate_many(
+    f: Callable[[np.ndarray], np.ndarray],
+    los: Sequence[float],
+    his: Sequence[float],
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> list:
+    """Integrate f over each [los[i], his[i]] to an absolute tolerance.
+
+    f maps a 1-D float64 array of N abscissae to their N values, and row
+    i is the Integral that `integrate(f, los[i], his[i], abs_tol)`
+    returns; or f maps it to a (K, N) array, the values of K integrands,
+    and row i is a list of K Integrals, the k-th the one that row k of f
+    alone gives.  Raises NonFinite if f produces NaN/inf at an abscissa,
+    NoConvergence if an integral reaches the interval cap before its
+    error estimate drops below abs_tol.
+    """
+    values, errs, evaluations = integrate_arrays(f, los, his, abs_tol)
+    rows = zip(values.tolist(), errs.tolist(), evaluations.tolist())
+    if values.ndim == 1:
+        return [Integral(*row) for row in rows]
+    return [list(map(Integral, *row)) for row in rows]
 
 
 def integrate(

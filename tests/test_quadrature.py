@@ -1,6 +1,6 @@
 """Adaptive Gauss-Kronrod integration: exactness, error control, limits,
-and the lockstep rows of integrate_many against a one-node-at-a-time
-reference."""
+and the lockstep rows of integrate_many, one integrand or K at a time,
+against a one-node-at-a-time reference."""
 
 import heapq
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arecorr import quadrature
-from arecorr.corrmath import _integrand
+from arecorr.corrmath import _integrands
 from arecorr.errors import NoConvergence, NonFinite
 from arecorr.quadrature import MAX_INTERVALS, integrate, integrate_many
 
@@ -42,7 +42,7 @@ def test_error_estimate_envelopes_true_error() -> None:
 
 
 def test_arcsine_integral_matches_frozen_reference() -> None:
-    res = integrate(lambda u: _integrand(2, u), 0.0, 1.0, 1e-13)
+    res = integrate(lambda u: _integrands(u)[1], 0.0, 1.0, 1e-13)
     assert res.value == pytest.approx(I2_REFERENCE, abs=1e-14)
 
 
@@ -168,7 +168,7 @@ _SCALAR_INTEGRANDS = {
     "lorentz": lambda u: 1.0 / (1.0 + u * u),
     "cos10": lambda u: math.cos(10.0 * u),
     "inv_sqrt": lambda u: 1.0 / math.sqrt(u),
-    **{f"arcsine{k}": (lambda u, k=k: _integrand(k, u)) for k in (1, 2, 3, 4)},
+    **{f"arcsine{k + 1}": (lambda u, k=k: _integrands(u)[k]) for k in range(4)},
 }
 
 
@@ -188,6 +188,64 @@ def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
             assert row.evaluations == evaluations
             alone = integrate(_elementwise(f), lo, hi, tol)
             assert alone == row
+
+
+def _stacked(*fs):
+    """The scalar integrands fs as one K-valued integrand, one math call
+    per element."""
+    return lambda u: np.array([[f(v) for v in u.tolist()] for f in fs])
+
+
+# 1/sqrt(u) refines next to 0 and sqrt(1 - u) next to 1, so on [1e-300, 1]
+# the two pop different intervals from the second round on.
+_INV_SQRT = _SCALAR_INTEGRANDS["inv_sqrt"]
+_STACKS = {
+    "sigma_s2": (_integrands, [_SCALAR_INTEGRANDS[f"arcsine{k}"] for k in (1, 2, 3, 4)]),
+    "apart": (None, [_INV_SQRT, lambda u: math.sqrt(1.0 - u)]),
+    "mixed": (None, [math.exp, _INV_SQRT, lambda u: math.cos(10.0 * u)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS))
+def test_k_valued_rows_equal_the_one_integrand_reference(name: str) -> None:
+    f, fs = _STACKS[name]
+    f = f or _stacked(*fs)
+    los = [1e-300, 1e-300, 0.25, 0.5, 0.3]
+    his = [1.0, 0.01, 0.75, 0.999, 0.3]
+    for tol in (1e-12, 1e-9):
+        rows = integrate_many(f, los, his, tol)
+        for lo, hi, row in zip(los, his, rows):
+            assert len(row) == len(fs)
+            for one, got in zip(fs, row):
+                value, err, evaluations = _integrate_reference(one, lo, hi, tol)
+                assert got.value.hex() == value.hex()
+                assert got.err_estimate.hex() == err.hex()
+                assert got.evaluations == evaluations
+        assert [integrate(f, lo, hi, tol) for lo, hi in zip(los, his)] == rows
+
+
+def test_k_valued_pairs_that_pop_different_intervals_get_each_evaluated() -> None:
+    nodes = []
+    apart = _stacked(*_STACKS["apart"][1])
+
+    def recording(u):
+        nodes.append(len(u))
+        return apart(u)
+
+    integrate_many(recording, [1e-300], [1.0], 1e-12)
+    # One row: a round evaluates 2 halves (30 nodes) of each distinct
+    # popped interval, so 60 nodes mean the two integrands popped two.
+    assert 60 in nodes[1:]
+    assert set(nodes[1:]) <= {30, 60}
+
+
+def test_k_valued_call_reads_the_interval_cap_at_call_time(monkeypatch) -> None:
+    f = _stacked(math.exp, _INV_SQRT)
+    # 1/sqrt(u) on [1e-300, 1] takes 82 intervals at 1e-12.
+    assert integrate_many(f, [1e-300], [1.0], 1e-12)[0][1].evaluations == 15 + 30 * 81
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 64)
+    with pytest.raises(NoConvergence):
+        integrate_many(f, [0.5, 1e-300], [0.75, 1.0], 1e-12)
 
 
 def test_one_failing_row_fails_the_call(monkeypatch) -> None:
