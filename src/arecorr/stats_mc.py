@@ -218,13 +218,17 @@ def _pow2_scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
 
 
-def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R of each row of two (rows, n) arrays, n >= 2."""
+def _refuse_constant(v: np.ndarray) -> None:
+    """Raise DegenerateSample if a row of the (rows, n) array v is constant."""
     # A row's max equals its min exactly when it is constant; its centred
     # sums need not be 0, since the mean can differ from the value.
-    for v in (x, y):
-        if (v.max(axis=1) == v.min(axis=1)).any():
-            raise DegenerateSample("a coordinate is constant; R undefined")
+    if (v.max(axis=1) == v.min(axis=1)).any():
+        raise DegenerateSample("a coordinate is constant; R undefined")
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R of each row of two (rows, n) arrays, n >= 2, whose rows the caller
+    has passed through `_refuse_constant`."""
     # Overflow here is caught by the range test below, not reported.
     with np.errstate(over="ignore", invalid="ignore"):
         sxx, syy, sxy = _centred_sums(x, y)
@@ -241,7 +245,10 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pearson_r(s: BivariateSample) -> float:
     if s.n < 2:
         raise DomainError(f"need n >= 2, got {s.n}")
-    return float(_pearson_rows(s.x[None], s.y[None])[0])
+    x, y = s.x[None], s.y[None]
+    _refuse_constant(x)
+    _refuse_constant(y)
+    return float(_pearson_rows(x, y)[0])
 
 
 def _spearman_value(n: int, a: int) -> float:
@@ -458,9 +465,11 @@ def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.nda
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
         x, z = _normal_rows(n, seed, range(lo, hi))
+        _refuse_constant(x)
         ranked_x = _ranked_rows(x)
         for rho, values in zip(rhos, out):
             y = _correlated(x, z, rho)
+            _refuse_constant(y)
             values[0, lo:hi] = _pearson_rows(x, y)
             values[1:, lo:hi] = _block_st(x, y, ranked_x)
     out.flags.writeable = False

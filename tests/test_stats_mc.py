@@ -272,10 +272,25 @@ def test_block_r_refuses_a_constant_row(n: int, const: float) -> None:
         saved = v[1].copy()
         v[1] = const
         with pytest.raises(DegenerateSample):
-            stats_mc._pearson_rows(x, y)
+            stats_mc._refuse_constant(v)
         with pytest.raises(DegenerateSample):
             pearson_r(BivariateSample(x=x[1], y=y[1]))
         v[1] = saved
+
+
+@pytest.mark.parametrize("coordinate", [0, 1], ids=["x", "y"])
+def test_replicates_refuse_a_constant_row(monkeypatch, coordinate: int) -> None:
+    # At rho = 0, y is z exactly, so a constant row of z is one of y.
+    draw = stats_mc._normal_rows
+
+    def with_a_constant_row(n, seed, streams):
+        rows = draw(n, seed, streams)
+        rows[coordinate][1] = 0.5
+        return rows
+
+    monkeypatch.setattr(stats_mc, "_normal_rows", with_a_constant_row)
+    with pytest.raises(DegenerateSample):
+        stats_mc._replicates((0.0,), 20, 5, DEFAULT_SEED)
 
 
 def test_spearman_matches_hand_evaluations() -> None:
