@@ -63,6 +63,16 @@ def test_table_grid4999_stdout_matches_its_digest() -> None:
     assert hashlib.sha256(out).hexdigest() == TABLE_GRID4999_SHA256
 
 
+# The `verify` benchmark workload's stdout, pinned by its digest in
+# bench/expected.json.
+VERIFY_GRID499_SHA256 = "e26f11722197e05bee0f36042c1c2ab7c971cd0fb8bcd02c5951dca6224ce732"
+
+
+def test_verify_grid499_stdout_matches_its_digest() -> None:
+    out = _stdout_of(["verify", "--grid", "499", "--format", "json"]).encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == VERIFY_GRID499_SHA256
+
+
 # The `mc` benchmark workloads' stdout at the CLI's default seed, pinned by
 # their digests in bench/expected.json.
 MC_WORKLOAD_SHA256 = {
