@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate, integrate_arrays
+from .quadrature import _integrate_arrays, integrate
 from .taylor import Jet
 
 __all__ = [
@@ -94,30 +94,35 @@ def _integrands(u):
     """The four Spearman-variance integrands at u: a list of four for a
     float or a jet, a (4, N) array for a 1-D float64 array, whose
     elements are bitwise the float values."""
-    u2 = _pow(u, 2)
+    u2, u4 = _pow(u, 2), _pow(u, 4)
     root = _sqrt(4.0 - u2)
     if isinstance(u, np.ndarray):
         out = np.empty((4, len(u)))
-        for k, arg in enumerate(_arcsine_args(u, u2)):
-            out[k] = _arcsine(arg)
+        for k in range(4):
+            out[k] = _arcsine(_arcsine_arg(k, u, u2, u4))
         out /= root
         return out
-    return [_arcsine(arg) / root for arg in _arcsine_args(u, u2)]
+    return [_arcsine(_arcsine_arg(k, u, u2, u4)) / root for k in range(4)]
 
 
 def _integrand(k: int, u):
-    """Row k of `_integrands(u)` alone, for one-integrand quadrature."""
+    """Row k (0..3) of `_integrands(u)` alone, for one-integrand quadrature."""
+    if k not in range(4):
+        raise DomainError(f"integrand index must be 0..3, got {k!r}")
     u2 = _pow(u, 2)
-    return _arcsine(next(islice(_arcsine_args(u, u2), k, None))) / _sqrt(4.0 - u2)
+    u4 = _pow(u, 4) if k >= 2 else None
+    return _arcsine(_arcsine_arg(k, u, u2, u4)) / _sqrt(4.0 - u2)
 
 
-def _arcsine_args(u, u2):
-    """The four integrands' arcsine arguments, one at a time."""
-    yield _pow(u, 3) / (4.0 * (2.0 - u2))
-    yield u / (2.0 * (3.0 - u2))
-    u4, w = _pow(u, 4), u * (4.0 - u2)
-    yield w / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u2 + u4))
-    yield w / (2.0 * _sqrt(12.0 - 7.0 * u2 + u4))
+def _arcsine_arg(k: int, u, u2, u4):
+    """Integrand k's arcsine argument, from u, u**2 and (for k >= 2) u**4."""
+    if k == 0:
+        return _pow(u, 3) / (4.0 * (2.0 - u2))
+    if k == 1:
+        return u / (2.0 * (3.0 - u2))
+    if k == 2:
+        return u * (4.0 - u2) / (2.0 * math.sqrt(2.0) * _sqrt(8.0 - 6.0 * u2 + u4))
+    return u * (4.0 - u2) / (2.0 * _sqrt(12.0 - 7.0 * u2 + u4))
 
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
@@ -140,7 +145,7 @@ def _make_room(n: int) -> None:
 def _sigma_s2_block(xs: list[float]) -> list[float]:
     """sigma_s2 at each of xs, by one lockstep quadrature of the four
     integrands together."""
-    values = integrate_arrays(_integrands, [0.0] * len(xs), xs, _INTEGRAL_TOL)[0]
+    values = _integrate_arrays(_integrands, [0.0] * len(xs), xs, _INTEGRAL_TOL)[0]
     isum = 0.0
     for w, v in zip(_WEIGHTS, values.T):
         isum = isum + w * v

@@ -27,7 +27,9 @@ SIGMA_S2_HALF = 0.63087331600121588
 
 
 def isin_integrand(k: int, u: float) -> float:
-    """The k-th Spearman-variance integrand at one u in [0, 1]."""
+    """The k-th (1..4) Spearman-variance integrand at one u in [0, 1]."""
+    if k not in (1, 2, 3, 4):
+        raise DomainError(f"integrand index must be 1..4, got {k!r}")
     if not (0.0 <= u <= 1.0):
         raise DomainError(f"integrand argument must lie in [0, 1], got {u!r}")
     return _integrands(float(u))[k - 1]
@@ -128,6 +130,13 @@ def test_integrand_values_and_domain() -> None:
     assert v2 == pytest.approx(math.asin(0.25) / math.sqrt(3.0), abs=1e-15)
     assert isin_integrand(3, 0.0) == 0.0
     assert isin_integrand(4, 0.0) == 0.0
+    for k in (0, 5):
+        with pytest.raises(DomainError):
+            isin_integrand(k, 0.5)
+    # The one-integrand form takes 0-based indices.
+    for k in (-1, 4):
+        with pytest.raises(DomainError):
+            _integrand(k, 0.5)
     with pytest.raises(DomainError):
         isin_integrand(1, 1.5)
 
@@ -194,6 +203,7 @@ def test_integrand_arrays_have_the_bits_of_floats() -> None:
         assert [v.hex() for v in _integrand(k, np.array(us)).tolist()] == [
             v.hex() for v in got[k].tolist()
         ]
+        assert [_integrand(k, u).hex() for u in us] == [_integrands(u)[k].hex() for u in us]
 
 
 def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) -> None:
