@@ -13,12 +13,11 @@ bisects the worst interval of every pair still above tolerance,
 evaluates each distinct popped interval once (the K integrands of a
 row often pop the same one) and calls the integrand once, on the nodes
 of all the new intervals as a 1-D float64 array.  `integrate` is its
-one-row case and `integrate_arrays` its array form.  The rule's sums
-run in the same order on every interval, the error estimate's power
-1.5 is taken by libm's pow per element (as Python's float `**` takes
-it), and ordering is worst-first with a deterministic tiebreak, so each
-pair's result is reproducible bit for bit and does not depend on which
-pairs share its call.
+one-row case.  The rule's sums run in the same order on every interval,
+the error estimate's power 1.5 is taken by libm's pow per element (as
+Python's float `**` takes it), and ordering is worst-first with a
+deterministic tiebreak, so each pair's result is reproducible bit for
+bit and does not depend on which pairs share its call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import NoConvergence, NonFinite
 __all__ = [
     "Integral",
     "integrate",
-    "integrate_arrays",
     "integrate_many",
     "DEFAULT_ABS_TOL",
     "MAX_INTERVALS",
@@ -155,7 +153,7 @@ def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return lo, hi, which
 
 
-def integrate_arrays(
+def _integrate_arrays(
     f: Callable[[np.ndarray], np.ndarray],
     los: Sequence[float],
     his: Sequence[float],
@@ -189,27 +187,35 @@ def integrate_arrays(
     active = np.flatnonzero(np.repeat(lo != hi, K) & (totals[1] > abs_tol))
     # run holds the running sums of the active pairs.  store holds their
     # intervals: rows lo, hi, value, err, and one column per interval in
-    # push order, a popped interval's err set to -inf.  Each active pair
-    # has bisected once per round, so all have the same columns, and the
-    # first column of largest err is the pick of a heap by (-err, push
-    # order).
+    # push order, the first filled columns in use; a popped or unused
+    # column's err is -inf.  Each active pair has bisected once per
+    # round, so all have the same columns, and the first column of
+    # largest err is the pick of a heap by (-err, push order).
     run = totals[:, active]
-    store = np.empty((4, len(active), 8))
+    store = np.full((4, len(active), 8), -math.inf)
     store[0, :, 0], store[1, :, 0] = np.repeat(lo, K)[active], np.repeat(hi, K)[active]
     store[2:, :, 0] = run
     # Per active pair: its row in store and its integrand.
     rows, k = np.arange(len(active)), k_of[active]
     flat = store.reshape(4, -1)
-    rounds = 0
+    rounds, filled = 0, 1
     while len(active):
         if rounds + 1 >= MAX_INTERVALS:
             raise NoConvergence(
                 f"error estimate {run[1, 0]:.3e} above tolerance {abs_tol:.3e} "
                 f"after {rounds + 1} intervals"
             )
-        used = 2 * rounds + 1
-        worst = store[3, :, :used].argmax(axis=1)
-        at = np.ravel_multi_index((rows, worst), store.shape[1:])
+        # Each pair's first column of largest err, as an index into flat.
+        # An err >= 0 orders as its bits do as an int64, above the -inf
+        # marks.  int64 max and float64 == are numpy loops that a run has
+        # already loaded; argmax's first call would make 64 KiB more of
+        # numpy's code resident.
+        errs = store[3]
+        top = np.maximum.reduce(errs.view(np.int64), axis=1).view(np.float64)[:, None]
+        at = (errs == top).ravel().nonzero()[0]
+        if len(at) > len(rows):
+            worst = np.where(errs == top, np.arange(errs.shape[1]), errs.shape[1]).min(axis=1)
+            at = np.ravel_multi_index((rows, worst), errs.shape)
         popped = flat.take(at, axis=1)
         flat[3][at] = -math.inf
         a, b = popped[0], popped[1]
@@ -223,13 +229,18 @@ def integrate_arrays(
         halves = halves.reshape(2, K, 2, -1)
         left, right = halves[:, ks, 0, which], halves[:, ks, 1, which]
         run += left + right - popped[2:]
-        if used + 2 > store.shape[2]:
-            store = np.concatenate((store, np.empty_like(store)), axis=2)
+        if filled + 2 > store.shape[2]:
+            # Keep the unpopped columns, in push order, and make room for
+            # as many again.
+            live = store[:, store[3] > -math.inf].reshape(4, len(rows), -1)
+            filled = live.shape[2]
+            store = np.full((4, len(rows), 2 * filled), -math.inf)
+            store[..., :filled] = live
             flat = store.reshape(4, -1)
         mid = mid[which]
-        store[0, :, used], store[1, :, used], store[2:, :, used] = a, mid, left
-        store[0, :, used + 1], store[1, :, used + 1], store[2:, :, used + 1] = mid, b, right
-        rounds += 1
+        store[0, :, filled], store[1, :, filled], store[2:, :, filled] = a, mid, left
+        store[0, :, filled + 1], store[1, :, filled + 1], store[2:, :, filled + 1] = mid, b, right
+        rounds, filled = rounds + 1, filled + 2
         keep = run[1] > abs_tol
         if not keep.all():
             done = active[~keep]
@@ -260,7 +271,7 @@ def integrate_many(
     NoConvergence if an integral reaches the interval cap before its
     error estimate drops below abs_tol.
     """
-    values, errs, evaluations = integrate_arrays(f, los, his, abs_tol)
+    values, errs, evaluations = _integrate_arrays(f, los, his, abs_tol)
     rows = zip(values.tolist(), errs.tolist(), evaluations.tolist())
     if values.ndim == 1:
         return [Integral(*row) for row in rows]

@@ -190,6 +190,28 @@ def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
             assert alone == row
 
 
+def test_tied_error_estimates_pop_in_push_order() -> None:
+    # Mirror intervals about 0 of an even or odd integrand get bitwise
+    # equal error estimates, so these rows tie for their worst interval:
+    # sqrt|u| on [-1, 1] in 24 rounds, sin 3u on [-7, 9] and cbrt on
+    # [-3, 5] between intervals of opposite values.
+    cases = {
+        "sqrt_abs": (lambda u: math.sqrt(abs(u)), -1.0, 1.0),
+        "sin3": (lambda u: math.sin(3.0 * u), -7.0, 9.0),
+        "cbrt": (lambda u: math.copysign(abs(u) ** (1.0 / 3.0), u), -3.0, 5.0),
+    }
+    for f, lo, hi in cases.values():
+        los, his = [0.25, lo, 0.0], [0.75, hi, 1.0]
+        rows = integrate_many(_elementwise(f), los, his, 1e-12)
+        for lo, hi, row in zip(los, his, rows):
+            value, err, evaluations = _integrate_reference(f, lo, hi, 1e-12)
+            assert (row.value.hex(), row.err_estimate.hex()) == (value.hex(), err.hex())
+            assert row.evaluations == evaluations
+    fs = [f for f, _, _ in cases.values()]
+    pairs = integrate_many(_stacked(*fs), [-1.0], [1.0], 1e-12)[0]
+    assert pairs == [integrate(_elementwise(f), -1.0, 1.0, 1e-12) for f in fs]
+
+
 def _stacked(*fs):
     """The scalar integrands fs as one K-valued integrand, one math call
     per element."""
