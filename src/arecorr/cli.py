@@ -36,7 +36,7 @@ from .reduction import (
     rho_tilde,
     tabulated,
 )
-from .stats_mc import DEFAULT_SEED, SEED_LIMIT, mc_moments, mc_replicates
+from .stats_mc import DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -167,12 +167,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    if args.reps < 100:
-        raise _UsageError(f"--reps must be >= 100, got {args.reps}")
-    if args.n < 10:
-        raise _UsageError(f"--n must be >= 10, got {args.n}")
-    if not 0 <= args.seed < SEED_LIMIT:
-        raise _UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    try:
+        _mc_key(args.n, args.reps, args.seed)
+    except DomainError as exc:
+        raise _UsageError(f"--{exc}") from None
     rhos = _parse_rho_list(args.rho)
     # rho outermost, so the three statistics of one rho read one memo
     # entry; the stable sort restores one block of rows per statistic.

@@ -5,19 +5,19 @@ largest error estimate is bisected until the summed estimate meets the
 absolute tolerance.  Node/weight constants and the error estimator are
 the classic QUADPACK dqk15 values.
 
-`integrate_many` runs that loop for many integrals in lockstep: one
-per row [lo, hi] and, when the integrand gives K values per node, per
-row and integrand (a "pair").  Each pair keeps its own intervals,
-running sums and interval cap, exactly as if it ran alone; each round
-bisects the worst interval of every pair still above tolerance,
-evaluates each distinct popped interval once (the K integrands of a
-row often pop the same one) and calls the integrand once, on the nodes
-of all the new intervals as a 1-D float64 array.  `integrate` is its
-one-row case.  The rule's sums run in the same order on every interval,
-the error estimate's power 1.5 is taken by libm's pow per element (as
-Python's float `**` takes it), and ordering is worst-first with a
-deterministic tiebreak, so each pair's result is reproducible bit for
-bit and does not depend on which pairs share its call.
+`_integrate_arrays` runs that loop for many integrals in lockstep: one
+per row [lo, hi] and integrand of a K-valued f (a "pair"; a one-valued
+f is K = 1).  Each pair keeps its own intervals, running sums and
+interval cap, exactly as if it ran alone; each round bisects the worst
+interval of every pair still above tolerance, evaluates each distinct
+popped interval once (the K integrands of a row often pop the same one)
+and calls the integrand once, on the nodes of all the new intervals as
+a 1-D float64 array.  `integrate` reads its one row and one value.  The
+rule's sums run in the same order on every interval, the error
+estimate's power 1.5 is taken by libm's pow per element (as Python's
+float `**` takes it), and ordering is worst-first with a deterministic
+tiebreak, so each pair's result is reproducible bit for bit and does
+not depend on which pairs share its call.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import NoConvergence, NonFinite
 __all__ = [
     "Integral",
     "integrate",
-    "integrate_many",
     "DEFAULT_ABS_TOL",
     "MAX_INTERVALS",
 ]
@@ -105,9 +104,9 @@ def _paired(y: np.ndarray) -> np.ndarray:
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """One 15-point Kronrod pass on each interval [lo[i], hi[i]].
 
-    f gives one value per node, or a (K, N) array of K integrands'
-    values.  Returns a (2, K, m) array of the integrals and the error
-    estimates (K = 1 for a one-valued f), and whether f is one-valued.
+    f gives a (K, N) array of K integrands' values, or one value per
+    node for K = 1.  Returns a (2, K, m) array of the integrals and the
+    error estimates.
     """
     m = len(lo)
     centr = 0.5 * (lo + hi)
@@ -140,7 +139,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray)
         floor = (_EPMACH * 50.0) * resabs
         floored = np.where(resabs > _UFLOW / (50.0 * _EPMACH), floor, err)
         out[1, k] = np.where(err > floor, err, floored)
-    return out, ys.ndim == 1
+    return out
 
 
 def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,9 +147,9 @@ def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     interval's index among them."""
     # Equal bounds of opposite zero signs give equal nodes and weights.
     index: dict[tuple[float, float], int] = {}
-    which = np.array([index.setdefault(ab, len(index)) for ab in zip(a.tolist(), b.tolist())])
-    lo, hi = np.array(list(index)).T
-    return lo, hi, which
+    which = [index.setdefault(ab, len(index)) for ab in zip(a.tolist(), b.tolist())]
+    lo, hi = zip(*index)
+    return np.array(lo), np.array(hi), np.array(which)
 
 
 def _integrate_arrays(
@@ -159,9 +158,16 @@ def _integrate_arrays(
     his: Sequence[float],
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`integrate_many` as three arrays: the values, the error estimates
-    and the evaluation counts, each of shape (rows,) for a one-valued f
-    and (rows, K) for K integrands."""
+    """Integrate f over each [los[i], his[i]] to an absolute tolerance.
+
+    f maps a 1-D float64 array of N abscissae to a (K, N) array, the
+    values of K integrands, or to its N values for K = 1.  Returns three
+    (rows, K) arrays: the values, the error estimates and the evaluation
+    counts, where pair [i, k] is what integrand k alone gives on row i
+    (no rows: f is not called, and K is 0).  Raises NonFinite if f
+    produces NaN/inf at an abscissa, NoConvergence if an integral reaches
+    the interval cap before its error estimate drops below abs_tol.
+    """
     if not (abs_tol > 0.0):
         raise ValueError("abs_tol must be > 0")
     los = [float(v) for v in los]
@@ -174,12 +180,12 @@ def _integrate_arrays(
         if lo > hi:
             raise ValueError("require lo <= hi")
     if not los:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        return np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0), dtype=np.int64)
 
     # Pair p = K*i + k is integrand k on row i; totals[:, p] is its value
     # and error estimate, the one-pass result until it stops subdividing.
     lo, hi = np.array(los), np.array(his)
-    first_pass, one = _gk15(f, lo, hi)
+    first_pass = _gk15(f, lo, hi)
     K = first_pass.shape[1]
     totals = first_pass.transpose(0, 2, 1).reshape(2, -1)
     evaluations = np.full(totals.shape[1], 15)
@@ -221,14 +227,13 @@ def _integrate_arrays(
         a, b = popped[0], popped[1]
         # Pairs that pop the same interval share its evaluation: the left
         # halves of the distinct intervals, then their right halves.
-        ua, ub, which = _distinct(a, b) if K > 1 else (a, b, slice(None))
+        ua, ub, which = _distinct(a, b)
         mid = 0.5 * (ua + ub)
-        halves, _ = _gk15(f, np.concatenate((ua, mid)), np.concatenate((mid, ub)))
-        # Pair i takes integrand k[i] on distinct interval which[i].
-        ks = k if K > 1 else 0
-        halves = halves.reshape(2, K, 2, -1)
-        left, right = halves[:, ks, 0, which], halves[:, ks, 1, which]
-        run += left + right - popped[2:]
+        halves = _gk15(f, np.concatenate((ua, mid)), np.concatenate((mid, ub)))
+        # Pair i takes integrand k[i] on distinct interval which[i]:
+        # halves[:, i] is the value and err of its left and right halves.
+        halves = halves.reshape(2, K, 2, -1)[:, k, :, which].transpose(1, 0, 2)
+        run += halves[..., 0] + halves[..., 1] - popped[2:]
         if filled + 2 > store.shape[2]:
             # Keep the unpopped columns, in push order, and make room for
             # as many again.
@@ -238,8 +243,9 @@ def _integrate_arrays(
             store[..., :filled] = live
             flat = store.reshape(4, -1)
         mid = mid[which]
-        store[0, :, filled], store[1, :, filled], store[2:, :, filled] = a, mid, left
-        store[0, :, filled + 1], store[1, :, filled + 1], store[2:, :, filled + 1] = mid, b, right
+        store[0, :, filled], store[1, :, filled] = a, mid
+        store[0, :, filled + 1], store[1, :, filled + 1] = mid, b
+        store[2:, :, filled : filled + 2] = halves
         rounds, filled = rounds + 1, filled + 2
         keep = run[1] > abs_tol
         if not keep.all():
@@ -250,32 +256,7 @@ def _integrate_arrays(
             active, run, k = active[keep], run[:, keep], k[keep]
             store = store.compress(keep, axis=1)
             rows, flat = rows[: len(active)], store.reshape(4, -1)
-    if one:
-        return totals[0], totals[1], evaluations
     return totals[0].reshape(-1, K), totals[1].reshape(-1, K), evaluations.reshape(-1, K)
-
-
-def integrate_many(
-    f: Callable[[np.ndarray], np.ndarray],
-    los: Sequence[float],
-    his: Sequence[float],
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list:
-    """Integrate f over each [los[i], his[i]] to an absolute tolerance.
-
-    f maps a 1-D float64 array of N abscissae to their N values, and row
-    i is the Integral that `integrate(f, los[i], his[i], abs_tol)`
-    returns; or f maps it to a (K, N) array, the values of K integrands,
-    and row i is a list of K Integrals, the k-th the one that row k of f
-    alone gives.  Raises NonFinite if f produces NaN/inf at an abscissa,
-    NoConvergence if an integral reaches the interval cap before its
-    error estimate drops below abs_tol.
-    """
-    values, errs, evaluations = _integrate_arrays(f, los, his, abs_tol)
-    rows = zip(values.tolist(), errs.tolist(), evaluations.tolist())
-    if values.ndim == 1:
-        return [Integral(*row) for row in rows]
-    return [list(map(Integral, *row)) for row in rows]
 
 
 def integrate(
@@ -286,6 +267,10 @@ def integrate(
 ) -> Integral:
     """Integrate f over [lo, hi] to an absolute tolerance.
 
-    The one-row case of `integrate_many`, with its f and its errors.
+    f maps a 1-D float64 array of abscissae to their values; this is
+    the one-row, one-valued case of `_integrate_arrays`, with its errors.
     """
-    return integrate_many(f, (lo,), (hi,), abs_tol)[0]
+    values, errs, evaluations = _integrate_arrays(f, (lo,), (hi,), abs_tol)
+    if values.shape[1] != 1:
+        raise ValueError(f"integrate takes a one-valued f, got {values.shape[1]} values per node")
+    return Integral(values.item(), errs.item(), evaluations.item())

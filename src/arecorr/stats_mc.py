@@ -479,10 +479,10 @@ def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.nda
 def _mc_key(n, reps, seed) -> tuple[int, int, int]:
     """(n, reps, seed) as ints, checked for a Monte Carlo run."""
     n, reps, seed = _key_word("n", n), _key_word("reps", reps), _key_word("seed", seed)
-    if n < 10:
-        raise DomainError(f"need n >= 10, got {n!r}")
     if reps < 100:
-        raise DomainError(f"need reps >= 100, got {reps!r}")
+        raise DomainError(f"reps must be >= 100, got {reps!r}")
+    if n < 10:
+        raise DomainError(f"n must be >= 10, got {n!r}")
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
     return n, reps, seed

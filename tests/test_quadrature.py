@@ -1,5 +1,5 @@
 """Adaptive Gauss-Kronrod integration: exactness, error control, limits,
-and the lockstep rows of integrate_many, one integrand or K at a time,
+and the lockstep rows of _integrate_arrays, one integrand or K at a time,
 against a one-node-at-a-time reference."""
 
 import heapq
@@ -11,7 +11,7 @@ import pytest
 from arecorr import quadrature
 from arecorr.corrmath import _integrands
 from arecorr.errors import NoConvergence, NonFinite
-from arecorr.quadrature import MAX_INTERVALS, integrate, integrate_many
+from arecorr.quadrature import MAX_INTERVALS, _integrate_arrays, integrate
 
 # Frozen reference for the second arcsine integral on [0, 1], computed
 # with composite Simpson on 2**20 panels plus Richardson extrapolation.
@@ -81,7 +81,7 @@ def test_invalid_arguments_rejected() -> None:
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, math.inf, 1e-12)
     with pytest.raises(ValueError):
-        integrate_many(np.sin, [0.0, 0.0], [1.0], 1e-12)
+        _integrate_arrays(np.sin, [0.0, 0.0], [1.0], 1e-12)
 
 
 # --------------------------------------------------------- lockstep rows
@@ -133,11 +133,11 @@ def _gk15_reference(f, lo: float, hi: float) -> tuple[float, float]:
     return result, abserr
 
 
-def _integrate_reference(f, lo: float, hi: float, abs_tol: float) -> tuple[float, float, int]:
+def _integrate_reference(f, lo: float, hi: float, abs_tol: float) -> tuple[str, str, int]:
     value, err = _gk15_reference(f, lo, hi)
     evaluations = 15
     if lo == hi:
-        return value, err, evaluations
+        return value.hex(), err.hex(), evaluations
     seq = 0
     heap = [(-err, seq, lo, hi, value, err)]
     while err > abs_tol:
@@ -153,7 +153,13 @@ def _integrate_reference(f, lo: float, hi: float, abs_tol: float) -> tuple[float
         heapq.heappush(heap, (-e1, seq, a, mid, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, mid, b, v2, e2))
-    return value, err, evaluations
+    return value.hex(), err.hex(), evaluations
+
+
+def _pair(arrays, i: int, k: int = 0) -> tuple[str, str, int]:
+    """Pair [i, k] of `_integrate_arrays`' result, as the reference gives it."""
+    values, errs, evaluations = arrays
+    return values[i, k].hex(), errs[i, k].hex(), int(evaluations[i, k])
 
 
 def _elementwise(f):
@@ -180,14 +186,26 @@ def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
     los = [1e-300, 1e-300, 0.25, 0.5, 0.3]
     his = [1.0, 0.01, 0.75, 0.999, 0.3]
     for tol in (1e-12, 1e-9):
-        rows = integrate_many(_elementwise(f), los, his, tol)
-        for lo, hi, row in zip(los, his, rows):
-            value, err, evaluations = _integrate_reference(f, lo, hi, tol)
-            assert row.value.hex() == value.hex()
-            assert row.err_estimate.hex() == err.hex()
-            assert row.evaluations == evaluations
+        arrays = _integrate_arrays(_elementwise(f), los, his, tol)
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            want = _integrate_reference(f, lo, hi, tol)
+            assert _pair(arrays, i) == want
             alone = integrate(_elementwise(f), lo, hi, tol)
-            assert alone == row
+            assert (alone.value.hex(), alone.err_estimate.hex(), alone.evaluations) == want
+
+
+def test_one_valued_f_gives_rows_by_one_arrays() -> None:
+    values, errs, evaluations = _integrate_arrays(np.sin, [0.0, 0.5, 0.3], [1.0, 1.0, 0.3])
+    assert values.shape == errs.shape == evaluations.shape == (3, 1)
+    assert evaluations.dtype.kind == "i"
+    assert values[2, 0] == 0.0
+
+
+def test_integrate_refuses_a_k_valued_f() -> None:
+    with pytest.raises(ValueError, match="one-valued"):
+        integrate(_integrands, 0.0, 0.5, 1e-12)
+    # A (1, N) array is one value per node.
+    assert integrate(_stacked(math.exp), 0.0, 1.0) == integrate(_elementwise(math.exp), 0.0, 1.0)
 
 
 def test_tied_error_estimates_pop_in_push_order() -> None:
@@ -202,14 +220,13 @@ def test_tied_error_estimates_pop_in_push_order() -> None:
     }
     for f, lo, hi in cases.values():
         los, his = [0.25, lo, 0.0], [0.75, hi, 1.0]
-        rows = integrate_many(_elementwise(f), los, his, 1e-12)
-        for lo, hi, row in zip(los, his, rows):
-            value, err, evaluations = _integrate_reference(f, lo, hi, 1e-12)
-            assert (row.value.hex(), row.err_estimate.hex()) == (value.hex(), err.hex())
-            assert row.evaluations == evaluations
+        arrays = _integrate_arrays(_elementwise(f), los, his, 1e-12)
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            assert _pair(arrays, i) == _integrate_reference(f, lo, hi, 1e-12)
     fs = [f for f, _, _ in cases.values()]
-    pairs = integrate_many(_stacked(*fs), [-1.0], [1.0], 1e-12)[0]
-    assert pairs == [integrate(_elementwise(f), -1.0, 1.0, 1e-12) for f in fs]
+    arrays = _integrate_arrays(_stacked(*fs), [-1.0], [1.0], 1e-12)
+    for k, f in enumerate(fs):
+        assert _pair(arrays, 0, k) == _integrate_reference(f, -1.0, 1.0, 1e-12)
 
 
 def _stacked(*fs):
@@ -235,15 +252,14 @@ def test_k_valued_rows_equal_the_one_integrand_reference(name: str) -> None:
     los = [1e-300, 1e-300, 0.25, 0.5, 0.3]
     his = [1.0, 0.01, 0.75, 0.999, 0.3]
     for tol in (1e-12, 1e-9):
-        rows = integrate_many(f, los, his, tol)
-        for lo, hi, row in zip(los, his, rows):
-            assert len(row) == len(fs)
-            for one, got in zip(fs, row):
-                value, err, evaluations = _integrate_reference(one, lo, hi, tol)
-                assert got.value.hex() == value.hex()
-                assert got.err_estimate.hex() == err.hex()
-                assert got.evaluations == evaluations
-        assert [integrate(f, lo, hi, tol) for lo, hi in zip(los, his)] == rows
+        arrays = _integrate_arrays(f, los, his, tol)
+        assert arrays[0].shape == (len(los), len(fs))
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            # Each row alone gives what it gives among the others.
+            alone = _integrate_arrays(f, [lo], [hi], tol)
+            for k, one in enumerate(fs):
+                assert _pair(arrays, i, k) == _integrate_reference(one, lo, hi, tol)
+                assert _pair(alone, 0, k) == _pair(arrays, i, k)
 
 
 def test_k_valued_pairs_that_pop_different_intervals_get_each_evaluated() -> None:
@@ -254,7 +270,7 @@ def test_k_valued_pairs_that_pop_different_intervals_get_each_evaluated() -> Non
         nodes.append(len(u))
         return apart(u)
 
-    integrate_many(recording, [1e-300], [1.0], 1e-12)
+    _integrate_arrays(recording, [1e-300], [1.0], 1e-12)
     # One row: a round evaluates 2 halves (30 nodes) of each distinct
     # popped interval, so 60 nodes mean the two integrands popped two.
     assert 60 in nodes[1:]
@@ -264,22 +280,22 @@ def test_k_valued_pairs_that_pop_different_intervals_get_each_evaluated() -> Non
 def test_k_valued_call_reads_the_interval_cap_at_call_time(monkeypatch) -> None:
     f = _stacked(math.exp, _INV_SQRT)
     # 1/sqrt(u) on [1e-300, 1] takes 82 intervals at 1e-12.
-    assert integrate_many(f, [1e-300], [1.0], 1e-12)[0][1].evaluations == 15 + 30 * 81
+    assert _integrate_arrays(f, [1e-300], [1.0], 1e-12)[2][0, 1] == 15 + 30 * 81
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 64)
     with pytest.raises(NoConvergence):
-        integrate_many(f, [0.5, 1e-300], [0.75, 1.0], 1e-12)
+        _integrate_arrays(f, [0.5, 1e-300], [0.75, 1.0], 1e-12)
 
 
 def test_one_failing_row_fails_the_call(monkeypatch) -> None:
     spike = lambda u: np.where(u > 2.5, math.inf, 1.0)  # noqa: E731
     with pytest.raises(NonFinite):
-        integrate_many(spike, [0.0, 2.0], [1.0, 3.0], 1e-9)
+        _integrate_arrays(spike, [0.0, 2.0], [1.0, 3.0], 1e-9)
     # exp on [0, 30] has a rounding floor far above 1e-12; a lower cap
     # keeps the test short.
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 64)
     with pytest.raises(NoConvergence):
-        integrate_many(np.exp, [0.0, 0.0], [1.0, 30.0], 1e-12)
+        _integrate_arrays(np.exp, [0.0, 0.0], [1.0, 30.0], 1e-12)
 
 
 def test_no_rows_give_no_integrals() -> None:
-    assert integrate_many(np.sin, [], [], 1e-12) == []
+    assert all(len(a) == 0 for a in _integrate_arrays(np.sin, [], [], 1e-12))

@@ -600,7 +600,7 @@ def test_one_fill_keeps_every_rho_and_matches_one_rho_at_a_time(monkeypatch) -> 
     assert len(stats_mc._MEMO) == 1
     for got, want in zip(again, filled):
         assert np.array_equal(got, want)
-    with pytest.raises(DomainError, match="n >= 10"):
+    with pytest.raises(DomainError, match="n must be >= 10"):
         stats_mc.mc_replicates([0.5], 9, 100)
     with pytest.raises(DomainError):
         stats_mc.mc_replicates([1.0], 10, 100)
