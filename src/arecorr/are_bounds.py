@@ -10,6 +10,13 @@ dividing the series).  The same expansions supply the endpoint constants
 are(0), are(1-), are'(1-) and the one-sided limits of the second-difference
 functions q_a, and q_a within SERIES_RADIUS of its anchor.
 
+`are`, `q`, `are_from_moments`, `quartic_bounds_rs` and `QuadCoeffs`
+take a float or a 1-D float64 array of points.  On an array each element
+is bitwise the float call at that point: every power, arcsine and square
+root goes through corrmath's elementwise helpers, the series hand-offs
+near 1 and near each anchor are applied by mask, and a domain error on
+any element raises the float call's DomainError.
+
 A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
 checked where they are first looked up: an unknown one raises
 DomainError through `pair` on a cache miss, and a cache holds only
@@ -23,7 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .corrmath import _arcsine, moments_r, moments_s, moments_t, sigma_s2, sigma_s2_jet
+import numpy as np
+
+from .corrmath import _arcsine, _domain, _open_unit, _pow, moments_r, moments_s, moments_t
+from .corrmath import sigma_s2, sigma_s2_jet
 from .errors import BadPartition, DomainError, NoBracket
 from .taylor import Jet
 
@@ -64,7 +74,8 @@ _JET_ORDER = 12
 class Pair:
     """One ARE in factored form: are(x) = f(x)/g(x) with g > 0 on (0, 1).
 
-    f and g take a float or a Jet and return the same kind.
+    f and g take a float, a 1-D float64 array or a Jet and return the
+    same kind.
     """
 
     tag: PairTag
@@ -73,7 +84,7 @@ class Pair:
 
 
 def _f_rt(x):
-    return _PI2 - 36.0 * _arcsine(0.5 * x) ** 2
+    return _PI2 - 36.0 * _pow(_arcsine(0.5 * x), 2)
 
 
 def _g_rt(x):
@@ -91,7 +102,7 @@ def _g_ts(x):
 
 
 def _g_rs(x):
-    return 36.0 * (1.0 - x * x) ** 2 / (_PI2 * (4.0 - x * x))
+    return 36.0 * _pow(1.0 - x * x, 2) / (_PI2 * (4.0 - x * x))
 
 
 _PAIRS: dict[PairTag, Pair] = {
@@ -154,19 +165,32 @@ def _series(tag: str, anchor: int) -> Jet:
 
 
 def _check_open_unit(x: float) -> float:
-    ax = abs(x)
-    if not (ax < 1.0):
-        raise DomainError(f"|x| must be < 1, got {x!r}")
-    return ax
+    """|x| after checking it is < 1, for a float or elementwise on an array."""
+    return abs(_domain(x, _open_unit, "|x| must be < 1"))
+
+
+def _branch(near, x, series: Callable, direct: Callable):
+    """series(x) where `near` holds, else direct(x): a flag for a float x,
+    a mask for an array x, whose two parts are evaluated apart."""
+    if not isinstance(x, np.ndarray):
+        return series(x) if near else direct(x)
+    out = np.empty(len(x))
+    for mask, fn in ((near, series), (~near, direct)):
+        if mask.any():
+            out[mask] = fn(x[mask])
+    return out
 
 
 def are(tag: str, x: float) -> float:
     """are(x) = f(|x|)/g(|x|); even in x."""
     ax = _check_open_unit(x)
-    if 1.0 - ax <= SERIES_RADIUS:
-        return _series(tag, 1)(ax - 1.0)
     p = pair(tag)
-    return p.f(ax) / p.g(ax)
+    return _branch(
+        1.0 - ax <= SERIES_RADIUS,
+        ax,
+        lambda v: _series(tag, 1)(v - 1.0),
+        lambda v: p.f(v) / p.g(v),
+    )
 
 
 def ratio_slope(f: Jet, g: Jet) -> float:
@@ -189,7 +213,7 @@ def are_from_moments(tag: str, x: float) -> float:
     ax = _check_open_unit(x)
     num, den = _MOMENTS[pair(tag).tag]
     m1, m2 = den(ax), num(ax)
-    return (m2.sigma2 / m1.sigma2) * (m1.dmu / m2.dmu) ** 2
+    return (m2.sigma2 / m1.sigma2) * _pow(m1.dmu / m2.dmu, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +230,7 @@ class QuadCoeffs:
     q: float
 
     def __call__(self, x: float) -> float:
+        """The bound at x, a float or (elementwise) an array."""
         t = abs(x) - self.a
         return self.b + self.c * t + self.q * t * t
 
@@ -252,12 +277,14 @@ def q(tag: str, a: int, x: float) -> float:
     is the endpoint series with its first two terms dropped.
     """
     line = quad_bounds(tag, a)[0]
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"q needs x in (0, 1), got {x!r}")
-    t = x - a
-    if abs(t) <= SERIES_RADIUS:
-        return Jet(0.0, _series(tag, a).coeffs[2:])(t)
-    return (are(tag, x) - line.b - line.c * t) / (t * t)
+    x = _domain(x, lambda v: (0.0 < v) & (v < 1.0), "q needs x in (0, 1)")
+
+    def direct(v):
+        t = v - a
+        return (are(tag, v) - line.b - line.c * t) / (t * t)
+
+    series = Jet(0.0, _series(tag, a).coeffs[2:])
+    return _branch(abs(x - a) <= SERIES_RADIUS, x, lambda v: series(v - a), direct)
 
 
 @dataclass(frozen=True)
@@ -307,6 +334,10 @@ def quartic_bounds_rs(x: float) -> tuple[float, float]:
         lo_ts, up_ts = quad_bounds("TS", a)
         lowers.append(lo_rt(ax) * lo_ts(ax))
         uppers.append(up_rt(ax) * up_ts(ax))
+    if isinstance(ax, np.ndarray):
+        # Python's max and min of two, elementwise.
+        (l0, l1), (u0, u1) = lowers, uppers
+        return np.where(l1 > l0, l1, l0), np.where(u1 < u0, u1, u0)
     return max(lowers), min(uppers)
 
 

@@ -4,6 +4,10 @@ All moment functions take the population correlation rho in (-1, 1) and
 return closed-form values; the Spearman variance is the one quantity
 that needs quadrature (four smooth integrals on [0, |rho|]), to a fixed
 absolute tolerance of 1e-12, with its values memoized per x = |rho|.
+rho may also be a 1-D float64 array: every field of the result is then
+an array whose elements are bitwise the float values, because powers,
+arcsines and square roots go through `_pow`, `_arcsine` and `_sqrt`,
+which compute each element as the float path does.
 First derivatives are analytic throughout: the integral terms differentiate
 by the fundamental theorem of calculus, so no numerical differentiation
 happens anywhere in this module.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -44,16 +49,43 @@ _INTEGRAL_TOL = 1e-12 / 66.0
 
 @dataclass(frozen=True)
 class MomentSet:
+    """Mean, its derivative in rho, and asymptotic variance: floats, or
+    arrays over an array of rho."""
+
     mu: float
     dmu: float
     sigma2: float
 
 
+def _domain(x, ok: Callable, message: str):
+    """x once ok(x) holds, or a 1-D array x as float64 once ok holds on each
+    element; else DomainError(f"{message}, got {v!r}") for the first v that fails."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1:
+            raise DomainError(f"need a float or a 1-D array, got shape {x.shape}")
+        x = x.astype(np.float64, copy=False)
+        good = ok(x)
+        if good.all():
+            return x
+        x = x.tolist()[good.tolist().index(False)]
+    elif ok(x):
+        return x
+    raise DomainError(f"{message}, got {x!r}")
+
+
+def _open_unit(v) -> bool:
+    return abs(v) < 1.0
+
+
 def _rho_value(rho: float) -> float:
-    v = float(rho)
-    if not (abs(v) < 1.0):
-        raise DomainError(f"|rho| must be < 1, got {v!r}")
-    return v
+    return _domain(float(rho), _open_unit, "|rho| must be < 1")
+
+
+def _rho_values(rho):
+    """_rho_value of a float, or of each element of a 1-D array."""
+    if isinstance(rho, np.ndarray):
+        return _domain(rho, _open_unit, "|rho| must be < 1")
+    return _rho_value(rho)
 
 
 def _asin(x: float) -> float:
@@ -216,19 +248,20 @@ def sigma_s2_jet(x0: float, order: int) -> Jet:
 
 def moments_r(rho: float) -> MomentSet:
     """Pearson R: mu = rho, sigma2 = (1 - rho^2)^2."""
-    v = _rho_value(rho)
+    v = _rho_values(rho)
     one_m = 1.0 - v * v
-    return MomentSet(mu=v, dmu=1.0, sigma2=one_m * one_m)
+    one = np.ones(len(v)) if isinstance(v, np.ndarray) else 1.0
+    return MomentSet(mu=v, dmu=one, sigma2=one_m * one_m)
 
 
 def moments_t(rho: float) -> MomentSet:
     """Kendall T: mu = (2/pi) asin(rho)."""
-    v = _rho_value(rho)
+    v = _rho_values(rho)
     pi = math.pi
-    half = _asin(0.5 * v)
+    half = _arcsine(0.5 * v)
     return MomentSet(
-        mu=(2.0 / pi) * _asin(v),
-        dmu=2.0 / (pi * math.sqrt(1.0 - v * v)),
+        mu=(2.0 / pi) * _arcsine(v),
+        dmu=2.0 / (pi * _sqrt(1.0 - v * v)),
         sigma2=4.0 / 9.0 - (16.0 / pi**2) * half * half,
     )
 
@@ -240,12 +273,13 @@ def moments_s(rho: float) -> MomentSet:
     RHO_CAP = 1 - 1e-12 are evaluated at the cap (documented behavior
     near the endpoint).
     """
-    v = _rho_value(rho)
-    x = min(abs(v), RHO_CAP)
+    v = _rho_values(rho)
+    ax = abs(v)
+    x = np.where(ax > RHO_CAP, RHO_CAP, ax) if isinstance(v, np.ndarray) else min(ax, RHO_CAP)
     pi = math.pi
     return MomentSet(
-        mu=(6.0 / pi) * _asin(0.5 * v),
-        dmu=3.0 / (pi * math.sqrt(1.0 - 0.25 * v * v)),
+        mu=(6.0 / pi) * _arcsine(0.5 * v),
+        dmu=3.0 / (pi * _sqrt(1.0 - 0.25 * v * v)),
         sigma2=sigma_s2(x),
     )
 

@@ -8,8 +8,11 @@ last ratio.  `ChainNode.jets` evaluates node i in one pass up this
 recursion: it expands f0 and g0 as Taylor jets of order `order + i` and
 differentiates and multiplies i times, so f_i and g_i come out together
 and nested differentiation is exact to rounding.  On an array of points
-one pass gives the whole grid, bitwise equal to the pass at each point,
-and `tabulated` hands it to `classify_sign`.  Only the RT chain is
+one pass gives the whole grid, bitwise equal to the pass at each point.
+`scan_signs` reads the sign pattern of such a pass; `verify` needs only
+that.  `reduce` also prints where each sign changes, so it hands the pass
+to `classify_sign` through `tabulated`, whose scalar fallback evaluates
+the root bisection's midpoints.  Only the RT chain is
 available: the multiplier lists for the other two pairs are not
 published in reproducible form, so nothing is guessed here.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "build_chain_rt",
     "classify_sign",
     "classify_monotone",
+    "scan_signs",
     "rho_tilde",
     "SIGN_FLOOR",
 ]
@@ -123,31 +127,41 @@ def tabulated(xs: list[float], values: np.ndarray, fallback: ScalarFun) -> Scala
     return lambda x: table[x] if x in table else fallback(x)
 
 
-def classify_sign(h: ScalarFun, lo: float, hi: float, grid: int) -> SignPattern:
-    """Sign pattern of h on (lo, hi); roots refined by bisection.
+def scan_signs(xs: list[float], values: Iterable[float]) -> tuple[str, list[tuple[int, float]]]:
+    """The sign pattern of values on the grid xs, read in grid order, and
+    for each sign change the index j and value of the point before it.
 
-    A grid value with |h| < SIGN_FLOOR raises Indeterminate: pattern
-    claims are sign claims, so a value too close to zero must fail the
-    scan loudly rather than be skipped.
+    A value that is not finite or has |value| < SIGN_FLOOR raises
+    Indeterminate before any later value is read: pattern claims are
+    sign claims, so a value too close to zero must fail the scan loudly
+    rather than be skipped.
     """
+    symbols = ""
+    changes: list[tuple[int, float]] = []
+    before = 0.0
+    for j, (x, v) in enumerate(zip(xs, values)):
+        if not math.isfinite(v) or abs(v) < SIGN_FLOOR:
+            raise Indeterminate(f"|h({x!r})| = {v!r} too small to carry a sign")
+        sign = "+" if v > 0.0 else "-"
+        if sign != symbols[-1:]:
+            if symbols:
+                changes.append((j - 1, before))
+            symbols += sign
+        before = v
+    return symbols, changes
+
+
+def classify_sign(h: ScalarFun, lo: float, hi: float, grid: int) -> SignPattern:
+    """Sign pattern of h on (lo, hi) by `scan_signs` on the interior grid;
+    roots refined by bisection."""
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid!r}")
     if not (lo < hi):
         raise ValueError("require lo < hi")
     pts = interior_grid(lo, hi, grid)
-    vals: list[float] = []
-    for x in pts:
-        v = h(x)
-        if not math.isfinite(v) or abs(v) < SIGN_FLOOR:
-            raise Indeterminate(f"|h({x!r})| = {v!r} too small to carry a sign")
-        vals.append(v)
-    symbols = ["+" if vals[0] > 0.0 else "-"]
-    breakpoints: list[float] = []
-    for i in range(1, len(pts)):
-        if (vals[i] > 0.0) != (vals[i - 1] > 0.0):
-            symbols.append("+" if vals[i] > 0.0 else "-")
-            breakpoints.append(bisect_root(h, pts[i - 1], pts[i], vals[i - 1]))
-    return SignPattern(symbols="".join(symbols), breakpoints=tuple(breakpoints))
+    symbols, changes = scan_signs(pts, map(h, pts))
+    breakpoints = tuple(bisect_root(h, pts[j], pts[j + 1], v) for j, v in changes)
+    return SignPattern(symbols=symbols, breakpoints=breakpoints)
 
 
 def classify_monotone(dh: ScalarFun, lo: float, hi: float, grid: int) -> MonotonePattern:

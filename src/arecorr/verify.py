@@ -2,7 +2,13 @@
 
 Each check gets a stable dotted name, a pass flag and a worst signed
 margin.  The grid is the interior scheme x_j = j/(grid+1), j = 1..grid,
-on (0, 1).  A check passes by one of three rules:
+on (0, 1).  Every grid check is an array pass: one call of `are`, `q`,
+the bounds or the moment assembly per pair and anchor gives the whole
+grid, bitwise equal to the calls at each point, and each worst margin
+is taken by Python's `min`/`max` over the list of slacks in grid order,
+as a loop over the points took it.  The sign patterns of the reduction
+trace are read by `scan_signs` from one jet pass per chain node, with no
+root bisection.  A check passes by one of three rules:
 
 - a strict check (monotonicity, ranges, sandwiches, the endgame) passes
   when its margin, the worst slack over the grid, is > 0;
@@ -33,7 +39,8 @@ from .are_bounds import (
     ratio_slope,
 )
 from .corrmath import sigma_s2
-from .reduction import build_chain_rt, classify_sign, interior_grid, rho_tilde, tabulated
+from .reduction import build_chain_rt, interior_grid, rho_tilde, scan_signs
+from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
 
@@ -70,8 +77,10 @@ def _check(name: str, margin: float, detail: str, passed: bool | None = None) ->
     return CheckResult(name, margin > 0.0 if passed is None else passed, margin, detail)
 
 
-def _strict_increase_margin(vals: list[float]) -> float:
-    return min(b - a for a, b in zip(vals, vals[1:]))
+def _worst(*slacks: np.ndarray) -> float:
+    """min(inf, s0[0], s1[0], ..., s0[1], s1[1], ...) by Python's min: the
+    least slack point by point in grid order, as a loop over the grid took it."""
+    return min(math.inf, *np.stack(slacks, axis=1).ravel().tolist())
 
 
 def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
@@ -81,8 +90,9 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     xs = interior_grid(0.0, 1.0, grid)
-    # One array quadrature pass; the float sigma_s2 calls below read the memo.
-    sigma_s2(np.array(xs))
+    x = np.array(xs)
+    # One array quadrature pass; every later sigma_s2 call reads the memo.
+    sigma_s2(x)
     results: list[CheckResult] = []
 
     # --- endpoint constants against closed forms --------------------------
@@ -95,20 +105,20 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         results.append(_check(name, ENDPOINT_TOL - diff, detail, diff <= ENDPOINT_TOL))
 
     # --- efficiency curves and the second-difference functions -------------
-    are_vals = {tag: [are(tag, x) for x in xs] for tag in PAIR_TAGS}
+    are_vals = {tag: are(tag, x) for tag in PAIR_TAGS}
     for tag in PAIR_TAGS:
-        margin = _strict_increase_margin(are_vals[tag])
+        margin = min(np.diff(are_vals[tag]).tolist())
         results.append(_check(f"are.monotone.{tag}", margin, f"min grid step {margin:.3e}"))
 
     for tag in PAIR_TAGS:
         for a in (0, 1):
-            qs = [q(tag, a, x) for x in xs]
-            margin = _strict_increase_margin(qs)
+            qs = q(tag, a, x)
+            margin = min(np.diff(qs).tolist())
             results.append(
                 _check(f"theorem1.q_monotone.{tag}.{a}", margin, f"min grid step {margin:.3e}")
             )
             lo, hi = (bound.q for bound in quad_bounds(tag, a))
-            margin = min(min(v - lo for v in qs), min(hi - v for v in qs))
+            margin = min(min((qs - lo).tolist()), min((hi - qs).tolist()))
             results.append(
                 _check(f"theorem1.q_range.{tag}.{a}", margin, f"q in ({lo:.6f}, {hi:.6f})")
             )
@@ -118,36 +128,30 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         for a in (0, 1):
             lower, upper = quad_bounds(tag, a)
             vals = are_vals[tag]
-            margin = min(
-                min(v - lower(x) for x, v in zip(xs, vals)),
-                min(upper(x) - v for x, v in zip(xs, vals)),
-            )
+            margin = min(min((vals - lower(x)).tolist()), min((upper(x) - vals).tolist()))
             detail = f"min slack {margin:.3e}"
             results.append(_check(f"bounds.sandwich.{tag}.{a}", margin, detail))
 
+    rs = are_vals["RS"]
     for a in (0, 1):
         (lo_rt, up_rt), (lo_ts, up_ts), (lo_rs, up_rs) = (quad_bounds(tag, a) for tag in PAIR_TAGS)
-        margin = math.inf
-        for x, v in zip(xs, are_vals["RS"]):
-            ltilde, utilde = lo_rt(x) * lo_ts(x), up_rt(x) * up_ts(x)
-            margin = min(margin, ltilde - lo_rs(x), v - ltilde, utilde - v, up_rs(x) - utilde)
+        ltilde, utilde = lo_rt(x) * lo_ts(x), up_rt(x) * up_ts(x)
+        margin = _worst(ltilde - lo_rs(x), rs - ltilde, utilde - rs, up_rs(x) - utilde)
         detail = f"min slack in quartic chain {margin:.3e}"
         results.append(_check(f"bounds.quartic.RS.{a}", margin, detail))
 
-    margin = math.inf
-    for x, v in zip(xs, are_vals["RS"]):
-        lo, hi = quartic_bounds_rs(x)
-        margin = min(margin, v - lo, hi - v)
+    lo, hi = quartic_bounds_rs(x)
+    margin = _worst(rs - lo, hi - rs)
     results.append(_check("bounds.quartic_combined.RS", margin, f"min slack {margin:.3e}"))
 
     # --- cross-pair and cross-module consistency ---------------------------
-    worst = max(abs(rs - rt * ts) for rt, ts, rs in zip(*are_vals.values()))
+    worst = max(abs(rs - are_vals["RT"] * are_vals["TS"]).tolist())
     detail = f"max |are_RS - are_RT*are_TS| = {worst:.3e}"
     results.append(_check("factorization.identity", tol - worst, detail, worst <= tol))
 
     for tag in PAIR_TAGS:
         p = pair(tag)
-        worst = max(abs(p.f(x) / p.g(x) - are_from_moments(tag, x)) for x in xs)
+        worst = max(abs(p.f(x) / p.g(x) - are_from_moments(tag, x)).tolist())
         detail = f"max |f/g - moment assembly| = {worst:.3e}"
         results.append(
             _check(f"consistency.moment_assembly.{tag}", tol - worst, detail, worst <= tol)
@@ -155,12 +159,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
 
     # --- reduction chain ----------------------------------------------------
     for a in (0, 1):
-        f4, g4 = build_chain_rt(a)[4].jets(np.array(xs), 1)
-        # Python's min in grid order, as the scalar scan took it (np.min
-        # treats NaN differently).
-        margin = math.inf
-        for vals in zip((-f4.value).tolist(), (-g4.value).tolist(), ratio_slope(f4, g4).tolist()):
-            margin = min(margin, *vals)
+        f4, g4 = build_chain_rt(a)[4].jets(x, 1)
+        margin = _worst(-f4.value, -g4.value, ratio_slope(f4, g4))
         detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
         results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
 
@@ -168,16 +168,16 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
 
 
 def _pattern_problems(nodes: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
-    """Classify each named f_i or g_i on xs, one array pass per node; one
-    line per pattern that is not the wanted one."""
-    funcs = {}
+    """The sign pattern of each named f_i or g_i on xs, scanned in the
+    order of `wants` from one array pass per node; one line per pattern
+    that is not the wanted one."""
+    values = {}
     for node in nodes:
         fj, gj = node.jets(np.array(xs))
-        funcs[f"f{node.index}"] = tabulated(xs, fj.value, node.f)
-        funcs[f"g{node.index}"] = tabulated(xs, gj.value, node.g)
+        values[f"f{node.index}"], values[f"g{node.index}"] = fj.value, gj.value
     problems = []
     for name, want in wants:
-        got = classify_sign(funcs[name], 0.0, 1.0, len(xs)).symbols
+        got = scan_signs(xs, values[name].tolist())[0]
         if got != want:
             problems.append(f"{name}: got {got!r}, want {want!r}")
     return problems

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import arecorr.are_bounds as ab
@@ -368,3 +369,87 @@ def test_richardson_extrapolation_cross_checks() -> None:
         lower, upper = quad_bounds(tag, a)
         assert richardson_q_limit(tag, a, 0) == pytest.approx(lower.q, abs=1e-5)
         assert richardson_q_limit(tag, a, 1) == pytest.approx(upper.q, abs=1e-4)
+
+
+# ------------------------------------------------------ the array form
+
+
+# Points at which numpy's plain `**2` in place of libm pow changes the
+# last bit of pair("RT").f (the first four), of pair("RS").g (the next
+# four) and of are_from_moments("RT", x) (the last four), found by a
+# scan of j/20001: the powers in are's f and g and in the moment
+# assembly decide the result there.
+_POW_SENSITIVE = [
+    j / 20001
+    for j in (12887, 16417, 17757, 18088, 1505, 2264, 4562, 5549, 453, 1574, 7022, 9844)
+]
+
+
+_R = ab.SERIES_RADIUS
+_SPECIAL = [0.0, 5e-324, 1e-300, 1e-8, 0.5 * _R, _R, 0.5, 1.0 - _R, 0.99, 0.995]
+_SPECIAL += [0.9999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
+# Both signs, -0.0 among them, within SERIES_RADIUS of 0 and of 1, and
+# random points in (-1, 1).
+_ARRAY_GRID = _SPECIAL + [-v for v in _SPECIAL] + _POW_SENSITIVE
+_ARRAY_GRID += (2.0 * np.random.default_rng(11).random(1500) - 1.0).tolist()
+_POSITIVE = [v for v in _ARRAY_GRID if v > 0.0]
+
+
+def _same_bits(array_values, float_values) -> None:
+    got = [v.hex() for v in array_values.tolist()]
+    assert got == [v.hex() for v in float_values]
+
+
+def test_the_grid_holds_points_where_each_power_decides_the_last_bit(monkeypatch) -> None:
+    # If a site stops going through `_pow`, or the points stop being
+    # sensitive, the parity tests below lose their power: rescan.
+    xs = np.array(_POW_SENSITIVE)
+    calls = (pair("RT").f, pair("RS").g, lambda v: are_from_moments("RT", v))
+    exact = [call(xs) for call in calls]
+    monkeypatch.setattr(ab, "_pow", lambda v, n: v**n)
+    for k, (call, want) in enumerate(zip(calls, exact)):
+        group = slice(4 * k, 4 * k + 4)
+        assert (call(xs)[group] != want[group]).all(), k
+
+
+@pytest.mark.parametrize("tag", PAIR_TAGS)
+def test_array_are_and_moment_assembly_have_the_bits_of_floats(tag: str) -> None:
+    xs = np.array(_ARRAY_GRID)
+    _same_bits(are(tag, xs), [are(tag, x) for x in _ARRAY_GRID])
+    _same_bits(are_from_moments(tag, xs), [are_from_moments(tag, x) for x in _ARRAY_GRID])
+
+
+@pytest.mark.parametrize("tag", PAIR_TAGS)
+def test_array_q_and_quadratic_bounds_have_the_bits_of_floats(tag: str) -> None:
+    xs, grid = np.array(_POSITIVE), np.array(_ARRAY_GRID)
+    for a in (0, 1):
+        _same_bits(q(tag, a, xs), [q(tag, a, x) for x in _POSITIVE])
+        for bound in quad_bounds(tag, a):
+            _same_bits(bound(grid), [bound(x) for x in _ARRAY_GRID])
+
+
+def test_array_quartic_bounds_have_the_bits_of_floats() -> None:
+    lo, hi = quartic_bounds_rs(np.array(_ARRAY_GRID))
+    want = [quartic_bounds_rs(x) for x in _ARRAY_GRID]
+    _same_bits(lo, [w[0] for w in want])
+    _same_bits(hi, [w[1] for w in want])
+
+
+def test_array_calls_refuse_any_element_outside_the_domain() -> None:
+    for bad in ([0.5, 1.0], [-1.0], [0.2, math.nan], [math.inf], [0.3, -1.5, 2.0]):
+        xs = np.array(bad)
+        first = next(v for v in bad if not abs(v) < 1.0)
+        for call in (
+            lambda: are("TS", xs),
+            lambda: are_from_moments("RS", xs),
+            lambda: quartic_bounds_rs(xs),
+        ):
+            with pytest.raises(DomainError, match=f"got {first!r}"):
+                call()
+    for bad in ([0.5, 0.0], [-0.0], [0.5, 1.0], [-0.3], [math.nan], [0.2, 0.4, 1.5]):
+        first = next(v for v in bad if not 0.0 < v < 1.0)
+        with pytest.raises(DomainError, match=f"got {first!r}"):
+            q("RT", 0, np.array(bad))
+    for call in (are, are_from_moments):
+        with pytest.raises(DomainError):
+            call("RT", np.array([[0.5]]))

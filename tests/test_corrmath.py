@@ -232,3 +232,29 @@ def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:
             sigma_s2(np.array(bad))
     with pytest.raises(DomainError):
         sigma_s2(np.array([[0.5]]))
+
+
+def test_array_moments_have_the_bits_of_floats() -> None:
+    # np.arcsin and numpy's `**` differ from math in the last bit on a
+    # fraction of inputs, so a thousand draws expose either.
+    rhos = [0.0, -0.0, 5e-324, 1e-8, 0.005, 0.5, 0.995, RHO_CAP, math.nextafter(1.0, 0.0)]
+    rhos += [-v for v in rhos] + (2.0 * np.random.default_rng(3).random(1000) - 1.0).tolist()
+    for maker in (moments_r, moments_t, moments_s):
+        got = maker(np.array(rhos))
+        want = [maker(v) for v in rhos]
+        for field in ("mu", "dmu", "sigma2"):
+            values = getattr(got, field)
+            assert isinstance(values, np.ndarray) and values.shape == (len(rhos),)
+            assert [v.hex() for v in values.tolist()] == [
+                getattr(w, field).hex() for w in want
+            ], (maker.__name__, field)
+
+
+def test_array_moments_refuse_any_element_outside_the_domain() -> None:
+    for maker in (moments_r, moments_t, moments_s):
+        for bad in ([0.5, 1.0], [-1.0], [0.2, math.nan, 2.0], [math.inf]):
+            first = next(v for v in bad if not abs(v) < 1.0)
+            with pytest.raises(DomainError, match=f"got {first!r}"):
+                maker(np.array(bad))
+        with pytest.raises(DomainError):
+            maker(np.array([[0.5]]))

@@ -17,6 +17,7 @@ from arecorr.reduction import (
     classify_sign,
     interior_grid,
     rho_tilde,
+    scan_signs,
     tabulated,
 )
 from arecorr.taylor import Jet
@@ -184,19 +185,49 @@ def test_classify_sign_constant_has_no_breakpoints() -> None:
     assert sp.breakpoints == ()
 
 
+def _scan_grid(h, grid: int) -> str:
+    """scan_signs of h's values on the interior grid, read from one array."""
+    xs = interior_grid(0.0, 1.0, grid)
+    return scan_signs(xs, np.array([h(x) for x in xs]).tolist())[0]
+
+
+def _rejected_at(h, grid: int, x: float, v: float) -> None:
+    """Both classify_sign and the shared scan refuse h at the grid point x,
+    the first bad one, with the same message."""
+    message = f"|h({x!r})| = {v!r} too small to carry a sign"
+    for scan in (lambda: classify_sign(h, 0.0, 1.0, grid), lambda: _scan_grid(h, grid)):
+        with pytest.raises(Indeterminate) as err:
+            scan()
+        assert str(err.value) == message
+
+
 def test_classify_sign_rejects_grid_values_too_close_to_zero() -> None:
     # grid=3 on (0, 1) places a point exactly at the root of x - 0.5.
-    with pytest.raises(Indeterminate):
-        classify_sign(lambda x: x - 0.5, 0.0, 1.0, 3)
-    with pytest.raises(Indeterminate):
-        classify_sign(lambda x: 1e-15, 0.0, 1.0, 10)
+    _rejected_at(lambda x: x - 0.5, 3, 0.5, 0.0)
+    _rejected_at(lambda x: 1e-15, 10, 1 / 11, 1e-15)
+    _rejected_at(lambda x: -1e-13 if x > 0.5 else 1.0, 10, 6 / 11, -1e-13)
 
 
 def test_classify_sign_rejects_non_finite_values() -> None:
-    with pytest.raises(Indeterminate):
-        classify_sign(lambda x: math.inf if x > 0.5 else 1.0, 0.0, 1.0, 10)
-    with pytest.raises(Indeterminate):
-        classify_sign(lambda x: math.nan, 0.0, 1.0, 10)
+    # |inf| >= SIGN_FLOOR, so a magnitude test alone would let +inf through.
+    _rejected_at(lambda x: math.inf if x > 0.5 else 1.0, 10, 6 / 11, math.inf)
+    _rejected_at(lambda x: -math.inf if x > 0.7 else -1.0, 10, 8 / 11, -math.inf)
+    _rejected_at(lambda x: math.nan, 10, 1 / 11, math.nan)
+
+
+def test_scan_stops_at_the_first_bad_value() -> None:
+    read = []
+
+    def values():
+        for v in (1.0, -2.0, 0.0, math.nan):
+            read.append(v)
+            yield v
+
+    with pytest.raises(Indeterminate, match=r"\|h\(0\.3\)\| = 0\.0 "):
+        scan_signs([0.1, 0.2, 0.3, 0.4], values())
+    assert read == [1.0, -2.0, 0.0]
+    symbols, changes = scan_signs([0.1, 0.2, 0.3, 0.4], [1.0, -2.0, -3.0, 4.0])
+    assert symbols == "+-+" and changes == [(0, 1.0), (2, -3.0)]
 
 
 def test_classify_sign_validates_window_and_grid() -> None:

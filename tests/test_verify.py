@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from arecorr import reduction
+from arecorr import reduction, verify
+from arecorr.reduction import ChainNode, build_chain_rt, classify_sign, interior_grid
 from arecorr.verify import MIN_GRID, CheckResult, run_checks
 
 
@@ -48,3 +49,29 @@ def test_trace_check_reports_a_third_stage_that_does_not_vanish_at_0(monkeypatch
     assert rt0.passed is False and rt0.margin == -1.0
     assert re.fullmatch(r"stage-3 at 0\+ = \d\.\d{3}e\+\d\d", rt0.detail), rt0.detail
     assert traces["reduction.trace.RT.1"].passed is True
+
+
+def test_checks_read_the_chain_from_array_passes_alone(monkeypatch) -> None:
+    # The scalar accessors are what root bisection evaluates; verify
+    # bisects nothing, so it must pass without them.
+    def refuse(self, x):
+        raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
+
+    monkeypatch.setattr(ChainNode, "f", refuse)
+    monkeypatch.setattr(ChainNode, "g", refuse)
+    results = run_checks(MIN_GRID)
+    assert len(results) == 38
+    assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("grid", [99, 499])
+def test_pattern_scan_agrees_with_classify_sign_on_every_node(grid: int) -> None:
+    xs = interior_grid(0.0, 1.0, grid)
+    for a in (0, 1):
+        nodes = build_chain_rt(a)
+        wants = [
+            (f"{name}{node.index}", classify_sign(getattr(node, name), 0.0, 1.0, grid).symbols)
+            for node in nodes
+            for name in "fg"
+        ]
+        assert verify._pattern_problems(nodes, xs, wants) == [], (a, wants)
