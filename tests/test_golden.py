@@ -73,6 +73,15 @@ def test_verify_grid499_stdout_matches_its_digest() -> None:
     assert hashlib.sha256(out).hexdigest() == VERIFY_GRID499_SHA256
 
 
+# `reduce` at ten times its default grid, pinned by digest for its size.
+REDUCE_GRID9999_SHA256 = "39ee4feee560ca593ba8f1790c57ec08c5a8c1ea7c13332d545a52c93e3f571d"
+
+
+def test_reduce_grid9999_stdout_matches_its_digest() -> None:
+    out = _stdout_of(["reduce", "--grid", "9999", "--format", "json"]).encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == REDUCE_GRID9999_SHA256
+
+
 # The `mc` benchmark workloads' stdout at the CLI's default seed, pinned by
 # their digests in bench/expected.json.
 MC_WORKLOAD_SHA256 = {
