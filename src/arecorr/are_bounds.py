@@ -17,6 +17,9 @@ root goes through corrmath's elementwise helpers, the series hand-offs
 near 1 and near each anchor are applied by mask, and a domain error on
 any element raises the float call's DomainError.
 
+`bisect_roots`, the one root bisection, serves `crossover` and, on many
+brackets in lockstep, `reduction.sign_pattern`.
+
 A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
 checked where they are first looked up: an unknown one raises
 DomainError through `pair` on a cache miss, and a cache holds only
@@ -44,7 +47,7 @@ __all__ = [
     "PiecewiseBounds",
     "PAIR_TAGS",
     "pair",
-    "bisect_root",
+    "bisect_roots",
     "are",
     "ratio_slope",
     "are_from_moments",
@@ -341,18 +344,26 @@ def quartic_bounds_rs(x: float) -> tuple[float, float]:
     return max(lowers), min(uppers)
 
 
-def bisect_root(h: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
-    """A sign change of h in [lo, hi], bisected to width 1e-10; flo = h(lo)."""
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
+def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
+    """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]).
+
+    Each step is one call of h on the array of midpoints of the brackets
+    still open.  A bracket stops when it is at most 1e-10 wide or h is 0
+    at its midpoint, so its root has the bits that bisecting it alone gives.
+    """
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    open_ = np.flatnonzero(hi - lo > 1e-10)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
         fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        up = (fm > 0.0) == (flo[open_] > 0.0)
+        lo[open_[up]], flo[open_[up]] = mid[up], fm[up]
+        hi[open_[~up]] = mid[~up]
+        zero = fm == 0.0
+        # A zero closes its bracket on the midpoint: 0.5 * (mid + mid) is mid.
+        lo[open_[zero]] = hi[open_[zero]] = mid[zero]
+        open_ = open_[hi[open_] - lo[open_] > 1e-10]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def crossover(tag: str, which: str) -> float:
@@ -364,7 +375,7 @@ def crossover(tag: str, which: str) -> float:
     b0 = quad_bounds(tag, 0)[idx]
     b1 = quad_bounds(tag, 1)[idx]
 
-    def diff(x: float) -> float:
+    def diff(x):
         return b0(x) - b1(x)
 
     lo, hi = 1e-6, 1.0 - 1e-6
@@ -375,4 +386,4 @@ def crossover(tag: str, which: str) -> float:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoBracket(f"no sign change of {w}0-{w}1 for {tag} on ({lo}, {hi})")
-    return bisect_root(diff, lo, hi, flo)
+    return bisect_roots(diff, [lo], [hi], [flo])[0]

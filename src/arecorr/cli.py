@@ -10,7 +10,8 @@ allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.
 
 `mc` draws each replicate once for all its rhos and evaluates R, S and
-T on it at each rho.
+T on it at each rho.  `reduce` evaluates the chain only by array jet
+passes: one on the grid, then one per lockstep bisection step.
 """
 
 from __future__ import annotations
@@ -27,14 +28,8 @@ import numpy as np
 
 from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
 from .errors import ArecorrError, DomainError, Indeterminate
-from .reduction import (
-    build_chain_rt,
-    classify_monotone,
-    classify_sign,
-    interior_grid,
-    rho_tilde,
-    tabulated,
-)
+from .reduction import build_chain_rt, interior_grid, rho_tilde, sign_pattern
+from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 from .stats_mc import DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
 
@@ -195,6 +190,11 @@ def _fmt_breaks(points: tuple[float, ...]) -> str:
     return ";".join(repr(b) for b in points)
 
 
+def _arrows(symbols: str) -> str:
+    """The monotonicity pattern of a function from the sign pattern of its slope."""
+    return symbols.replace("+", "↗").replace("-", "↘")
+
+
 def _cmd_reduce(args) -> int:
     if args.pair != "rt":
         raise _UsageError(
@@ -206,15 +206,16 @@ def _cmd_reduce(args) -> int:
     xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
         for node in build_chain_rt(a):
-            # One array pass gives f_i, g_i and r_i' on the whole grid.
+            # One array pass gives f_i, g_i and r_i' on the whole grid, and
+            # one array pass per bisection step gives them at the midpoints.
             fj, gj = node.jets(np.array(xs), 1)
-            f_sp = classify_sign(tabulated(xs, fj.value, node.f), 0.0, 1.0, args.grid)
-            g_sp = classify_sign(tabulated(xs, gj.value, node.g), 0.0, 1.0, args.grid)
+            fv, gv = fj.value.tolist(), gj.value.tolist()
+            f_sp = sign_pattern(node.f, xs, fv)
+            g_sp = sign_pattern(node.g, xs, gv)
             try:
                 slope = (fj / gj).coeffs[1]
-                dr = tabulated(xs, slope, lambda x: node.r_jet(x, 1).coeffs[1])
-                r_mp = classify_monotone(dr, 0.0, 1.0, args.grid)
-                r_sym, r_brk = r_mp.symbols, _fmt_breaks(r_mp.breakpoints)
+                r_sp = sign_pattern(lambda v: node.r_jet(v, 1).coeffs[1], xs, slope.tolist())
+                r_sym, r_brk = _arrows(r_sp.symbols), _fmt_breaks(r_sp.breakpoints)
             except (Indeterminate, ZeroDivisionError, OverflowError):
                 r_sym, r_brk = "", ""
             try:
@@ -231,8 +232,8 @@ def _cmd_reduce(args) -> int:
                     "g_breakpoints": _fmt_breaks(g_sp.breakpoints),
                     "r_pattern": r_sym,
                     "r_breakpoints": r_brk,
-                    "min_abs_f": min(map(abs, fj.value.tolist())),
-                    "min_abs_g": min(map(abs, gj.value.tolist())),
+                    "min_abs_f": min(map(abs, fv)),
+                    "min_abs_g": min(map(abs, gv)),
                     "rho_tilde_0": rt0,
                 }
             )

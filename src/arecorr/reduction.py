@@ -10,11 +10,11 @@ differentiates and multiplies i times, so f_i and g_i come out together
 and nested differentiation is exact to rounding.  On an array of points
 one pass gives the whole grid, bitwise equal to the pass at each point.
 `scan_signs` reads the sign pattern of such a pass; `verify` needs only
-that.  `reduce` also prints where each sign changes, so it hands the pass
-to `classify_sign` through `tabulated`, whose scalar fallback evaluates
-the root bisection's midpoints.  Only the RT chain is
-available: the multiplier lists for the other two pairs are not
-published in reproducible form, so nothing is guessed here.
+that.  `sign_pattern` also finds where each sign changes, for `reduce`:
+it bisects all the sign changes of one function in lockstep with
+`bisect_roots`, one array pass per step on all their midpoints.  Only
+the RT chain is available: the multiplier lists for the other two pairs
+are not published in reproducible form, so nothing is guessed here.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .are_bounds import bisect_root, pair, quad_bounds
+from .are_bounds import bisect_roots, pair, quad_bounds
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
@@ -33,21 +33,17 @@ __all__ = [
     "MULTIPLIERS",
     "ChainNode",
     "SignPattern",
-    "MonotonePattern",
     "interior_grid",
-    "tabulated",
     "build_chain_rt",
     "classify_sign",
-    "classify_monotone",
     "scan_signs",
+    "sign_pattern",
     "rho_tilde",
     "SIGN_FLOOR",
 ]
 
 # Grid values closer to zero than this cannot be assigned a sign.
 SIGN_FLOOR = 1e-12
-
-ScalarFun = Callable[[float], float]
 
 # The multipliers a_1..a_4, each positive on [0, 1].
 MULTIPLIERS: tuple[Callable[[Jet], Jet], ...] = (
@@ -108,23 +104,9 @@ class SignPattern:
     breakpoints: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MonotonePattern:
-    symbols: str  # over the two arrows
-    breakpoints: tuple[float, ...]
-
-
 def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     """The points lo + (hi - lo) j/(grid + 1), j = 1..grid, inside (lo, hi)."""
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
-
-
-def tabulated(xs: list[float], values: np.ndarray, fallback: ScalarFun) -> ScalarFun:
-    """h with h(xs[j]) = values[j] and h(x) = fallback(x) elsewhere, so a
-    scan of h reads its grid from one array pass and evaluates only its
-    bisection midpoints through the scalar `fallback`."""
-    table = dict(zip(xs, values.tolist()))
-    return lambda x: table[x] if x in table else fallback(x)
 
 
 def scan_signs(xs: list[float], values: Iterable[float]) -> tuple[str, list[tuple[int, float]]]:
@@ -151,24 +133,25 @@ def scan_signs(xs: list[float], values: Iterable[float]) -> tuple[str, list[tupl
     return symbols, changes
 
 
-def classify_sign(h: ScalarFun, lo: float, hi: float, grid: int) -> SignPattern:
-    """Sign pattern of h on (lo, hi) by `scan_signs` on the interior grid;
-    roots refined by bisection."""
+def sign_pattern(h: Callable, xs: list[float], values: Iterable[float]) -> SignPattern:
+    """Sign pattern of h's values on the grid xs by `scan_signs`, with each
+    sign change bisected by `bisect_roots`; h maps an array of points to
+    an array of values."""
+    symbols, changes = scan_signs(xs, values)
+    breakpoints = bisect_roots(
+        h, [xs[j] for j, _ in changes], [xs[j + 1] for j, _ in changes], [v for _, v in changes]
+    )
+    return SignPattern(symbols=symbols, breakpoints=tuple(breakpoints))
+
+
+def classify_sign(h: Callable[[float], float], lo: float, hi: float, grid: int) -> SignPattern:
+    """Sign pattern of the scalar function h on the interior grid of (lo, hi)."""
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid!r}")
     if not (lo < hi):
         raise ValueError("require lo < hi")
     pts = interior_grid(lo, hi, grid)
-    symbols, changes = scan_signs(pts, map(h, pts))
-    breakpoints = tuple(bisect_root(h, pts[j], pts[j + 1], v) for j, v in changes)
-    return SignPattern(symbols=symbols, breakpoints=breakpoints)
-
-
-def classify_monotone(dh: ScalarFun, lo: float, hi: float, grid: int) -> MonotonePattern:
-    """Arrow pattern of a function from the sign pattern of its derivative dh."""
-    sp = classify_sign(dh, lo, hi, grid)
-    arrows = sp.symbols.replace("+", "↗").replace("-", "↘")
-    return MonotonePattern(symbols=arrows, breakpoints=sp.breakpoints)
+    return sign_pattern(lambda m: np.array([h(x) for x in m.tolist()]), pts, map(h, pts))
 
 
 def rho_tilde(node: ChainNode, x: float) -> float:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 from arecorr import cli
 from arecorr.cli import main
 from arecorr.errors import Indeterminate
+from arecorr.reduction import ChainNode
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -231,6 +235,23 @@ def test_reduce_reports_the_documented_chain_diagnostics(capsys) -> None:
     root = by_key[("0", "0")]
     assert root["f_pattern"] == "+" and root["g_pattern"] == "+"
     assert root["r_pattern"] == "↗"
+
+
+def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> None:
+    # Grid values and bisection midpoints both come from array passes, so
+    # reduce must give its golden bytes with the accessors refusing a float.
+    for name in ("f", "g", "r_jet"):
+        accessor = getattr(ChainNode, name)
+
+        def arrays_only(self, x, *rest, accessor=accessor):
+            if not isinstance(x, np.ndarray):
+                raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
+            return accessor(self, x, *rest)
+
+        monkeypatch.setattr(ChainNode, name, arrays_only)
+    rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / "reduce_grid99.csv").read_bytes()
 
 
 def test_reduce_refuses_pairs_without_published_chains(capsys) -> None:

@@ -7,18 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
+from arecorr.are_bounds import bisect_roots, endpoint_constants, q, quad_bounds, ratio_slope
+from arecorr.cli import _arrows
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
     ChainNode,
     build_chain_rt,
-    classify_monotone,
     classify_sign,
     interior_grid,
     rho_tilde,
     scan_signs,
-    tabulated,
+    sign_pattern,
 )
 from arecorr.taylor import Jet
 
@@ -167,9 +167,9 @@ def test_endgame_final_ratio_is_increasing() -> None:
 def test_root_ratio_is_monotone_increasing() -> None:
     for a in (0, 1):
         root = build_chain_rt(a)[0]
-        mp = classify_monotone(_slope(root), 0.05, 0.95, 199)
-        assert mp.symbols == "↗"
-        assert mp.breakpoints == ()
+        sp = classify_sign(_slope(root), 0.05, 0.95, 199)
+        assert _arrows(sp.symbols) == "↗"
+        assert sp.breakpoints == ()
 
 
 def test_classify_sign_finds_a_simple_crossing() -> None:
@@ -239,14 +239,14 @@ def test_classify_sign_validates_window_and_grid() -> None:
         classify_sign(lambda x: 1.0, 0.5, 0.5, 10)
 
 
-def test_classify_monotone_maps_derivative_signs_to_arrows() -> None:
+def test_arrows_map_derivative_signs_to_monotonicity() -> None:
     def parabola_slope(x0: float) -> float:
         return ((Jet.variable(x0, 1) - 0.5) ** 2).coeffs[1]
 
-    mp = classify_monotone(parabola_slope, 0.0, 1.0, 1000)
-    assert mp.symbols == "↘↗"
-    assert len(mp.breakpoints) == 1
-    assert mp.breakpoints[0] == pytest.approx(0.5, abs=1e-9)
+    sp = classify_sign(parabola_slope, 0.0, 1.0, 1000)
+    assert _arrows(sp.symbols) == "↘↗"
+    assert len(sp.breakpoints) == 1
+    assert sp.breakpoints[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_rho_tilde_sign_tracks_the_ratio_derivative() -> None:
@@ -331,17 +331,92 @@ def test_array_pass_holds_the_bits_of_the_pass_at_each_point() -> None:
                         ], (a, node.index, order, k)
 
 
-def test_tabulated_reads_the_grid_and_evaluates_elsewhere() -> None:
-    node = build_chain_rt(1)[3]
-    xs = interior_grid(0.0, 1.0, 99)
-    calls = []
+def _bisect_root(h, lo: float, hi: float, flo: float) -> float:
+    """The scalar bisection loop that `bisect_roots` must reproduce per bracket."""
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    def fallback(x: float) -> float:
-        calls.append(x)
-        return node.f(x)
 
-    h = tabulated(xs, node.jets(np.array(xs))[0].value, fallback)
-    assert [h(x) for x in xs] == [node.f(x) for x in xs]
-    assert calls == []
-    assert h(0.123) == node.f(0.123) and calls == [0.123]
-    assert classify_sign(h, 0.0, 1.0, 99) == classify_sign(node.f, 0.0, 1.0, 99)
+def _cubic(x):
+    """A function of floats and arrays alike, with roots 0.2, 0.55 and 2.3."""
+    return (x - 0.2) * (x - 0.55) * (x - 2.3)
+
+
+def _half(x):
+    return x - 0.5
+
+
+@pytest.mark.parametrize(
+    "h, brackets",
+    [
+        # Widths 0.25, 0.03 and 2 take different step counts; the first and
+        # last start from a negative h(lo), the second from a positive one.
+        (_cubic, [(0.1, 0.35), (0.53, 0.56), (1.0, 3.0)]),
+        # Already at most 1e-10 wide: no step, the midpoint as it stands.
+        (_cubic, [(0.2 - 3e-11, 0.2 + 4e-11), (1.0, 3.0)]),
+        # The first midpoint is an exact zero, which ends that bracket alone.
+        (_half, [(0.0, 1.0)]),
+        (_half, [(0.0, 1.0), (0.25, 0.625), (0.3, 0.7), (0.5 - 2**-40, 0.75)]),
+    ],
+    ids=["unequal-widths", "already-narrow", "zero-midpoint", "zero-among-others"],
+)
+def test_bisect_roots_gives_the_scalar_loop_bits_on_every_bracket(h, brackets) -> None:
+    lo, hi = (list(ends) for ends in zip(*brackets))
+    flo = [h(v) for v in lo]
+    got = bisect_roots(h, lo, hi, flo)
+    want = [_bisect_root(h, *args) for args in zip(lo, hi, flo)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_bisect_roots_of_no_brackets_evaluates_nothing() -> None:
+    def refuse(m):
+        raise AssertionError(f"h called on {m!r}")
+
+    assert bisect_roots(refuse, [], [], []) == []
+
+
+def _scalar_pattern(h, xs: list[float]) -> tuple[str, tuple[float, ...]]:
+    """Sign pattern and roots of h point by point: the oracle of `sign_pattern`."""
+    symbols, changes = scan_signs(xs, [h(x) for x in xs])
+    return symbols, tuple(_bisect_root(h, xs[j], xs[j + 1], v) for j, v in changes)
+
+
+def _node_functions(node: ChainNode, xs: list[float]):
+    """(name, function of a point or an array, values of one grid pass) for f_i, g_i, r_i'."""
+    fj, gj = node.jets(np.array(xs), 1)
+    return [
+        ("f", node.f, fj.value),
+        ("g", node.g, gj.value),
+        ("r'", lambda x: node.r_jet(x, 1).coeffs[1], (fj / gj).coeffs[1]),
+    ]
+
+
+@pytest.mark.parametrize("grid", [99, 499])
+def test_sign_pattern_breakpoints_are_the_scalar_bisection_bits(grid: int) -> None:
+    xs = interior_grid(0.0, 1.0, grid)
+    for a in (0, 1):
+        for node in build_chain_rt(a):
+            for name, h, values in _node_functions(node, xs):
+                got = sign_pattern(h, xs, values.tolist())
+                symbols, roots = _scalar_pattern(h, xs)
+                assert got.symbols == symbols, (a, node.index, name)
+                assert [v.hex() for v in got.breakpoints] == [v.hex() for v in roots]
+
+
+def test_sign_pattern_bisects_two_slope_roots_in_lockstep() -> None:
+    # At grid 9999, r_0' at anchor 1 changes sign twice near x = 1.
+    xs = interior_grid(0.0, 1.0, 9999)
+    _, h, values = _node_functions(build_chain_rt(1)[0], xs)[2]
+    got = sign_pattern(h, xs, values.tolist())
+    symbols, changes = scan_signs(xs, values.tolist())
+    want = [_bisect_root(h, xs[j], xs[j + 1], v) for j, v in changes]
+    assert got.symbols == symbols == "+-+"
+    assert [v.hex() for v in got.breakpoints] == [v.hex() for v in want]

@@ -52,8 +52,8 @@ def test_trace_check_reports_a_third_stage_that_does_not_vanish_at_0(monkeypatch
 
 
 def test_checks_read_the_chain_from_array_passes_alone(monkeypatch) -> None:
-    # The scalar accessors are what root bisection evaluates; verify
-    # bisects nothing, so it must pass without them.
+    # verify reads every chain value from its node passes and bisects
+    # nothing, so it must pass without the accessors.
     def refuse(self, x):
         raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
 
