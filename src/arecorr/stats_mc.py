@@ -18,10 +18,9 @@ yields a prefix of a larger n's sample at the same key.
 Monte Carlo works on blocks of replicates held as (rows, n) arrays:
 one generator re-keyed per row fills the block's words, one
 inverse-CDF call maps them to x and z, and x is ranked once.  Each rho
-then forms its own y from x and z, R comes from batched row dot
-products and S and T from exact integer rank counts.  The per-sample
-sampler and estimators are the same code on a one-row block, so each
-replicate's values are theirs bit for bit.
+forms its y from x and z; R comes from batched row dot products, S and
+T from one argsort of y and exact integer counts.  The per-sample code
+is this code on a one-row block, so replicates match it bit for bit.
 """
 
 from __future__ import annotations
@@ -266,8 +265,8 @@ def _kendall_value(n: int, inversions: int) -> float:
     return (c2 - 2 * inversions) / c2
 
 
-def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(argsort, "<" counts, tie flag) of each row of a (rows, n) array.
+def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """("<" counts, tie flag) of each row of a (rows, n) array.
 
     In sorted order the count L_i = #{j : v_j < v_i} is the position of
     the start of the run of values equal to v_i; on a tie-free row the
@@ -283,34 +282,33 @@ def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.maximum.accumulate(starts, axis=1, out=starts)
     counts = np.empty_like(order)
     np.put_along_axis(counts, order, starts, 1)
-    return order, counts, ~run_start.all(axis=1)
+    return counts, ~run_start.all(axis=1)
 
 
 def _inversions(seq: np.ndarray) -> np.ndarray:
     """#{p < q : seq_p >= seq_q} for each row of a (rows, n) array of
     integers in 0..n, by bottom-up merge sort over all rows at once.
 
-    At each level a value v becomes the key 2v + 1 in the left half of
-    its block and 2v in the right half, and sorting a block merges its
-    halves.  A left key at merged position p with i left keys before it
-    has p - i right values <= its own, so the block's count is the sum
-    of the left positions minus size * (size - 1) / 2.  The first three
-    levels are one direct count of the pairs inside each block of 8 and
-    one sort.  Rows are padded to a power of two, at least 8, with the
-    increasing sentinels n + 1, n + 2, ..., which add no pairs; blocks
-    never straddle rows.
+    The pairs inside each block of 8 are counted directly, on a copy
+    holding the blocks' 8 columns as contiguous rows, and the blocks are
+    sorted.  At each later level a value v becomes the key 2v + 1 in the
+    left half of its block and 2v in the right half, and sorting a block
+    merges its halves.  A left key at merged position p with i left keys
+    before it has p - i right values <= its own, so the block's count is
+    the sum of the left positions minus size * (size - 1) / 2.  Rows are
+    padded to a power of two, at least 8, with the increasing sentinels
+    n + 1, n + 2, ..., which add no pairs; blocks never straddle rows.
     """
     rows, n = seq.shape
-    total = np.zeros(rows, dtype=np.int64)
-    if n < 2:
-        return total
     m = max(8, 1 << (n - 1).bit_length())
     work = np.empty((rows, m), dtype=np.int64)
     work[:, :n] = seq
     work[:, n:] = np.arange(n + 1, m + 1)
     cube = work.reshape(rows, -1, 8)
-    for d in range(1, 8):
-        total += (cube[..., :-d] >= cube[..., d:]).sum(axis=(1, 2))
+    columns = cube.reshape(-1, 8).T.copy()
+    pairs = np.concatenate([columns[i] >= columns[i + 1 :] for i in range(7)])
+    total = pairs.sum(axis=0).reshape(rows, -1).sum(axis=1)
+    del columns, pairs
     cube.sort(axis=2)
     size = 8
     while size < m:
@@ -329,27 +327,29 @@ def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
     """(2, rows) array of S and T of each row of two (rows, n) arrays, n >= 2,
     given ranked_x = _ranked_rows(x), which is left unchanged.
 
-    S comes from the row sums A of products of "<" counts.  T counts the
-    pairs that are not strictly concordant as the pairs p < q whose y
-    counts in x order have L_p >= L_q, which needs each run of equal x
-    in descending y: rows with an x tie are sorted again that way, in a
-    copy of the x order.  Both counts are exact integers.  A block with
-    a tie warns once.
+    y is sorted, not ranked: w lists the x counts in ascending y.  On a
+    tie-free row A = sum_i Lx_i Ly_i is w @ (0..n-1), and the pairs that
+    are not strictly concordant are w's inversions.  A row with a tie in
+    either coordinate takes its y counts from its sorted y instead, and
+    w lists them in x order, each run of equal x in descending y.  Both
+    counts are exact integers.  A block with a tie warns once.
     """
-    rows, n = x.shape
-    ox, rx, tied_x = ranked_x
-    ry, tied_y = _ranked_rows(y)[1:]
-    if tied_x.any() or tied_y.any():
+    n = x.shape[1]
+    x_counts, tied_x = ranked_x
+    y_order = np.argsort(y, axis=1)
+    y_sorted = np.take_along_axis(y, y_order, axis=1)
+    tied = tied_x | ~(y_sorted[:, 1:] != y_sorted[:, :-1]).all(axis=1)
+    w = np.take_along_axis(x_counts, y_order, axis=1)
+    del y_order, y_sorted
+    totals = w @ np.arange(n)
+    if tied.any():
         warnings.warn("tied coordinates present; S counts smaller values", TiesPresent)
-        ox = ox.copy()
-        for k in np.flatnonzero(tied_x):
-            ox[k] = np.lexsort((-ry[k], x[k]))
-    totals = np.einsum("ij,ij->i", rx, ry)
-    inversions = _inversions(np.take_along_axis(ry, ox, axis=1))
-    out = np.empty((2, rows))
-    for k, (total, count) in enumerate(zip(totals.tolist(), inversions.tolist())):
-        out[:, k] = _spearman_value(n, total), _kendall_value(n, count)
-    return out
+        for k in np.flatnonzero(tied):
+            y_counts = np.searchsorted(np.sort(y[k]), y[k])
+            totals[k] = x_counts[k] @ y_counts
+            w[k] = y_counts[np.lexsort((-y[k], x[k]))]
+    spearman = [_spearman_value(n, a) for a in totals.tolist()]
+    return np.array([spearman, [_kendall_value(n, c) for c in _inversions(w).tolist()]])
 
 
 def _sample_st(s: BivariateSample) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from arecorr import stats_mc
-from arecorr.corrmath import moments_s, mu_s_finite_n
+from arecorr.corrmath import moments_s, moments_t, mu_s_finite_n
 from arecorr.errors import DegenerateSample, DomainError, TiesPresent
 from arecorr.stats_mc import (
     DEFAULT_SEED,
@@ -542,6 +542,53 @@ def test_row_inversion_counts_match_the_kernel_sum(rows) -> None:
         assert count == round(c2 * (1.0 - brute) / 2.0)
 
 
+def _strided_inversions(seq: np.ndarray) -> np.ndarray:
+    """Reference merge count: the pairs inside each block of 8 by seven
+    strided compares of the padded rows, then the same merge levels."""
+    rows, n = seq.shape
+    m = max(8, 1 << (n - 1).bit_length())
+    work = np.empty((rows, m), dtype=np.int64)
+    work[:, :n] = seq
+    work[:, n:] = np.arange(n + 1, m + 1)
+    cube = work.reshape(rows, -1, 8)
+    total = np.zeros(rows, dtype=np.int64)
+    for d in range(1, 8):
+        total += (cube[..., :-d] >= cube[..., d:]).sum(axis=(1, 2))
+    cube.sort(axis=2)
+    size = 8
+    while size < m:
+        keys = work.reshape(-1, 2 * size)
+        keys <<= 1
+        keys[:, :size] += 1
+        keys.sort(axis=1)
+        positions = (keys & 1) @ np.arange(2 * size, dtype=np.int64)
+        total += (positions - size * (size - 1) // 2).reshape(rows, -1).sum(axis=1)
+        keys >>= 1
+        size *= 2
+    return total
+
+
+# The hypothesis test above stops at n = 65; these are mc-large's n and
+# the lengths around a power of two, where the padding changes.
+@pytest.mark.parametrize("n", [1000, 1024, 1025, 4097])
+def test_inversions_at_long_rows_match_the_strided_count(n) -> None:
+    rng = np.random.default_rng(n)
+    block = np.array(
+        [
+            rng.permutation(n),
+            rng.permutation(n),
+            np.arange(n)[::-1],
+            rng.integers(0, n + 1, n),
+            rng.integers(0, 4, n),
+            np.full(n, n // 2),
+        ]
+    )
+    counts = stats_mc._inversions(block)
+    assert np.array_equal(counts, _strided_inversions(block))
+    c2 = n * (n - 1) // 2
+    assert counts[2] == counts[5] == c2  # every pair is an inversion
+
+
 def test_block_values_on_tied_rows_match_the_oracles() -> None:
     x, z = stats_mc._normal_rows(12, DEFAULT_SEED, range(4))
     y = stats_mc._correlated(x, z, 0.4)
@@ -572,6 +619,32 @@ def test_a_shared_x_ranking_serves_every_rho_of_a_tied_block() -> None:
         for v, want in zip(ranked_x, saved):
             assert np.array_equal(v, want), rho
         for k in range(5):
+            s = BivariateSample(x=x[k], y=y[k])
+            assert values[0, k] == _spearman_oracle(s), (rho, k)
+            assert values[1, k] == kendall_t_brute(s), (rho, k)
+
+
+@pytest.mark.parametrize("rows, n", [(8, 1000), (163, 50)])
+def test_block_values_at_mc_block_shapes_match_the_oracles(rows, n) -> None:
+    # The block shapes of mc-large and mc-small.  Rows cycle through
+    # tie-free, x tied, y tied and both tied; rounding to half units
+    # makes many runs of equal values, and equal pairs in both.
+    x, z = stats_mc._normal_rows(n, DEFAULT_SEED, range(rows))
+    x[1::2] = np.round(2.0 * x[1::2])
+    ranked_x = stats_mc._ranked_rows(x)
+    saved = [v.copy() for v in ranked_x]
+    assert np.array_equal(ranked_x[1], np.arange(rows) % 2 == 1)
+    for rho in (0.6, -0.9):
+        y = stats_mc._correlated(x, z, rho)
+        y[2::4] = np.round(2.0 * y[2::4])
+        y[3::4] = np.round(2.0 * y[3::4])
+        assert np.array_equal(stats_mc._ranked_rows(y)[1], np.arange(rows) % 4 >= 2)
+        with pytest.warns(TiesPresent) as record:
+            values = stats_mc._block_st(x, y, ranked_x)
+        assert len(record) == 1
+        for v, want in zip(ranked_x, saved):
+            assert np.array_equal(v, want), rho
+        for k in range(rows):
             s = BivariateSample(x=x[k], y=y[k])
             assert values[0, k] == _spearman_oracle(s), (rho, k)
             assert values[1, k] == kendall_t_brute(s), (rho, k)
@@ -632,3 +705,27 @@ def test_mc_mean_for_s_is_centered_at_the_finite_n_mean() -> None:
     err_limit = abs(rep.mean_hat - moments_s(0.5).mu)
     assert err_finite < err_limit
     assert err_finite <= 4.0 * rep.se_mean
+
+
+def _kendall_n_var(rho: float, n: int) -> float:
+    """Exact n * Var(T_n) = 2/(n-1) * ((n-2) sigma_T^2 / 2 + 1 - tau^2).
+
+    T is a degree-2 U-statistic whose kernel takes only the values -1
+    and 1, so zeta_2 = 1 - tau^2, and 4 zeta_1 = sigma_T^2 (Hoeffding
+    1948).
+    """
+    ms = moments_t(rho)
+    return 2.0 / (n - 1) * ((n - 2) * ms.sigma2 / 2.0 + 1.0 - ms.mu * ms.mu)
+
+
+@pytest.mark.parametrize("n, reps", [(10, 100_000), (50, 20_000)])
+def test_mc_variance_of_t_is_its_exact_finite_n_variance(n, reps) -> None:
+    # At n = 10 and rho = 0 the exact value is 0.617 and the limit
+    # 0.444, so this checks T's variance where the asymptotic one fails.
+    assert math.isclose(_kendall_n_var(0.0, n), 2 * (2 * n + 5) / (9 * (n - 1)))
+    rhos = (0.0, 0.5, 0.9)
+    stats_mc.mc_replicates(rhos, n, reps, 7)  # one fill for every rho
+    for rho in rhos:
+        rep = mc_moments("T", rho, n, reps, seed=7)
+        z = (rep.var_hat_scaled - _kendall_n_var(rho, n)) / rep.se_var
+        assert abs(z) <= 4.0, (rho, z)
