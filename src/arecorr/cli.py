@@ -40,9 +40,10 @@ _ANCHOR_CHOICES = ("0", "1", "both")
 
 # `table` builds its rows in blocks of abscissae that fit in the sigma_s2
 # memo, each block's columns from one array call of `are` per pair; the
-# TS call fills the memo that the RS call reads.  Small blocks keep the
-# array temporaries small: with 4096, `table --grid 4999` peaked about
-# 0.1 MiB higher in RSS than with 256.
+# TS call fills the memo that the RS call reads.  `_render` keeps only
+# each block's text, so one block of row dicts is live at a time.  Small
+# blocks keep the array temporaries small: with 4096, `table --grid
+# 4999` peaked about 0.1 MiB higher in RSS than with 256.
 _TABLE_BLOCK = 256
 
 # `mc` reports its rhos in blocks that fit in the replicate memo, each
@@ -79,40 +80,52 @@ def _selected_anchors(flag: str) -> list[int]:
     return [0, 1] if flag == "both" else [int(flag)]
 
 
-def _render(rows: list[dict], fmt: str) -> str:
-    """Rows as JSON or CSV; every command emits at least one row, and the
-    first row's keys are the CSV columns."""
+def _render(blocks, fmt: str) -> list[str]:
+    """Blocks of rows as the parts of one JSON or CSV text; every command
+    emits at least one row, and the first row's keys are the CSV
+    columns.  Only each block's text is kept, not its rows."""
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        # Each block's items, as json.dumps of all rows would write them.
+        items = [json.dumps(block, indent=2)[2:-2] for block in blocks]
+        return ["[\n", ",\n".join(items), "\n]\n"]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    parts = []
+    for block in blocks:
+        if not parts:
+            writer.writerow(block[0])
+        writer.writerows(map(dict.values, block))
+        parts.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return parts
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(parts: list[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
+
+
+def _table_blocks(xs: list[float]):
+    """The rows of `table`, one block of _TABLE_BLOCK abscissae at a time."""
+    for i in range(0, len(xs), _TABLE_BLOCK):
+        block = xs[i : i + _TABLE_BLOCK]
+        x = np.array(block)
+        cols = [are(tag, x).tolist() for tag in PAIR_TAGS]
+        yield [
+            {"x": v, "are_rt": rt, "are_ts": ts, "are_rs": rs}
+            for v, rt, ts, rs in zip(block, *cols)
+        ]
 
 
 def _cmd_table(args) -> int:
     if args.grid < 2:
         raise _UsageError(f"--grid must be >= 2, got {args.grid}")
     xs = interior_grid(0.0, 1.0, args.grid)
-    rows = []
-    for i in range(0, len(xs), _TABLE_BLOCK):
-        block = xs[i : i + _TABLE_BLOCK]
-        x = np.array(block)
-        cols = [are(tag, x).tolist() for tag in PAIR_TAGS]
-        rows += [
-            {"x": v, "are_rt": rt, "are_ts": ts, "are_rs": rs}
-            for v, rt, ts, rs in zip(block, *cols)
-        ]
-    _write_out(_render(rows, args.format), args.out)
+    _write_out(_render(_table_blocks(xs), args.format), args.out)
     return 0
 
 
@@ -135,7 +148,7 @@ def _cmd_bounds(args) -> int:
                     "crossover_u": cross_u,
                 }
             )
-    _write_out(_render(rows, args.format), args.out)
+    _write_out(_render([rows], args.format), args.out)
     return 0
 
 
@@ -157,10 +170,10 @@ def _cmd_verify(args) -> int:
             for r in results
         ]
         lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        text = "\n".join(lines) + "\n"
+        parts = ["\n".join(lines) + "\n"]
     else:
-        text = _render([dataclasses.asdict(r) for r in results], args.format)
-    _write_out(text, args.out)
+        parts = _render([[dataclasses.asdict(r) for r in results]], args.format)
+    _write_out(parts, args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -182,7 +195,7 @@ def _cmd_mc(args) -> int:
             for stat in "RST"
         ]
     reports.sort(key=lambda rep: "RST".index(rep.stat))
-    _write_out(_render([dataclasses.asdict(rep) for rep in reports], args.format), args.out)
+    _write_out(_render([[dataclasses.asdict(rep) for rep in reports]], args.format), args.out)
     return 0
 
 
@@ -237,7 +250,7 @@ def _cmd_reduce(args) -> int:
                     "rho_tilde_0": rt0,
                 }
             )
-    _write_out(_render(rows, args.format), args.out)
+    _write_out(_render([rows], args.format), args.out)
     return 0
 
 

@@ -122,19 +122,33 @@ def _arcsine(v):
     return _asin(v)
 
 
-def _integrands(u):
+def _integrands(u, need=None):
     """The four Spearman-variance integrands at u: a list of four for a
     float or a jet, a (4, N) array for a 1-D float64 array, whose
-    elements are bitwise the float values."""
+    elements are bitwise the float values.
+
+    On an array, a (4, N) bool need limits the arcsines, most of the
+    work, to the entries it marks; the other entries are 0.0.  The powers
+    are taken on every node: few nodes need neither u**3 nor u**4.
+    """
     u2, u4 = _pow(u, 2), _pow(u, 4)
     root = _sqrt(4.0 - u2)
-    if isinstance(u, np.ndarray):
-        out = np.empty((4, len(u)))
-        for k in range(4):
-            out[k] = _arcsine(_arcsine_arg(k, u, u2, u4))
-        out /= root
-        return out
-    return [_arcsine(_arcsine_arg(k, u, u2, u4)) / root for k in range(4)]
+    if not isinstance(u, np.ndarray):
+        return [_arcsine(_arcsine_arg(k, u, u2, u4)) / root for k in range(4)]
+    out = np.empty((4, len(u)))
+    for k in range(4):
+        out[k] = _arcsine_arg(k, u, u2, u4)
+    # The arcsines are the call's peak in memory; the powers are not needed there.
+    del u2, u4
+    if need is None:
+        out = _arcsine(out.ravel()).reshape(4, -1)
+    else:
+        at = need.ravel().nonzero()[0]
+        args = out.take(at)
+        out.fill(0.0)
+        out.put(at, _arcsine(args))
+    out /= root
+    return out
 
 
 def _integrand(k: int, u):

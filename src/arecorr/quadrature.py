@@ -12,7 +12,9 @@ interval cap, exactly as if it ran alone; each round bisects the worst
 interval of every pair still above tolerance, evaluates each distinct
 popped interval once (the K integrands of a row often pop the same one)
 and calls the integrand once, on the nodes of all the new intervals as
-a 1-D float64 array.  `integrate` reads its one row and one value.  The
+a 1-D float64 array, with a mask of the integrands that each interval's
+pairs need.  The rule runs on all K integrands' columns at once.
+`integrate` reads its one row and one value.  The
 rule's sums run in the same order on every interval, the error
 estimate's power 1.5 is taken by libm's pow per element (as Python's
 float `**` takes it), and ordering is worst-first with a deterministic
@@ -74,15 +76,13 @@ _WGK = (
 # centre (-0.0, so that the centre node is the centre exactly), then
 # -_XGK[j], then +_XGK[j].
 _NODES = np.array((-0.0,) + tuple(-v for v in _XGK[:7]) + _XGK[:7])[:, None]
-# Weights over the node rows of `_paired` for resk, resabs and resg: the
-# Kronrod weights of the centre and then of each node pair twice, and
-# the Gauss weights of the centre and of the odd pairs, with zeros at
-# the even pairs.  Adding a zero term leaves a partial sum as it is, up
-# to the sign of an exact zero, which resg's only use |resk - resg|
-# does not see.
-_WK = np.array(_WGK[7:] + _WGK[:7])[:, None]
-_WGZ = (_WG[3], 0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
-_W3 = np.array((_WK[:, 0], _WK[:, 0], _WGZ))[..., None]
+# Weights over the rows of `_paired`: the Kronrod weights of the centre
+# and then of each node pair, and the Gauss weights of the centre and of
+# the odd pairs, with zeros at the even pairs.  Adding a zero term
+# leaves a partial sum as it is, up to the sign of an exact zero, which
+# resg's only use |resk - resg| does not see.
+_WK = np.array(_WGK[7:] + _WGK[:7])[:, None, None]
+_WGZ = np.array((_WG[3], 0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0))[:, None, None]
 
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
@@ -96,50 +96,59 @@ class Integral:
 
 
 def _paired(y: np.ndarray) -> np.ndarray:
-    """The centre row of y, then the sum of each pair of node rows, along
-    y's second-to-last axis."""
-    return np.concatenate((y[..., :1, :], y[..., 1:8, :] + y[..., 8:, :]), axis=-2)
+    """The centre row of node rows y, (15, K, m), then the sum of each pair
+    of node rows."""
+    return np.concatenate((y[:1], y[1:8] + y[8:]))
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+def _sum(w: np.ndarray, paired: np.ndarray) -> np.ndarray:
+    """The sum over the rows of paired, (8, K, m), weighted by w and added
+    left to right: the centre, then the pairs."""
+    terms = w * paired
+    return np.add.accumulate(terms, out=terms)[-1].copy()
+
+
+def _gk15(f: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, need=None):
     """One 15-point Kronrod pass on each interval [lo[i], hi[i]].
 
     f gives a (K, N) array of K integrands' values, or one value per
-    node for K = 1.  Returns a (2, K, m) array of the integrals and the
-    error estimates.
+    node for K = 1; a need mask, if given, is passed on as f's second
+    argument.  Returns a (2, K, m) array of the integrals and the error
+    estimates.
     """
     m = len(lo)
     centr = 0.5 * (lo + hi)
     hlgth = 0.5 * (hi - lo)
     # Node rows: the centre, then centr - absc[j], then centr + absc[j].
     x = (centr + _NODES * hlgth).ravel()
-    ys = np.asarray(f(x), dtype=np.float64)
-    finite = np.isfinite(ys)
-    if not finite.all():
-        at = int(np.argmin(finite.ravel()))
+    ys = np.asarray(f(x) if need is None else f(x, need), dtype=np.float64)
+    if not np.isfinite(ys).all():
+        at = int(np.argmin(np.isfinite(ys).ravel()))
         y, x0 = float(ys.flat[at]), float(x[at % x.size])
         raise NonFinite(f"integrand returned {y!r} at x={x0!r}")
-    out = np.empty((2, ys.size // (15 * m), m))
+    K = ys.size // x.size
+    # The rule on all K integrands and m intervals at once.  Each
+    # block-sized temporary is dropped once summed: they set the peak
+    # memory of `verify`.
+    y = ys.reshape(K, 15, m).transpose(1, 0, 2)
     ahl = np.abs(hlgth)
-    for k, y in enumerate(ys.reshape(-1, 15, m)):
-        # Each sum adds its terms left to right: the centre, then the pairs.
-        paired = _paired(np.concatenate((y, np.abs(y), y)).reshape(3, 15, m))
-        resk, resabs, resg = np.add.accumulate(_W3 * paired, axis=1)[:, -1]
-        resasc = np.add.accumulate(_WK * _paired(np.abs(y - resk * 0.5)))[-1] * ahl
-        resabs = resabs * ahl
-        out[0, k] = resk * hlgth
-        err = np.abs((resk - resg) * hlgth)
-        # QUADPACK's rescaling, in Python's min/max semantics; the power is
-        # libm's pow, as Python's float `**` computes it.
-        scale = (resasc != 0.0) & (err != 0.0)
-        scaled = resasc[scale]
-        ratio = (200.0 * err[scale] / scaled).tolist()
-        power = np.fromiter(map(math.pow, ratio, repeat(1.5)), np.float64, len(ratio))
-        err[scale] = scaled * np.where(power < 1.0, power, 1.0)
-        floor = (_EPMACH * 50.0) * resabs
-        floored = np.where(resabs > _UFLOW / (50.0 * _EPMACH), floor, err)
-        out[1, k] = np.where(err > floor, err, floored)
-    return out
+    paired = _paired(y)
+    resk, resg = _sum(_WK, paired), _sum(_WGZ, paired)
+    del paired
+    resabs = _sum(_WK, _paired(np.abs(y))) * ahl
+    dev = y - resk * 0.5
+    resasc = _sum(_WK, _paired(np.abs(dev, out=dev))) * ahl
+    err = np.abs((resk - resg) * hlgth)
+    # QUADPACK's rescaling, in Python's min/max semantics; the power is
+    # libm's pow, as Python's float `**` computes it.
+    scale = (resasc != 0.0) & (err != 0.0)
+    scaled = resasc[scale]
+    ratio = (200.0 * err[scale] / scaled).tolist()
+    power = np.fromiter(map(math.pow, ratio, repeat(1.5)), np.float64, len(ratio))
+    err[scale] = scaled * np.where(power < 1.0, power, 1.0)
+    floor = (_EPMACH * 50.0) * resabs
+    floored = np.where(resabs > _UFLOW / (50.0 * _EPMACH), floor, err)
+    return np.array((resk * hlgth, np.where(err > floor, err, floored)))
 
 
 def _distinct(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +170,10 @@ def _integrate_arrays(
     """Integrate f over each [los[i], his[i]] to an absolute tolerance.
 
     f maps a 1-D float64 array of N abscissae to a (K, N) array, the
-    values of K integrands, or to its N values for K = 1.  Returns three
+    values of K integrands, or to its N values for K = 1.  After the
+    first pass a K-valued f is called as f(x, need), with a (K, N) bool
+    mask: entry [k, j] is True where integrand k at x[j] is read, and f
+    may leave the other entries at any finite value.  Returns three
     (rows, K) arrays: the values, the error estimates and the evaluation
     counts, where pair [i, k] is what integrand k alone gives on row i
     (no rows: f is not called, and K is 0).  Raises NonFinite if f
@@ -229,7 +241,15 @@ def _integrate_arrays(
         # halves of the distinct intervals, then their right halves.
         ua, ub, which = _distinct(a, b)
         mid = 0.5 * (ua + ub)
-        halves = _gk15(f, np.concatenate((ua, mid)), np.concatenate((mid, ub)))
+        need = None
+        if K > 1:
+            # Integrand k is needed on a distinct interval only if a pair
+            # of k popped it; need[k] runs over the nodes as x does, 15
+            # node rows of the left halves and then the right halves.
+            need = np.zeros((K, len(ua)), dtype=bool)
+            need[k, which] = True
+            need = np.tile(need, 30)
+        halves = _gk15(f, np.concatenate((ua, mid)), np.concatenate((mid, ub)), need)
         # Pair i takes integrand k[i] on distinct interval which[i]:
         # halves[:, i] is the value and err of its left and right halves.
         halves = halves.reshape(2, K, 2, -1)[:, k, :, which].transpose(1, 0, 2)

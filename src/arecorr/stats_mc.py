@@ -332,7 +332,8 @@ def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
     are not strictly concordant are w's inversions.  A row with a tie in
     either coordinate takes its y counts from its sorted y instead, and
     w lists them in x order, each run of equal x in descending y.  Both
-    counts are exact integers.  A block with a tie warns once.
+    counts are exact integers, and S and T are their exactly rounded
+    quotients.  A block with a tie warns once.
     """
     n = x.shape[1]
     x_counts, tied_x = ranked_x
@@ -348,8 +349,16 @@ def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
             y_counts = np.searchsorted(np.sort(y[k]), y[k])
             totals[k] = x_counts[k] @ y_counts
             w[k] = y_counts[np.lexsort((-y[k], x[k]))]
+    inversions = _inversions(w)
+    if 3 * (n**3 - n) < 2**53:
+        # Every numerator and denominator is an integer below 2**53
+        # (|S's numerator| < 3(n**3 - n), ties included), so each is exact
+        # in float64 and one division rounds as Python's int / int does.
+        c2 = n * (n - 1) // 2
+        spearman = (12 * totals - (18 * math.comb(n, 3) + 6 * math.comb(n, 2))) / float(n**3 - n)
+        return np.array([spearman, (c2 - 2 * inversions) / float(c2)])
     spearman = [_spearman_value(n, a) for a in totals.tolist()]
-    return np.array([spearman, [_kendall_value(n, c) for c in _inversions(w).tolist()]])
+    return np.array([spearman, [_kendall_value(n, c) for c in inversions.tolist()]])
 
 
 def _sample_st(s: BivariateSample) -> np.ndarray:
@@ -429,8 +438,12 @@ def spearman_ustat_identity(s: BivariateSample) -> tuple[float, float]:
     return s_direct, s_ustat
 
 
-def phi(z: float) -> float:
-    """Standard normal CDF."""
+def phi(z):
+    """Standard normal CDF of a float, or of each element of a 1-D float64
+    array, bitwise the float value: only erfc is called per element."""
+    if isinstance(z, np.ndarray):
+        args = (-z / math.sqrt(2.0)).tolist()
+        return 0.5 * np.fromiter(map(math.erfc, args), np.float64, len(args))
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
@@ -546,7 +559,7 @@ def mc_moments(
 
     mu, sigma2 = _asymptotics(stat_u, value, n)
     z = np.sort(math.sqrt(n) * (vals - mu) / math.sqrt(sigma2))
-    cdf = np.array([phi(v) for v in z.tolist()])
+    cdf = phi(z)
     steps = np.arange(1, reps + 1, dtype=np.float64) / reps
     sup_dist = float(max((steps - cdf).max(), (cdf - (steps - 1.0 / reps)).max()))
 

@@ -17,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arecorr import cli
+from arecorr.are_bounds import PAIR_TAGS, are
 from arecorr.cli import main
-from arecorr.errors import Indeterminate
-from arecorr.reduction import ChainNode
+from arecorr.errors import DomainError, Indeterminate
+from arecorr.reduction import ChainNode, interior_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -147,6 +148,60 @@ def test_a_package_error_exits_one_with_a_single_stderr_line(
     assert err.splitlines() == [
         "arecorr: error: value 4e-12 at x=0.99994 is within the sign floor"
     ]
+
+
+def _render_all_rows(rows: list[dict], fmt: str) -> str:
+    """The render of all rows at once, as `table` wrote them before it
+    rendered by block."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_rendered_by_block_is_the_render_of_all_rows(capsys, tmp_path, fmt) -> None:
+    # 700 rows are three blocks, the last one short.
+    assert cli._TABLE_BLOCK < 700 // 2
+    xs = interior_grid(0.0, 1.0, 700)
+    cols = [are(tag, np.array(xs)).tolist() for tag in PAIR_TAGS]
+    rows = [
+        {"x": v, "are_rt": rt, "are_ts": ts, "are_rs": rs} for v, rt, ts, rs in zip(xs, *cols)
+    ]
+    want = _render_all_rows(rows, fmt)
+    rc, out, err = _run(capsys, ["table", "--grid", "700", "--format", fmt])
+    assert (rc, err) == (0, "")
+    assert out == want
+    target = tmp_path / f"table.{fmt}"
+    rc, out, _ = _run(capsys, ["table", "--grid", "700", "--format", fmt, "--out", str(target)])
+    assert (rc, out) == (0, "")
+    assert target.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_error_in_a_late_block_writes_nothing(capsys, monkeypatch, tmp_path, fmt) -> None:
+    calls = []
+
+    def failing_are(tag, x):
+        # One call per pair and block: the seventh is the third block's first.
+        calls.append(tag)
+        if len(calls) > 2 * len(PAIR_TAGS):
+            raise DomainError("are failed on the third block")
+        return are(tag, x)
+
+    monkeypatch.setattr(cli, "are", failing_are)
+    target = tmp_path / "table.out"
+    for out_flag in ([], ["--out", str(target)]):
+        calls.clear()
+        rc, out, err = _run(capsys, ["table", "--grid", "700", "--format", fmt, *out_flag])
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == ["arecorr: error: are failed on the third block"]
+        assert len(calls) == 2 * len(PAIR_TAGS) + 1
+        assert not target.exists()
 
 
 # ---------------------------------------------------------------------- mc
@@ -401,3 +456,37 @@ def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> 
         report = out.getvalue().splitlines()
         failed_check = argv[0] == "verify" and rc == 1 and "checks passed" in report[-1]
         assert out.getvalue() == "" or failed_check
+
+
+# Spawned from a small interpreter: a child's ru_maxrss also counts the
+# resident set of the process that spawned it, here the test runner's.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _max_rss_kib(*argv: str) -> int:
+    """Peak resident set of a child `python -c ...`, in KiB, from wait4."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-c", *argv]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, rss = map(int, done.stdout.split())
+    assert code == 0
+    return rss
+
+
+def test_table_memory_above_import_stays_within_budget(tmp_path) -> None:
+    # Holding all 20,000 row dicts and one text buffer took 12.6-13.2 MiB
+    # above import; rendering by block takes 4.4-4.8 MiB (CPython 3.11.7,
+    # numpy 2.4.6, x86-64 Linux).
+    base = _max_rss_kib("import arecorr.cli")
+    run = _max_rss_kib(
+        "import sys, arecorr.cli; sys.exit(arecorr.cli.main(sys.argv[1:]))",
+        *("table", "--grid", "20000", "--out", str(tmp_path / "table.csv")),
+    )
+    assert (tmp_path / "table.csv").stat().st_size > 0
+    assert run - base < 8 * 1024

@@ -204,6 +204,11 @@ def test_integrand_arrays_have_the_bits_of_floats() -> None:
             v.hex() for v in got[k].tolist()
         ]
         assert [_integrand(k, u).hex() for u in us] == [_integrands(u)[k].hex() for u in us]
+    # A need mask leaves each marked entry's bits and zeros the others.
+    need = np.random.default_rng(8).random((4, len(us))) < 0.5
+    masked = _integrands(np.array(us), need)
+    assert [v.hex() for v in masked[need].tolist()] == [v.hex() for v in got[need].tolist()]
+    assert not masked[~need].any()
 
 
 def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) -> None:

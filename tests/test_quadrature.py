@@ -231,8 +231,8 @@ def test_tied_error_estimates_pop_in_push_order() -> None:
 
 def _stacked(*fs):
     """The scalar integrands fs as one K-valued integrand, one math call
-    per element."""
-    return lambda u: np.array([[f(v) for v in u.tolist()] for f in fs])
+    per element, on every node whatever the need mask."""
+    return lambda u, need=None: np.array([[f(v) for v in u.tolist()] for f in fs])
 
 
 # 1/sqrt(u) refines next to 0 and sqrt(1 - u) next to 1, so on [1e-300, 1]
@@ -266,7 +266,7 @@ def test_k_valued_pairs_that_pop_different_intervals_get_each_evaluated() -> Non
     nodes = []
     apart = _stacked(*_STACKS["apart"][1])
 
-    def recording(u):
+    def recording(u, need=None):
         nodes.append(len(u))
         return apart(u)
 
@@ -299,3 +299,32 @@ def test_one_failing_row_fails_the_call(monkeypatch) -> None:
 
 def test_no_rows_give_no_integrals() -> None:
     assert all(len(a) == 0 for a in _integrate_arrays(np.sin, [], [], 1e-12))
+
+
+def test_need_mask_changes_no_bit_of_the_sigma_s2_pairs() -> None:
+    # The reference is the same engine with an integrand that ignores
+    # the mask, so it evaluates all four integrands on every interval.
+    calls = []
+
+    def masked(u, need=None):
+        calls.append(need)
+        return _integrands(u, need)
+
+    def every_integrand(u, need=None):
+        return _integrands(u)
+
+    # lo == hi, x near 0, x next to the cap, and a full 64-row block.
+    his = [0.3, 1e-300, 1e-8, 1e-3, 1.0 - 1e-12] + [j / 65 for j in range(1, 65)]
+    los = [0.3] + [0.0] * (len(his) - 1)
+    for rows in (slice(0, 5), slice(5, None), slice(None)):
+        got = _integrate_arrays(masked, los[rows], his[rows], 1e-12 / 66.0)
+        want = _integrate_arrays(every_integrand, los[rows], his[rows], 1e-12 / 66.0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+    # Only each call's first pass takes no mask; later rounds leave some
+    # integrands out.
+    masks = [need for need in calls if need is not None]
+    assert len(calls) - len(masks) == 3
+    assert all(need.shape[0] == 4 and need.dtype == bool for need in masks)
+    assert any(not need.all() for need in masks)

@@ -477,6 +477,14 @@ def test_phi_matches_reference_values() -> None:
     assert phi(-37.0) == pytest.approx(0.0, abs=1e-250)
 
 
+def test_phi_of_an_array_has_the_bits_of_floats() -> None:
+    z = np.random.default_rng(9).standard_normal(20_000) * 4.0
+    z = np.concatenate([z, [0.0, -0.0, 1e-300, -1e-300, 8.3, -8.3, 37.0, -37.0, -40.0]])
+    got = phi(z)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [phi(v).hex() for v in z.tolist()]
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 
@@ -648,6 +656,25 @@ def test_block_values_at_mc_block_shapes_match_the_oracles(rows, n) -> None:
             s = BivariateSample(x=x[k], y=y[k])
             assert values[0, k] == _spearman_oracle(s), (rho, k)
             assert values[1, k] == kendall_t_brute(s), (rho, k)
+
+
+@pytest.mark.parametrize("side", ["float_division", "python_division"])
+def test_block_values_on_both_sides_of_the_float_guard(side) -> None:
+    # S's numerator reaches -3n(n - 1)**2 on a constant row; below
+    # 3(n**3 - n) < 2**53 every numerator is exact in float64, at and
+    # above it the values are divided as Python ints.
+    n = next(m for m in range(144_000, 145_000) if 3 * (m**3 - m) >= 2**53)
+    n -= side == "float_division"
+    x = np.array([np.arange(n), np.arange(n) // 3, np.arange(n)], dtype=np.float64)
+    y = np.array([np.arange(n), np.arange(n) % 7, np.zeros(n)], dtype=np.float64)
+    y[0, 100:1100] = y[0, 100:1100][::-1].copy()  # 1000 * 999 / 2 inversions
+    with pytest.warns(TiesPresent):
+        values = stats_mc._block_st(x, y, stats_mc._ranked_rows(x))
+    for k in range(3):
+        assert values[0, k] == _spearman_oracle(BivariateSample(x=x[k], y=y[k])), k
+    c2 = n * (n - 1) // 2
+    assert values[1, 0] == (c2 - 1000 * 999) / c2
+    assert values[1, 2] == -1.0
 
 
 def test_cached_replicates_are_read_only() -> None:
