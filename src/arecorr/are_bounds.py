@@ -17,8 +17,9 @@ root goes through corrmath's elementwise helpers, the series hand-offs
 near 1 and near each anchor are applied by mask, and a domain error on
 any element raises the float call's DomainError.
 
-`bisect_roots`, the one root bisection, serves `crossover` and, on many
-brackets in lockstep, `reduction.sign_pattern`.
+`bisect_roots`, the one root bisection, serves `reduction.sign_pattern`
+on many brackets in lockstep.  `crossover` needs none: the difference of
+two quadratic bounds is a quadratic, solved in closed form.
 
 A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
 checked where they are first looked up: an unknown one raises
@@ -345,7 +346,8 @@ def quartic_bounds_rs(x: float) -> tuple[float, float]:
 
 
 def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
-    """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]).
+    """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]),
+    for `reduction.sign_pattern`.
 
     Each step is one call of h on the array of midpoints of the brackets
     still open.  A bracket stops when it is at most 1e-10 wide or h is 0
@@ -367,23 +369,29 @@ def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]
 
 
 def crossover(tag: str, which: str) -> float:
-    """Root in (0, 1) of L0 - L1 (which='L') or U0 - U1 (which='U')."""
+    """The one root in [1e-6, 1 - 1e-6] of L0 - L1 (which='L') or U0 - U1
+    (which='U'); NoBracket if none or two lie there.
+
+    Each family's difference also vanishes at an endpoint (L at 0, U at
+    1) up to rounding, outside that window.
+    """
     w = which.upper()
     if w not in ("L", "U"):
         raise DomainError(f"which must be 'L' or 'U', got {which!r}")
     idx = 0 if w == "L" else 1
-    b0 = quad_bounds(tag, 0)[idx]
-    b1 = quad_bounds(tag, 1)[idx]
-
-    def diff(x):
-        return b0(x) - b1(x)
-
+    u, v = quad_bounds(tag, 0)[idx], quad_bounds(tag, 1)[idx]
+    # Each bound b + c(x - a) + q(x - a)^2 expanded around its own a, as
+    # q x^2 + (c - 2qa) x + (b - ca + qa^2); the difference is A x^2 + B x + C.
+    A = u.q - v.q
+    B = (u.c - 2.0 * u.q * u.a) - (v.c - 2.0 * v.q * v.a)
+    C = (u.b - u.c * u.a + u.q * u.a * u.a) - (v.b - v.c * v.a + v.q * v.a * v.a)
+    disc = B * B - 4.0 * A * C
     lo, hi = 1e-6, 1.0 - 1e-6
-    flo, fhi = diff(lo), diff(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoBracket(f"no sign change of {w}0-{w}1 for {tag} on ({lo}, {hi})")
-    return bisect_roots(diff, [lo], [hi], [flo])[0]
+    # The roots s/A and C/s, free of cancellation; NaN where one is missing.
+    s = -0.5 * (B + math.copysign(math.sqrt(disc), B)) if disc >= 0.0 else math.nan
+    r1 = s / A if A != 0.0 else math.nan
+    r2 = C / s if s != 0.0 else math.nan
+    in1, in2 = lo <= r1 <= hi, lo <= r2 <= hi
+    if in1 == in2:
+        raise NoBracket(f"no single root of {w}0-{w}1 for {tag} in [{lo}, {hi}]")
+    return r1 if in1 else r2

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
+from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds, ratio_slope
 from .errors import ArecorrError, DomainError, Indeterminate
 from .reduction import build_chain_rt, interior_grid, rho_tilde, sign_pattern
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
@@ -226,10 +226,11 @@ def _cmd_reduce(args) -> int:
             f_sp = sign_pattern(node.f, xs, fv)
             g_sp = sign_pattern(node.g, xs, gv)
             try:
-                slope = (fj / gj).coeffs[1]
-                r_sp = sign_pattern(lambda v: node.r_jet(v, 1).coeffs[1], xs, slope.tolist())
+                # g's scan refused |g| < SIGN_FLOOR, so no grid g is 0 here.
+                slope = ratio_slope(fj, gj).tolist()
+                r_sp = sign_pattern(lambda v: ratio_slope(*node.jets(v, 1)), xs, slope)
                 r_sym, r_brk = _arrows(r_sp.symbols), _fmt_breaks(r_sp.breakpoints)
-            except (Indeterminate, ZeroDivisionError, OverflowError):
+            except Indeterminate:
                 r_sym, r_brk = "", ""
             try:
                 rt0 = repr(rho_tilde(node, 1e-6))

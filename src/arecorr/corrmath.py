@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _integrate_arrays, integrate
+from .quadrature import _integrate_arrays
+from .quadrature import integrate  # noqa: F401  bench/layertrace.py patches it here
 from .taylor import Jet
 
 __all__ = [
@@ -151,15 +152,6 @@ def _integrands(u, need=None):
     return out
 
 
-def _integrand(k: int, u):
-    """Row k (0..3) of `_integrands(u)` alone, for one-integrand quadrature."""
-    if k not in range(4):
-        raise DomainError(f"integrand index must be 0..3, got {k!r}")
-    u2 = _pow(u, 2)
-    u4 = _pow(u, 4) if k >= 2 else None
-    return _arcsine(_arcsine_arg(k, u, u2, u4)) / _sqrt(4.0 - u2)
-
-
 def _arcsine_arg(k: int, u, u2, u4):
     """Integrand k's arcsine argument, from u, u**2 and (for k >= 2) u**4."""
     if k == 0:
@@ -173,9 +165,8 @@ def _arcsine_arg(k: int, u, u2, u4):
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 
-# Memo of sigma_s2 values keyed by x.  It is emptied when the values
-# about to enter would take it past _MEMO_SIZE entries, so all the new
-# values of one call stay in it if there are at most _MEMO_SIZE.
+# Memo of sigma_s2 values keyed by x, kept to _MEMO_SIZE entries by
+# `_fill_memo`.
 _MEMO: dict[float, float] = {}
 _MEMO_SIZE = 65536
 # Abscissae per lockstep quadrature; bounds its working arrays, which
@@ -183,9 +174,22 @@ _MEMO_SIZE = 65536
 _BLOCK = 64
 
 
-def _make_room(n: int) -> None:
-    if len(_MEMO) + n > _MEMO_SIZE:
-        _MEMO.clear()
+def _fill_memo(memo: dict, size: int, keys: list, compute: Callable, block: int) -> list:
+    """The values of keys, from the memo or from compute(list of keys) on
+    blocks of at most `block` missing keys, whose values enter the memo.
+    It is emptied when new values would take it past `size` entries, so
+    all the new values of one call stay in it if there are at most `size`."""
+    out = {key: memo.get(key) for key in keys}
+    todo = [key for key, got in out.items() if got is None]
+    if len(memo) + min(len(todo), size) > size:
+        memo.clear()
+    for i in range(0, len(todo), block):
+        part = todo[i : i + block]
+        for key, got in zip(part, compute(part)):
+            if len(memo) >= size:
+                memo.clear()
+            memo[key] = out[key] = got
+    return [out[key] for key in keys]
 
 
 def _sigma_s2_block(xs: list[float]) -> list[float]:
@@ -206,16 +210,7 @@ def _memoized(xs: list[float]) -> list[float]:
     for v in xs:
         if not (0.0 <= v < 1.0):
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
-    out = {v: _MEMO.get(v) for v in map(float, xs)}
-    todo = [v for v, got in out.items() if got is None]
-    _make_room(min(len(todo), _MEMO_SIZE))
-    for i in range(0, len(todo), _BLOCK):
-        block = todo[i : i + _BLOCK]
-        for v, got in zip(block, _sigma_s2_block(block)):
-            out[v] = got
-            _make_room(1)
-            _MEMO[v] = got
-    return [out[v] for v in xs]
+    return _fill_memo(_MEMO, _MEMO_SIZE, list(map(float, xs)), _sigma_s2_block, _BLOCK)
 
 
 def sigma_s2(x):
@@ -241,7 +236,8 @@ def sigma_s2(x):
 def sigma_s2_jet(x0: float, order: int) -> Jet:
     """Taylor jet of sigma_s2 at x0 in [0, 1].
 
-    Only the order-0 coefficient touches quadrature; every higher
+    Only the order-0 coefficient touches quadrature, one lockstep
+    quadrature of the four integrands on [0, x0]; every higher
     coefficient comes from jets of the integrands (fundamental theorem
     of calculus), so endpoint derivatives carry no quadrature noise.
     """
@@ -251,8 +247,8 @@ def sigma_s2_jet(x0: float, order: int) -> Jet:
     pi2 = math.pi**2
     total = 1.0 - (324.0 / pi2) * _arcsine(0.5 * x) ** 2
     igrands = _integrands(Jet.variable(x0, order - 1)) if order >= 1 else None
-    for k, w in enumerate(_WEIGHTS):
-        value = integrate(lambda u, k=k: _integrand(k, u), 0.0, x0, _INTEGRAL_TOL).value
+    values = _integrate_arrays(_integrands, [0.0], [x0], _INTEGRAL_TOL)[0][0].tolist()
+    for k, (w, value) in enumerate(zip(_WEIGHTS, values)):
         coeffs = [value]
         if order >= 1:
             coeffs += [igrands[k].coeffs[m - 1] / m for m in range(1, order + 1)]

@@ -86,11 +86,6 @@ class ChainNode:
     def g(self, x: float) -> float:
         return self.jets(x)[1].value
 
-    def r_jet(self, x: float, order: int) -> Jet:
-        """The jet of r_i = f_i/g_i at x."""
-        f, g = self.jets(x, order)
-        return f / g
-
 
 def build_chain_rt(a: int) -> list[ChainNode]:
     """Nodes 0..4 of the RT reduction anchored at a in {0, 1}."""

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from .corrmath import _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
+from .corrmath import _fill_memo, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import DegenerateSample, DomainError, TiesPresent
 
 __all__ = [
@@ -62,6 +62,10 @@ DEFAULT_SEED = 20260814
 # Seeds are one 64-bit Philox key word; one outside [0, 2**64) would alias.
 SEED_LIMIT = 2**64
 
+# n and reps stay below this, so that every array of a run, a few times
+# n or reps float64 values, has a byte count that numpy can index.
+_SIZE_LIMIT = 2**55
+
 _STAT_NAMES = ("R", "S", "T")
 
 # Replicates per block are this many sample cells over n, so a block's
@@ -69,9 +73,7 @@ _STAT_NAMES = ("R", "S", "T")
 _BLOCK_CELLS = 2**13
 
 # Memo of read-only (3, reps) replicate arrays keyed by (rho, n, reps,
-# seed).  It is emptied when the entries about to enter would take it
-# past _MEMO_SIZE, so all the new entries of one call stay in it if
-# there are at most _MEMO_SIZE.
+# seed), kept to _MEMO_SIZE entries by `corrmath._fill_memo`.
 _MEMO: dict[tuple[float, int, int, int], np.ndarray] = {}
 _MEMO_SIZE = 16
 
@@ -496,14 +498,12 @@ def _mc_key(n, reps, seed) -> tuple[int, int, int]:
         raise DomainError(f"reps must be >= 100, got {reps!r}")
     if n < 10:
         raise DomainError(f"n must be >= 10, got {n!r}")
+    for name, v in (("n", n), ("reps", reps)):
+        if v >= _SIZE_LIMIT:
+            raise DomainError(f"{name} must be < 2**55, got {v!r}")
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
     return n, reps, seed
-
-
-def _make_room(n: int) -> None:
-    if len(_MEMO) + n > _MEMO_SIZE:
-        _MEMO.clear()
 
 
 def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -515,15 +515,12 @@ def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.
     """
     n, reps, seed = _mc_key(n, reps, seed)
     keys = [(_rho_value(rho), n, reps, seed) for rho in rhos]
-    out = {key: _MEMO.get(key) for key in keys}
-    todo = [key for key, got in out.items() if got is None]
-    if todo:
-        _make_room(min(len(todo), _MEMO_SIZE))
-        for key, got in zip(todo, _replicates(tuple(k[0] for k in todo), n, reps, seed)):
-            out[key] = got
-            _make_room(1)
-            _MEMO[key] = got
-    return [out[key] for key in keys]
+
+    def compute(todo):
+        return _replicates(tuple(k[0] for k in todo), n, reps, seed)
+
+    # One block holds every missing key, so they share one _replicates call.
+    return _fill_memo(_MEMO, _MEMO_SIZE, keys, compute, max(1, len(keys)))
 
 
 def mc_moments(

@@ -319,6 +319,58 @@ def test_crossover_roots() -> None:
         assert (d_lo > 0.0) != (d_hi > 0.0)
 
 
+def test_crossovers_are_within_two_ulps_of_the_exact_roots() -> None:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for tag in PAIR_TAGS:
+            for idx, which in enumerate("LU"):
+                b0, b1 = quad_bounds(tag, 0)[idx], quad_bounds(tag, 1)[idx]
+
+                def at(b, x):
+                    # The printed bound, exactly: each float is an mpf.
+                    t = x - b.a
+                    return mpmath.mpf(b.b) + mpmath.mpf(b.c) * t + mpmath.mpf(b.q) * t * t
+
+                def diff(x, b0=b0, b1=b1):
+                    return at(b0, x) - at(b1, x)
+
+                got = crossover(tag, which)
+                root = mpmath.findroot(diff, mpmath.mpf(got))
+                assert abs(mpmath.mpf(got) - root) <= 2 * math.ulp(got), (tag, which)
+
+
+def test_cold_endpoint_series_integrate_each_sigma_s2_jet_in_one_lockstep_call(
+    monkeypatch,
+) -> None:
+    from arecorr import corrmath
+
+    lockstep, jet = corrmath._integrate_arrays, ab.sigma_s2_jet
+    shapes, centres = [], []
+
+    def recorded(f, los, his, abs_tol):
+        got = lockstep(f, los, his, abs_tol)
+        shapes.append(got[0].shape)
+        return got
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-integrand quadrature ran")
+
+    def counted(x0, order):
+        centres.append(x0)
+        return jet(x0, order)
+
+    monkeypatch.setattr(corrmath, "_integrate_arrays", recorded)
+    monkeypatch.setattr(corrmath, "integrate", refused)
+    monkeypatch.setattr(ab, "sigma_s2_jet", counted)
+    monkeypatch.setattr(ab, "_series_cache", {})
+    for tag in PAIR_TAGS:
+        for a in (0, 1):
+            ab._series(tag, a)
+    # TS and RS at each anchor: one row of the four integrands per jet.
+    assert sorted(centres) == [0.0, 0.0, 1.0, 1.0]
+    assert shapes == [(1, 4)] * 4
+
+
 def test_crossover_invalid_which() -> None:
     with pytest.raises(DomainError):
         crossover("RT", "M")

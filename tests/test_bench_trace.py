@@ -49,13 +49,3 @@ def test_traced_child_runs_and_keeps_stdout(tmp_path: Path, argv: list[str]) -> 
     plain_out, _ = _child(tmp_path, False, argv)
     assert traced_out == plain_out
 
-
-def test_traced_bounds_sees_the_endpoint_series_quadrature(tmp_path: Path) -> None:
-    # The trace's quadrature.* figures come from corrmath.integrate, which
-    # sigma_s2_jet calls once per integrand of each endpoint series: 16
-    # one-row integrals and 600 evaluations on `bounds`.
-    _, record = _child(tmp_path, True, ["bounds"])
-    trace = record["trace"]
-    spans = [trace["names"][i] for i in trace["span_name"]]
-    assert spans.count("quadrature.integrate") == 16
-    assert trace["counters"]["quadrature.evals"] == 600

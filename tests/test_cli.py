@@ -228,6 +228,16 @@ def test_mc_refuses_seeds_outside_the_philox_key_word(capsys) -> None:
     assert _run(capsys, MC_FAST + ["--seed", str(2**64 - 1)])[0] == 0
 
 
+def test_mc_refuses_sizes_past_numpys_index_range(capsys) -> None:
+    # 10**20 is past any array dimension numpy takes; refused before any draw.
+    huge = str(10**20)
+    for flag, argv in (("--n", ["--n", huge]), ("--reps", ["--n", "10", "--reps", huge])):
+        rc, out, err = _run(capsys, ["mc", *argv, "--rho", "0.0"])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"arecorr: error: {flag} must be < 2**55, got {huge}"]
+
+
 def test_running_out_of_memory_exits_one_with_a_single_stderr_line(
     capsys, monkeypatch
 ) -> None:
@@ -294,12 +304,13 @@ def test_reduce_reports_the_documented_chain_diagnostics(capsys) -> None:
 
 def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> None:
     # Grid values and bisection midpoints both come from array passes, so
-    # reduce must give its golden bytes with the accessors refusing a float.
-    for name in ("f", "g", "r_jet"):
+    # reduce must give its golden bytes with the node refusing a float,
+    # except at rho_tilde_0's one point x = 1e-6.
+    for name in ("f", "g", "jets"):
         accessor = getattr(ChainNode, name)
 
         def arrays_only(self, x, *rest, accessor=accessor):
-            if not isinstance(x, np.ndarray):
+            if not isinstance(x, np.ndarray) and x != 1e-6:
                 raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
             return accessor(self, x, *rest)
 
@@ -307,6 +318,19 @@ def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> 
     rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
     assert rc == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / "reduce_grid99.csv").read_bytes()
+
+
+def test_reduce_leaves_r_blank_when_the_slope_has_no_sign(capsys, monkeypatch) -> None:
+    # r' values below SIGN_FLOOR fail its scan; f and g are reported as before.
+    monkeypatch.setattr(cli, "ratio_slope", lambda f, g: np.full(np.shape(f.value), 1e-13))
+    rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
+    assert rc == 0
+    got = _rows(out)
+    want = _rows((GOLDEN_DIR / "reduce_grid99.csv").read_text(encoding="utf-8"))
+    assert len(got) == len(want) == 10
+    for row, gold in zip(got, want):
+        assert gold["r_pattern"]
+        assert row == {**gold, "r_pattern": "", "r_breakpoints": ""}
 
 
 def test_reduce_refuses_pairs_without_published_chains(capsys) -> None:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arecorr import corrmath
 from arecorr.corrmath import (
     RHO_CAP,
-    _integrand,
     _integrands,
     moments_r,
     moments_s,
@@ -20,6 +19,8 @@ from arecorr.corrmath import (
     sigma_s2_jet,
 )
 from arecorr.errors import DomainError
+from arecorr.quadrature import integrate
+from arecorr.taylor import Jet
 
 # Frozen from this package's quadrature at abs_tol 1e-14, cross-checked
 # against a 2**20-panel Simpson evaluation of each arcsine integral.
@@ -133,10 +134,6 @@ def test_integrand_values_and_domain() -> None:
     for k in (0, 5):
         with pytest.raises(DomainError):
             isin_integrand(k, 0.5)
-    # The one-integrand form takes 0-based indices.
-    for k in (-1, 4):
-        with pytest.raises(DomainError):
-            _integrand(k, 0.5)
     with pytest.raises(DomainError):
         isin_integrand(1, 1.5)
 
@@ -146,6 +143,37 @@ def test_sigma_jet_matches_value_and_derivative() -> None:
     j = sigma_s2_jet(x, 3)
     assert j.coeffs[0] == pytest.approx(sigma_s2(x), abs=1e-13)
     assert j.coeffs[1] == pytest.approx(dsigma_s2(x), abs=1e-11)
+
+
+def _one_integrand(k: int, u):
+    """Row k (0..3) of the four integrands alone: what the endpoint series
+    once integrated one row at a time."""
+    u2 = corrmath._pow(u, 2)
+    u4 = corrmath._pow(u, 4) if k >= 2 else None
+    arg = corrmath._arcsine_arg(k, u, u2, u4)
+    return corrmath._arcsine(arg) / corrmath._sqrt(4.0 - u2)
+
+
+def _sigma_s2_jet_by_rows(x0: float, order: int) -> Jet:
+    """sigma_s2_jet with its four integrals as four one-row quadratures."""
+    pi2 = math.pi**2
+    total = 1.0 - (324.0 / pi2) * (0.5 * Jet.variable(x0, order)).asin() ** 2
+    igrands = _integrands(Jet.variable(x0, order - 1)) if order >= 1 else None
+    for k, w in enumerate((1.0, 2.0, 2.0, 4.0)):
+        value = integrate(lambda u, k=k: _one_integrand(k, u), 0.0, x0, 1e-12 / 66.0).value
+        coeffs = [value]
+        if order >= 1:
+            coeffs += [igrands[k].coeffs[m - 1] / m for m in range(1, order + 1)]
+        total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
+    return total
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e-3, 0.011, 0.5, 0.99, 1.0])
+def test_sigma_jet_has_the_bits_of_one_row_quadratures(x0: float) -> None:
+    for order in (0, 1, 12):
+        want = _sigma_s2_jet_by_rows(x0, order)
+        got = sigma_s2_jet(x0, order)
+        assert [v.hex() for v in got.coeffs] == [v.hex() for v in want.coeffs], order
 
 
 def test_spearman_variance_collapses_toward_one() -> None:
@@ -199,11 +227,6 @@ def test_integrand_arrays_have_the_bits_of_floats() -> None:
     assert got.shape == (4, len(us))
     for k in range(4):
         assert [v.hex() for v in got[k].tolist()] == [_integrands(u)[k].hex() for u in us]
-        # The one-integrand form that the endpoint series integrates.
-        assert [v.hex() for v in _integrand(k, np.array(us)).tolist()] == [
-            v.hex() for v in got[k].tolist()
-        ]
-        assert [_integrand(k, u).hex() for u in us] == [_integrands(u)[k].hex() for u in us]
     # A need mask leaves each marked entry's bits and zeros the others.
     need = np.random.default_rng(8).random((4, len(us))) < 0.5
     masked = _integrands(np.array(us), need)

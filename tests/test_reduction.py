@@ -30,11 +30,6 @@ def _dr(node: ChainNode, x: float) -> float:
     return ratio_slope(*node.jets(x, 1))
 
 
-def _slope(node: ChainNode):
-    """r_i' as a scalar function, from the jet of r_i."""
-    return lambda x: node.r_jet(x, 1).coeffs[1]
-
-
 def test_chain_has_five_nodes_with_multipliers() -> None:
     for a in (0, 1):
         nodes = build_chain_rt(a)
@@ -167,7 +162,7 @@ def test_endgame_final_ratio_is_increasing() -> None:
 def test_root_ratio_is_monotone_increasing() -> None:
     for a in (0, 1):
         root = build_chain_rt(a)[0]
-        sp = classify_sign(_slope(root), 0.05, 0.95, 199)
+        sp = classify_sign(lambda x, root=root: _dr(root, x), 0.05, 0.95, 199)
         assert _arrows(sp.symbols) == "↗"
         assert sp.breakpoints == ()
 
@@ -395,7 +390,7 @@ def _node_functions(node: ChainNode, xs: list[float]):
     return [
         ("f", node.f, fj.value),
         ("g", node.g, gj.value),
-        ("r'", lambda x: node.r_jet(x, 1).coeffs[1], (fj / gj).coeffs[1]),
+        ("r'", lambda x: ratio_slope(*node.jets(x, 1)), ratio_slope(fj, gj)),
     ]
 
 

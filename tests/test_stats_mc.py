@@ -706,6 +706,33 @@ def test_one_fill_keeps_every_rho_and_matches_one_rho_at_a_time(monkeypatch) -> 
         stats_mc.mc_replicates([1.0], 10, 100)
 
 
+def test_new_rhos_past_the_memo_size_share_one_replicates_call(monkeypatch) -> None:
+    calls = []
+    replicates = stats_mc._replicates
+
+    def counted(rhos, *rest):
+        calls.append(rhos)
+        return replicates(rhos, *rest)
+
+    monkeypatch.setattr(stats_mc, "_MEMO", {})
+    monkeypatch.setattr(stats_mc, "_replicates", counted)
+    rhos = [j / 25 for j in range(20)]
+    assert len(rhos) > stats_mc._MEMO_SIZE
+    got = stats_mc.mc_replicates(rhos, 10, 100, 5)
+    assert calls == [tuple(rhos)]
+    assert [v.shape for v in got] == [(3, 100)] * 20
+
+
+def test_mc_refuses_sizes_past_numpys_index_range() -> None:
+    # Refused by the key check, before any array is made.
+    with pytest.raises(DomainError, match=r"^n must be < 2\*\*55"):
+        stats_mc.mc_replicates([0.5], 10**20, 100)
+    with pytest.raises(DomainError, match=r"^reps must be < 2\*\*55"):
+        stats_mc.mc_replicates([0.5], 10, 10**20)
+    with pytest.raises(DomainError, match="reps must be < 2"):
+        mc_moments("R", 0.5, 10, 10**20)
+
+
 def test_mc_moments_refuses_seeds_that_would_alias() -> None:
     # Philox takes the seed as one 64-bit word: -1 would draw as 2**64 - 1.
     # A float seed would be truncated and report numbers of another seed.
