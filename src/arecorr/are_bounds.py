@@ -370,11 +370,8 @@ def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]
 
 def crossover(tag: str, which: str) -> float:
     """The one root in [1e-6, 1 - 1e-6] of L0 - L1 (which='L') or U0 - U1
-    (which='U'); NoBracket if none or two lie there.
-
-    Each family's difference also vanishes at an endpoint (L at 0, U at
-    1) up to rounding, outside that window.
-    """
+    (which='U'), whose other root lies at 0 or 1 up to rounding;
+    NoBracket if none or two lie in that window."""
     w = which.upper()
     if w not in ("L", "U"):
         raise DomainError(f"which must be 'L' or 'U', got {which!r}")
