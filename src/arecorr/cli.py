@@ -30,7 +30,7 @@ from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds, ratio_slope
 from .errors import ArecorrError, DomainError, Indeterminate
 from .reduction import build_chain_rt, interior_grid, rho_tilde, sign_pattern
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
-from .stats_mc import DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
+from .stats_mc import _SIZE_LIMIT, DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
 
 __all__ = ["main", "run"]
@@ -121,9 +121,17 @@ def _table_blocks(xs: list[float]):
         ]
 
 
+def _check_grid_size(grid: int) -> None:
+    # interior_grid builds a list of `grid` floats: refuse one that could
+    # never be held before it starts allocating.
+    if grid >= _SIZE_LIMIT:
+        raise _UsageError(f"--grid must be < 2**55, got {grid!r}")
+
+
 def _cmd_table(args) -> int:
     if args.grid < 2:
         raise _UsageError(f"--grid must be >= 2, got {args.grid}")
+    _check_grid_size(args.grid)
     xs = interior_grid(0.0, 1.0, args.grid)
     _write_out(_render(_table_blocks(xs), args.format), args.out)
     return 0
@@ -157,6 +165,7 @@ def _check_sign_grid(grid: int) -> None:
         raise _UsageError(
             f"--grid {grid} is too coarse for sign refinement; need >= {MIN_GRID}"
         )
+    _check_grid_size(grid)
 
 
 def _cmd_verify(args) -> int:
@@ -317,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arecorr: i/o error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print("arecorr: error: out of memory:", exc or "allocation failed", file=sys.stderr)
+        print("arecorr: error: out of memory:", str(exc) or "allocation failed", file=sys.stderr)
         return 1
 
 

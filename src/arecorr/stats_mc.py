@@ -21,10 +21,17 @@ inverse-CDF call maps them to x and z, and x is ranked once.  Each rho
 forms its y from x and z; R comes from batched row dot products, S and
 T from one argsort of y and exact integer counts.  The per-sample code
 is this code on a one-row block, so replicates match it bit for bit.
+
+The inverse CDF is scipy's `ndtri` ufunc, loaded at import from the
+scipy.special extension module that holds it without running the
+package's __init__ (`_load_ndtri`).  So importing this module costs
+numpy, scipy's base package and a few extension modules, not the rest
+of scipy and numpy that scipy.special's __init__ imports.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
 import sys
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # noqa: F401  at import, so the first draw does not pay for it
 
 from .corrmath import _fill_memo, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import DegenerateSample, DomainError, TiesPresent
@@ -56,6 +63,34 @@ __all__ = [
     "mc_replicates",
     "phi",
 ]
+
+
+def _load_ndtri():
+    """scipy's inverse normal CDF ufunc, without running scipy.special's
+    __init__, which imports most of scipy and numpy for one function.
+
+    An unexecuted scipy.special module stands in as the parent package
+    while its _ufuncs extension (and the siblings it imports) load, then
+    leaves sys.modules, so a later `import scipy.special` runs __init__
+    and reuses those extensions: its ndtri is this object.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.ndtri
+    try:
+        spec = importlib.util.find_spec("scipy.special")
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+        try:
+            from scipy.special._ufuncs import ndtri
+        finally:
+            del sys.modules["scipy.special"]
+    except ImportError:
+        from scipy.special import ndtri
+    return ndtri
+
+
+# A module global, called through its name; bench/layertrace.py patches it.
+ndtri = _load_ndtri()
 
 DEFAULT_SEED = 20260814
 

@@ -253,6 +253,27 @@ def test_running_out_of_memory_exits_one_with_a_single_stderr_line(
     ]
 
 
+def test_a_bare_memory_error_still_says_what_failed(capsys, monkeypatch) -> None:
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "mc_moments", exhausted)
+    rc, out, err = _run(capsys, MC_FAST)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["arecorr: error: out of memory: allocation failed"]
+
+
+def test_grid_commands_refuse_sizes_past_numpys_index_range(capsys) -> None:
+    # Refused before interior_grid would start on a list of 10**20 floats.
+    huge = str(10**20)
+    for command in ("table", "verify", "reduce"):
+        rc, out, err = _run(capsys, [command, "--grid", huge])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"arecorr: error: --grid must be < 2**55, got {huge}"]
+
+
 def test_mc_emits_one_row_per_stat_and_rho(capsys) -> None:
     rc, out, _ = _run(capsys, MC_FAST + ["--rho", "0.0,0.5"])
     assert rc == 0
@@ -387,16 +408,20 @@ def test_unknown_flags_exit_with_usage_error() -> None:
 # ------------------------------------------------------ the module entry
 
 
-def _module_run(*argv: str) -> subprocess.CompletedProcess:
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _python_run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "arecorr.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+        [sys.executable, *args], env=_src_env(), capture_output=True, text=True, timeout=300
     )
+
+
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    return _python_run("-m", "arecorr.cli", *argv)
 
 
 def test_python_dash_m_runs_the_command_line() -> None:
@@ -406,6 +431,18 @@ def test_python_dash_m_runs_the_command_line() -> None:
     done = _module_run("table", "--grid", "1")
     assert done.returncode == 2
     assert done.stdout == ""
+
+
+def test_mc_prints_the_same_bytes_whichever_way_ndtri_was_loaded() -> None:
+    # stats_mc reuses an imported scipy.special's ndtri, and otherwise
+    # loads the ufunc without running scipy.special's __init__.
+    argv = ("mc", "--n", "50", "--reps", "200", "--rho", "0.3,-0.9")
+    main_code = "import sys; from arecorr.cli import main; sys.exit(main(sys.argv[1:]))"
+    private = _python_run("-c", main_code, *argv)
+    public = _python_run("-c", "import scipy.special; " + main_code, *argv)
+    assert private.returncode == public.returncode == 0
+    assert private.stdout.count("\n") == 7
+    assert private.stdout == public.stdout
 
 
 # ------------------------------------------------------------- flag fuzz
@@ -494,10 +531,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _max_rss_kib(*argv: str) -> int:
     """Peak resident set of a child `python -c ...`, in KiB, from wait4."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-c", *argv]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300, check=True)
+    done = _python_run("-c", _PEAK_RSS, sys.executable, "-c", *argv)
+    assert done.returncode == 0, done.stderr
     code, rss = map(int, done.stdout.split())
     assert code == 0
     return rss

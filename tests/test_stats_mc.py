@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -721,6 +724,60 @@ def test_new_rhos_past_the_memo_size_share_one_replicates_call(monkeypatch) -> N
     got = stats_mc.mc_replicates(rhos, 10, 100, 5)
     assert calls == [tuple(rhos)]
     assert [v.shape for v in got] == [(3, 100)] * 20
+
+
+# Each scenario runs in a fresh interpreter, since the loader runs once
+# at import and depends on what sys.modules already holds.
+_NDTRI_LOADS = {
+    "the cli import leaves scipy.special's __init__ unrun": """
+import sys
+import arecorr.cli
+assert "scipy.special" not in sys.modules
+""",
+    "a later scipy.special import shares the loaded ufunc": """
+from arecorr import stats_mc
+import scipy.special, scipy.stats
+assert scipy.special.ndtri is stats_mc.ndtri
+assert abs(scipy.stats.norm.ppf(0.975) - stats_mc.ndtri(0.975)) < 1e-12
+assert scipy.special.mathieu_a(1, 0.5) > 0
+""",
+    "an imported scipy.special is used as it is": """
+import sys
+import scipy.special
+special = sys.modules["scipy.special"]
+from arecorr import stats_mc
+assert sys.modules["scipy.special"] is special
+assert stats_mc.ndtri is special.ndtri
+""",
+    "a failed private load falls back to the public import": """
+import sys
+
+class RefuseOnce:
+    refused = False
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not RefuseOnce.refused:
+            RefuseOnce.refused = True
+            raise ImportError(name)
+        return None
+
+sys.meta_path.insert(0, RefuseOnce())
+from arecorr import stats_mc
+import scipy.special
+assert RefuseOnce.refused
+assert stats_mc.ndtri is scipy.special.ndtri
+""",
+}
+
+
+@pytest.mark.parametrize("code", list(_NDTRI_LOADS.values()), ids=list(_NDTRI_LOADS))
+def test_ndtri_is_scipys_ufunc_however_it_is_loaded(code: str) -> None:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_mc_refuses_sizes_past_numpys_index_range() -> None:
