@@ -729,19 +729,19 @@ def test_new_rhos_past_the_memo_size_share_one_replicates_call(monkeypatch) -> N
 # Each scenario runs in a fresh interpreter, since the loader runs once
 # at import and depends on what sys.modules already holds.
 _NDTRI_LOADS = {
-    "the cli import leaves scipy.special's __init__ unrun": """
+    "cli_import_leaves_init_unrun": """
 import sys
 import arecorr.cli
 assert "scipy.special" not in sys.modules
 """,
-    "a later scipy.special import shares the loaded ufunc": """
+    "later_import_shares_the_ufunc": """
 from arecorr import stats_mc
 import scipy.special, scipy.stats
 assert scipy.special.ndtri is stats_mc.ndtri
 assert abs(scipy.stats.norm.ppf(0.975) - stats_mc.ndtri(0.975)) < 1e-12
 assert scipy.special.mathieu_a(1, 0.5) > 0
 """,
-    "an imported scipy.special is used as it is": """
+    "imported_package_is_kept": """
 import sys
 import scipy.special
 special = sys.modules["scipy.special"]
@@ -749,7 +749,7 @@ from arecorr import stats_mc
 assert sys.modules["scipy.special"] is special
 assert stats_mc.ndtri is special.ndtri
 """,
-    "a failed private load falls back to the public import": """
+    "failed_private_load_falls_back": """
 import sys
 
 class RefuseOnce:
