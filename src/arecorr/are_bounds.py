@@ -4,9 +4,9 @@ Each ARE is evaluated in factored f/g form.  Near x = 1 both f and g of
 the TS and RS pairs vanish (to second order), so direct division would
 amplify quadrature noise in the Spearman variance without bound; all
 evaluation within SERIES_RADIUS of 1 therefore goes through a cached
-Taylor expansion of f/g at the endpoint, whose coefficients are free of
-quadrature noise (the noisy vanishing coefficients are dropped before
-dividing the series).  The same expansions supply the endpoint constants
+Taylor expansion of f/g at the endpoint, whose coefficients involve no
+quadrature (the vanishing coefficients are dropped before dividing the
+series).  The same expansions supply the endpoint constants
 are(0), are(1-), are'(1-) and the one-sided limits of the second-difference
 functions q_a, and q_a within SERIES_RADIUS of its anchor.
 
@@ -129,7 +129,7 @@ def pair(tag: str) -> Pair:
 # Order of the common zero of f and g at x = 1 (cancelled before division).
 _VANISH_AT_1: dict[PairTag, int] = {"RT": 1, "TS": 2, "RS": 2}
 
-# Dropped coefficients must be zero up to quadrature/rounding noise.
+# Dropped coefficients must be zero up to rounding noise.
 _VANISH_NOISE = 1e-8
 
 

@@ -11,7 +11,8 @@ to stderr and nothing to stdout.
 
 `mc` draws each replicate once for all its rhos and evaluates R, S and
 T on it at each rho.  `reduce` evaluates the chain only by array jet
-passes: one on the grid, then one per lockstep bisection step.
+passes: one per anchor on the grid, then one per lockstep bisection
+step.
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ def _cmd_reduce(args) -> int:
     rows = []
     xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
-        for node in build_chain_rt(a):
-            # One array pass gives f_i, g_i and r_i' on the whole grid, and
-            # one array pass per bisection step gives them at the midpoints.
-            fj, gj = node.jets(np.array(xs), 1)
+        chain = build_chain_rt(a)
+        # One array pass of the last node gives every f_i, g_i and r_i' on
+        # the whole grid, and one array pass per bisection step gives them
+        # at the midpoints.
+        for node, (fj, gj) in zip(chain, chain[-1].stages(np.array(xs), 1)):
             fv, gv = fj.value.tolist(), gj.value.tolist()
             f_sp = sign_pattern(node.f, xs, fv)
             g_sp = sign_pattern(node.g, xs, gv)

@@ -169,6 +169,8 @@ _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 # `_fill_memo`.
 _MEMO: dict[float, float] = {}
 _MEMO_SIZE = 65536
+# Memo of sigma_s2_jet values keyed by (x0, order), kept like _MEMO.
+_JET_MEMO: dict[tuple[float, int], Jet] = {}
 # Abscissae per lockstep quadrature; bounds its working arrays, which
 # hold the four integrands on up to four distinct intervals per abscissa.
 _BLOCK = 64
@@ -234,26 +236,32 @@ def sigma_s2(x):
 
 
 def sigma_s2_jet(x0: float, order: int) -> Jet:
-    """Taylor jet of sigma_s2 at x0 in [0, 1].
+    """Taylor jet of sigma_s2 at x0 in [0, 1], memoized per (x0, order).
 
-    Only the order-0 coefficient touches quadrature, one lockstep
-    quadrature of the four integrands on [0, x0]; every higher
-    coefficient comes from jets of the integrands (fundamental theorem
-    of calculus), so endpoint derivatives carry no quadrature noise.
+    Coefficient 0 is sigma_s2(x0), exactly 1.0 at 0, and 0.0 at 1, where
+    S = 1 almost surely.  Every higher coefficient comes from jets of the
+    integrands (fundamental theorem of calculus), so the jet runs no
+    quadrature of its own and its derivatives carry no quadrature noise.
+    The TS and RS endpoint series share each jet through the memo.
     """
     if not (0.0 <= x0 <= 1.0):
         raise DomainError(f"sigma_s2_jet needs 0 <= x0 <= 1, got {x0!r}")
+    return _fill_memo(
+        _JET_MEMO, _MEMO_SIZE, [(x0, order)], lambda keys: [_sigma_s2_jet(*k) for k in keys], 1
+    )[0]
+
+
+def _sigma_s2_jet(x0: float, order: int) -> Jet:
     x = Jet.variable(x0, order)
     pi2 = math.pi**2
     total = 1.0 - (324.0 / pi2) * _arcsine(0.5 * x) ** 2
-    igrands = _integrands(Jet.variable(x0, order - 1)) if order >= 1 else None
-    values = _integrate_arrays(_integrands, [0.0], [x0], _INTEGRAL_TOL)[0][0].tolist()
-    for k, (w, value) in enumerate(zip(_WEIGHTS, values)):
-        coeffs = [value]
-        if order >= 1:
-            coeffs += [igrands[k].coeffs[m - 1] / m for m in range(1, order + 1)]
-        total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
-    return total
+    if order >= 1:
+        igrands = _integrands(Jet.variable(x0, order - 1))
+        for w, igrand in zip(_WEIGHTS, igrands):
+            coeffs = [0.0] + [igrand.coeffs[m - 1] / m for m in range(1, order + 1)]
+            total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
+    value = 0.0 if x0 == 1.0 else sigma_s2(x0)
+    return Jet(x0, (value,) + total.coeffs[1:])
 
 
 def moments_r(rho: float) -> MomentSet:

@@ -4,17 +4,20 @@ The chain starts from f0 = f - b*g - c*(x-a)*g and g0 = (x-a)^2*g and
 repeatedly applies f_i = a_i * f_{i-1}', g_i = a_i * g_{i-1}' with fixed
 positive multipliers a_i, so the monotonicity of r_0 = f_0/g_0 (which is
 the second-difference function q_a) reduces to sign questions about the
-last ratio.  `ChainNode.jets` evaluates node i in one pass up this
+last ratio.  `ChainNode.stages` evaluates node i in one pass up this
 recursion: it expands f0 and g0 as Taylor jets of order `order + i` and
-differentiates and multiplies i times, so f_i and g_i come out together
-and nested differentiation is exact to rounding.  On an array of points
-one pass gives the whole grid, bitwise equal to the pass at each point.
-`scan_signs` reads the sign pattern of such a pass; `verify` needs only
-that.  `sign_pattern` also finds where each sign changes, for `reduce`:
-it bisects all the sign changes of one function in lockstep with
-`bisect_roots`, one array pass per step on all their midpoints.  Only
-the RT chain is available: the multiplier lists for the other two pairs
-are not published in reproducible form, so nothing is guessed here.
+differentiates and multiplies i times, so every f_k and g_k, k <= i,
+comes out of the one pass, and nested differentiation is exact to
+rounding.  Stage k holds the bits of node k's own pass, so one order-1
+pass of node 4 serves the whole chain; `ChainNode.jets` is its last
+stage.  On an array of points one pass gives the whole grid, bitwise
+equal to the pass at each point.  `scan_signs` reads the sign pattern
+of such a pass; `verify` needs only that.  `sign_pattern` also finds
+where each sign changes, for `reduce`: it bisects all the sign changes
+of one function in lockstep with `bisect_roots`, one array pass per
+step on all their midpoints.  Only the RT chain is available: the
+multiplier lists for the other two pairs are not published in
+reproducible form, so nothing is guessed here.
 """
 
 from __future__ import annotations
@@ -63,22 +66,30 @@ class ChainNode:
     b: float
     c: float
 
-    def jets(self, x: float | np.ndarray, order: int = 0) -> tuple[Jet, Jet]:
-        """The jets of f_i and g_i at x (a point or an array), truncated at `order`.
+    def stages(self, x: float | np.ndarray, order: int = 0) -> list[tuple[Jet, Jet]]:
+        """The jets of (f_k, g_k) for k = 0..i at x (a point or an array),
+        each truncated at `order`, from one pass up the recursion.
 
         Coefficient k of a jet operation depends only on coefficients
         <= k of its operands, so the low coefficients do not depend on
-        `order`.
+        the order a pass runs at: stage k is bitwise node k's own pass.
         """
         rt = pair("RT")
         v = Jet.variable(x, order + self.index)
         g = rt.g(v)
         f = rt.f(v) - self.b * g - self.c * (v - self.anchor) * g
         g = (v - self.anchor) ** 2 * g
+        out = [(f, g)]
         for k in range(1, self.index + 1):
             m = MULTIPLIERS[k - 1](Jet.variable(x, order + self.index - k))
             f, g = m * f.deriv(), m * g.deriv()
-        return f, g
+            out.append((f, g))
+        n = order + 1
+        return [(Jet(f.center, f.coeffs[:n]), Jet(g.center, g.coeffs[:n])) for f, g in out]
+
+    def jets(self, x: float | np.ndarray, order: int = 0) -> tuple[Jet, Jet]:
+        """The jets of f_i and g_i at x, truncated at `order`."""
+        return self.stages(x, order)[-1]
 
     def f(self, x: float) -> float:
         return self.jets(x)[0].value

@@ -7,8 +7,9 @@ the bounds or the moment assembly per pair and anchor gives the whole
 grid, bitwise equal to the calls at each point, and each worst margin
 is taken by Python's `min`/`max` over the list of slacks in grid order,
 as a loop over the points took it.  The sign patterns of the reduction
-trace are read by `scan_signs` from one jet pass per chain node, with no
-root bisection.  A check passes by one of three rules:
+trace are read by `scan_signs` from the one jet pass of node 4 per
+anchor that also gives the endgame, with no root bisection.  A check
+passes by one of three rules:
 
 - a strict check (monotonicity, ranges, sandwiches, the endgame) passes
   when its margin, the worst slack over the grid, is > 0;
@@ -158,23 +159,26 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         )
 
     # --- reduction chain ----------------------------------------------------
-    for a in (0, 1):
-        f4, g4 = build_chain_rt(a)[4].jets(x, 1)
+    # One order-1 pass of node 4 per anchor holds every f_i and g_i on
+    # the grid, for the endgame and for the anchor's trace.
+    traces = []
+    for a, trace in ((0, _trace_rt0), (1, _trace_rt1)):
+        chain = build_chain_rt(a)
+        stages = chain[4].stages(x, 1)
+        f4, g4 = stages[4]
         margin = _worst(-f4.value, -g4.value, ratio_slope(f4, g4))
         detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
         results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
+        traces.append(trace(chain, stages, xs))
 
-    return results + [_trace_rt0(xs), _trace_rt1(xs)]
+    return results + traces
 
 
-def _pattern_problems(nodes: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
+def _pattern_problems(stages: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
     """The sign pattern of each named f_i or g_i on xs, scanned in the
-    order of `wants` from one array pass per node; one line per pattern
-    that is not the wanted one."""
-    values = {}
-    for node in nodes:
-        fj, gj = node.jets(np.array(xs))
-        values[f"f{node.index}"], values[f"g{node.index}"] = fj.value, gj.value
+    order of `wants` from the values of stage i of one array pass; one
+    line per pattern that is not the wanted one."""
+    values = {f"{fg}{i}": j.value for i, stage in enumerate(stages) for fg, j in zip("fg", stage)}
     problems = []
     for name, want in wants:
         got = scan_signs(xs, values[name].tolist())[0]
@@ -183,10 +187,9 @@ def _pattern_problems(nodes: list, xs: list[float], wants: list[tuple[str, str]]
     return problems
 
 
-def _trace_rt0(xs: list[float]) -> CheckResult:
-    chain = build_chain_rt(0)
+def _trace_rt0(chain: list, stages: list, xs: list[float]) -> CheckResult:
     problems = _pattern_problems(
-        chain[:3],
+        stages,
         xs,
         [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")],
     )
@@ -202,10 +205,9 @@ def _trace_rt0(xs: list[float]) -> CheckResult:
     return _check("reduction.trace.RT.0", -1.0 if problems else margin, detail)
 
 
-def _trace_rt1(xs: list[float]) -> CheckResult:
-    chain = build_chain_rt(1)
+def _trace_rt1(chain: list, stages: list, xs: list[float]) -> CheckResult:
     problems = _pattern_problems(
-        chain[:4],
+        stages,
         xs,
         [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")],
     )

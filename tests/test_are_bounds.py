@@ -339,36 +339,40 @@ def test_crossovers_are_within_two_ulps_of_the_exact_roots() -> None:
                 assert abs(mpmath.mpf(got) - root) <= 2 * math.ulp(got), (tag, which)
 
 
-def test_cold_endpoint_series_integrate_each_sigma_s2_jet_in_one_lockstep_call(
+def test_cold_endpoint_series_run_no_quadrature_and_build_each_sigma_s2_jet_once(
     monkeypatch,
 ) -> None:
     from arecorr import corrmath
 
-    lockstep, jet = corrmath._integrate_arrays, ab.sigma_s2_jet
-    shapes, centres = [], []
-
-    def recorded(f, los, his, abs_tol):
-        got = lockstep(f, los, his, abs_tol)
-        shapes.append(got[0].shape)
-        return got
+    integrands, jet = corrmath._integrands, ab.sigma_s2_jet
+    built, called = [], []
 
     def refused(*args, **kwargs):
-        raise AssertionError("a one-integrand quadrature ran")
+        raise AssertionError("a quadrature ran")
+
+    def recorded(u, *rest):
+        if isinstance(u, Jet):
+            built.append(u.center)
+        return integrands(u, *rest)
 
     def counted(x0, order):
-        centres.append(x0)
+        called.append(x0)
         return jet(x0, order)
 
-    monkeypatch.setattr(corrmath, "_integrate_arrays", recorded)
+    # sigma_s2(0) = 1.0, coefficient 0 at anchor 0, is a memo read.
+    assert corrmath.sigma_s2(0.0) == 1.0
+    monkeypatch.setattr(corrmath, "_integrate_arrays", refused)
     monkeypatch.setattr(corrmath, "integrate", refused)
+    monkeypatch.setattr(corrmath, "_integrands", recorded)
+    monkeypatch.setattr(corrmath, "_JET_MEMO", {})
     monkeypatch.setattr(ab, "sigma_s2_jet", counted)
     monkeypatch.setattr(ab, "_series_cache", {})
     for tag in PAIR_TAGS:
         for a in (0, 1):
             ab._series(tag, a)
-    # TS and RS at each anchor: one row of the four integrands per jet.
-    assert sorted(centres) == [0.0, 0.0, 1.0, 1.0]
-    assert shapes == [(1, 4)] * 4
+    # TS and RS ask for sigma_s2's jet at each anchor; it is built once there.
+    assert sorted(called) == [0.0, 0.0, 1.0, 1.0]
+    assert built == [0.0, 1.0]
 
 
 def test_crossover_invalid_which() -> None:

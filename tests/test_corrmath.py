@@ -170,10 +170,23 @@ def _sigma_s2_jet_by_rows(x0: float, order: int) -> Jet:
 
 @pytest.mark.parametrize("x0", [0.0, 1e-3, 0.011, 0.5, 0.99, 1.0])
 def test_sigma_jet_has_the_bits_of_one_row_quadratures(x0: float) -> None:
+    # The higher coefficients keep the bits of the jet built row by row.
+    # Coefficient 0 is sigma_s2(x0), exactly 1.0 at 0 and 0.0 at 1, not
+    # the sum of the rows' quadratures on [0, x0].
+    value = {0.0: 1.0, 1.0: 0.0}[x0] if x0 in (0.0, 1.0) else sigma_s2(x0)
     for order in (0, 1, 12):
         want = _sigma_s2_jet_by_rows(x0, order)
         got = sigma_s2_jet(x0, order)
-        assert [v.hex() for v in got.coeffs] == [v.hex() for v in want.coeffs], order
+        assert got.coeffs[0].hex() == value.hex(), order
+        assert [v.hex() for v in got.coeffs[1:]] == [v.hex() for v in want.coeffs[1:]], order
+        # The memo hands the same jet to every later caller.
+        assert sigma_s2_jet(x0, order) is got
+
+
+def test_four_integrals_on_0_1_give_sigma_s2_of_1_zero() -> None:
+    # S = 1 almost surely at rho = 1, so sigma_s2(1) = 0: the quadrature of
+    # the four integrands on [0, 1] must agree to its tolerance.
+    assert abs(_sigma_s2_jet_by_rows(1.0, 0).value) <= 1e-12
 
 
 def test_spearman_variance_collapses_toward_one() -> None:

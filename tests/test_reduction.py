@@ -309,6 +309,27 @@ def test_low_jet_coefficients_do_not_depend_on_the_order() -> None:
                 assert _dr(node, x).hex() == ((f1 * g0 - f0 * g1) / (g0 * g0)).hex()
 
 
+def _raw(jet: Jet, x) -> list[bytes]:
+    """The bytes of each coefficient of a jet at a point or over an array x."""
+    return [np.broadcast_to(c, np.shape(x)).tobytes() for c in jet.coeffs]
+
+
+def test_stages_of_one_pass_hold_the_bits_of_each_nodes_own_pass() -> None:
+    # verify and reduce read every f_i and g_i from one pass of node 4;
+    # stage i must be node i's own pass, coefficient for coefficient.
+    grid = np.array(interior_grid(0.0, 1.0, 99))
+    for a in (0, 1):
+        chain = build_chain_rt(a)
+        for x in (*XS, grid):
+            for order in (0, 1):
+                stages = chain[4].stages(x, order)
+                assert len(stages) == len(chain)
+                for node, stage in zip(chain, stages):
+                    for got, want in zip(stage, node.jets(x, order)):
+                        assert len(got.coeffs) == order + 1
+                        assert _raw(got, x) == _raw(want, x), (a, node.index, order)
+
+
 def test_array_pass_holds_the_bits_of_the_pass_at_each_point() -> None:
     # verify and reduce read f_i, g_i and r_i' of a whole grid from one
     # array pass; each element must be the scalar pass at that point.

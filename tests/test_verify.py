@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
-from arecorr import reduction, verify
+from arecorr import are_bounds, corrmath, reduction, verify
 from arecorr.reduction import ChainNode, build_chain_rt, classify_sign, interior_grid
 from arecorr.verify import MIN_GRID, CheckResult, run_checks
 
@@ -74,4 +75,21 @@ def test_pattern_scan_agrees_with_classify_sign_on_every_node(grid: int) -> None
             for node in nodes
             for name in "fg"
         ]
-        assert verify._pattern_problems(nodes, xs, wants) == [], (a, wants)
+        stages = nodes[-1].stages(np.array(xs), 1)
+        assert verify._pattern_problems(stages, xs, wants) == [], (a, wants)
+
+
+def _bits(results: list[CheckResult]) -> list[tuple]:
+    return [(r.name, r.passed, r.margin.hex(), r.detail) for r in results]
+
+
+def test_run_checks_repeat_their_results_warm_and_after_every_memo_is_cleared(
+    monkeypatch,
+) -> None:
+    first = _bits(run_checks(MIN_GRID))
+    assert _bits(run_checks(MIN_GRID)) == first
+    monkeypatch.setattr(corrmath, "_MEMO", {})
+    monkeypatch.setattr(corrmath, "_JET_MEMO", {})
+    monkeypatch.setattr(are_bounds, "_series_cache", {})
+    monkeypatch.setattr(are_bounds, "_quad_cache", {})
+    assert _bits(run_checks(MIN_GRID)) == first
