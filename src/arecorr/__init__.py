@@ -2,7 +2,7 @@
 
 Library + CLI for the bivariate normal model: closed-form asymptotic
 moments of Pearson's R, Spearman's S, and Kendall's T; the pairwise
-ARE functions with quadratic/partitioned/quartic bounds; a derivative
+ARE functions with quadratic/quartic bounds; a derivative
 reduction chain with sign-pattern verification; and seeded Monte Carlo
 validation of the asymptotics on finite samples.
 """
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArecorrError,
-    BadPartition,
     DegenerateSample,
     DomainError,
     Indeterminate,
@@ -25,7 +24,6 @@ from .errors import (
 
 __all__ = [
     "ArecorrError",
-    "BadPartition",
     "DegenerateSample",
     "DomainError",
     "Indeterminate",

@@ -17,10 +17,6 @@ root goes through corrmath's elementwise helpers, the series hand-offs
 near 1 and near each anchor are applied by mask, and a domain error on
 any element raises the float call's DomainError.
 
-`bisect_roots`, the one root bisection, serves `reduction.sign_pattern`
-on many brackets in lockstep.  `crossover` needs none: the difference of
-two quadratic bounds is a quadratic, solved in closed form.
-
 A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
 checked where they are first looked up: an unknown one raises
 DomainError through `pair` on a cache miss, and a cache holds only
@@ -29,7 +25,6 @@ valid tags.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -38,24 +33,21 @@ import numpy as np
 
 from .corrmath import _arcsine, _domain, _open_unit, _pow, moments_r, moments_s, moments_t
 from .corrmath import sigma_s2, sigma_s2_jet
-from .errors import BadPartition, DomainError, NoBracket
+from .errors import DomainError, NoBracket
 from .taylor import Jet
 
 __all__ = [
     "Pair",
     "QuadCoeffs",
     "Endpoints",
-    "PiecewiseBounds",
     "PAIR_TAGS",
     "pair",
-    "bisect_roots",
     "are",
     "ratio_slope",
     "are_from_moments",
     "endpoint_constants",
     "q",
     "quad_bounds",
-    "partition_bounds",
     "quartic_bounds_rs",
     "crossover",
     "SERIES_RADIUS",
@@ -239,22 +231,15 @@ class QuadCoeffs:
         return self.b + self.c * t + self.q * t * t
 
 
-_quad_cache: dict[tuple[str, int], tuple[QuadCoeffs, QuadCoeffs]] = {}
-
-
 def quad_bounds(tag: str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
     """(lower, upper) quadratic bounds anchored at a in {0, 1}.
 
     Both share the line b + c(x - a) through are at the anchor: b is
     are(a); c is are'(1-) at a = 1 and 0 at a = 0, where are is even.
     The lower q is q_a(0+) and the upper q is q_a(1-), the one-sided
-    limits of the second-difference function.  All four constants come
-    from the endpoint series, and each (pair, anchor) is built once.
+    limits of the second-difference function.  All four constants are
+    read off the cached endpoint series.
     """
-    key = (tag, a)
-    got = _quad_cache.get(key)
-    if got is not None:
-        return got
     if a not in (0, 1):
         raise DomainError(f"anchor must be 0 or 1, got {a!r}")
     s0, s1 = _series(tag, 0), _series(tag, 1)
@@ -263,9 +248,7 @@ def quad_bounds(tag: str, a: int) -> tuple[QuadCoeffs, QuadCoeffs]:
         b, c, q_low, q_high = b0, 0.0, s0.coeffs[2], b1 - b0
     else:
         b, c, q_low, q_high = b1, c1, b0 - b1 + c1, s1.coeffs[2]
-    made = (QuadCoeffs(a=a, b=b, c=c, q=q_low), QuadCoeffs(a=a, b=b, c=c, q=q_high))
-    _quad_cache[key] = made
-    return made
+    return QuadCoeffs(a=a, b=b, c=c, q=q_low), QuadCoeffs(a=a, b=b, c=c, q=q_high)
 
 
 def endpoint_constants(tag: str) -> Endpoints:
@@ -291,43 +274,6 @@ def q(tag: str, a: int, x: float) -> float:
     return _branch(abs(x - a) <= SERIES_RADIUS, x, lambda v: series(v - a), direct)
 
 
-@dataclass(frozen=True)
-class PiecewiseBounds:
-    """Cellwise quadratic bounds from a partition of [0, 1]."""
-
-    tag: PairTag
-    a: int
-    edges: tuple[float, ...]
-    lower: tuple[QuadCoeffs, ...]
-    upper: tuple[QuadCoeffs, ...]
-
-    def _cell(self, x: float) -> int:
-        ax = _check_open_unit(x)
-        return bisect.bisect_right(self.edges, ax, 1, len(self.edges) - 1) - 1
-
-    def lower_at(self, x: float) -> float:
-        return self.lower[self._cell(x)](x)
-
-    def upper_at(self, x: float) -> float:
-        return self.upper[self._cell(x)](x)
-
-
-def partition_bounds(tag: str, a: int, partition: list[float]) -> PiecewiseBounds:
-    """Per cell (x_{i-1}, x_i): lower q = q_a(x_{i-1}+), upper q = q_a(x_i-)."""
-    lower, upper = quad_bounds(tag, a)
-    pts = [float(v) for v in partition]
-    if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
-        raise BadPartition(f"partition must run from 0 to 1, got {partition!r}")
-    if any(not (lo < hi) for lo, hi in zip(pts, pts[1:])):
-        raise BadPartition(f"partition must be strictly increasing, got {partition!r}")
-    # q_a at each edge: its one-sided limits at 0 and 1, else its value.
-    qs = [lower.q, *(q(tag, a, v) for v in pts[1:-1]), upper.q]
-    cells = [QuadCoeffs(a=a, b=lower.b, c=lower.c, q=v) for v in qs]
-    return PiecewiseBounds(
-        tag=tag, a=a, edges=tuple(pts), lower=tuple(cells[:-1]), upper=tuple(cells[1:])
-    )
-
-
 def quartic_bounds_rs(x: float) -> tuple[float, float]:
     """Products of the RT and TS quadratic bounds: tighter bounds on are_RS."""
     ax = _check_open_unit(x)
@@ -343,29 +289,6 @@ def quartic_bounds_rs(x: float) -> tuple[float, float]:
         (l0, l1), (u0, u1) = lowers, uppers
         return np.where(l1 > l0, l1, l0), np.where(u1 < u0, u1, u0)
     return max(lowers), min(uppers)
-
-
-def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
-    """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]),
-    for `reduction.sign_pattern`.
-
-    Each step is one call of h on the array of midpoints of the brackets
-    still open.  A bracket stops when it is at most 1e-10 wide or h is 0
-    at its midpoint, so its root has the bits that bisecting it alone gives.
-    """
-    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
-    open_ = np.flatnonzero(hi - lo > 1e-10)
-    while open_.size:
-        mid = 0.5 * (lo[open_] + hi[open_])
-        fm = h(mid)
-        up = (fm > 0.0) == (flo[open_] > 0.0)
-        lo[open_[up]], flo[open_[up]] = mid[up], fm[up]
-        hi[open_[~up]] = mid[~up]
-        zero = fm == 0.0
-        # A zero closes its bracket on the midpoint: 0.5 * (mid + mid) is mid.
-        lo[open_[zero]] = hi[open_[zero]] = mid[zero]
-        open_ = open_[hi[open_] - lo[open_] > 1e-10]
-    return (0.5 * (lo + hi)).tolist()
 
 
 def crossover(tag: str, which: str) -> float:

@@ -238,10 +238,11 @@ def sigma_s2(x):
 def sigma_s2_jet(x0: float, order: int) -> Jet:
     """Taylor jet of sigma_s2 at x0 in [0, 1], memoized per (x0, order).
 
-    Coefficient 0 is sigma_s2(x0), exactly 1.0 at 0, and 0.0 at 1, where
-    S = 1 almost surely.  Every higher coefficient comes from jets of the
-    integrands (fundamental theorem of calculus), so the jet runs no
-    quadrature of its own and its derivatives carry no quadrature noise.
+    Coefficient 0 is exactly 1.0 at 0, where the integrals are empty,
+    0.0 at 1, where S = 1 almost surely, and sigma_s2(x0) elsewhere.
+    Every higher coefficient comes from jets of the integrands
+    (fundamental theorem of calculus), so an endpoint jet runs no
+    quadrature and no jet's derivatives carry quadrature noise.
     The TS and RS endpoint series share each jet through the memo.
     """
     if not (0.0 <= x0 <= 1.0):
@@ -260,7 +261,7 @@ def _sigma_s2_jet(x0: float, order: int) -> Jet:
         for w, igrand in zip(_WEIGHTS, igrands):
             coeffs = [0.0] + [igrand.coeffs[m - 1] / m for m in range(1, order + 1)]
             total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
-    value = 0.0 if x0 == 1.0 else sigma_s2(x0)
+    value = 1.0 if x0 == 0.0 else 0.0 if x0 == 1.0 else sigma_s2(x0)
     return Jet(x0, (value,) + total.coeffs[1:])
 
 

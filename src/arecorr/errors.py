@@ -19,10 +19,6 @@ class NoConvergence(ArecorrError, ArithmeticError):
     """Adaptive subdivision hit its interval cap before the error target."""
 
 
-class BadPartition(ArecorrError, ValueError):
-    """A partition of [0, 1] is not strictly increasing from 0 to 1."""
-
-
 class NoBracket(ArecorrError, ArithmeticError):
     """No sign change was found on the search interval for a root."""
 

@@ -37,11 +37,9 @@ from .errors import NoConvergence, NonFinite
 __all__ = [
     "Integral",
     "integrate",
-    "DEFAULT_ABS_TOL",
     "MAX_INTERVALS",
 ]
 
-DEFAULT_ABS_TOL = 1e-12
 MAX_INTERVALS = 10_000
 
 # 7-point Gauss weights (center last), 15-point Kronrod abscissae and weights.
@@ -165,7 +163,7 @@ def _integrate_arrays(
     f: Callable[[np.ndarray], np.ndarray],
     los: Sequence[float],
     his: Sequence[float],
-    abs_tol: float = DEFAULT_ABS_TOL,
+    abs_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate f over each [los[i], his[i]] to an absolute tolerance.
 
@@ -283,7 +281,7 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
+    abs_tol: float,
 ) -> Integral:
     """Integrate f over [lo, hi] to an absolute tolerance.
 

@@ -15,9 +15,11 @@ equal to the pass at each point.  `scan_signs` reads the sign pattern
 of such a pass; `verify` needs only that.  `sign_pattern` also finds
 where each sign changes, for `reduce`: it bisects all the sign changes
 of one function in lockstep with `bisect_roots`, one array pass per
-step on all their midpoints.  Only the RT chain is available: the
-multiplier lists for the other two pairs are not published in
-reproducible form, so nothing is guessed here.
+step on all their midpoints.  `bisect_roots` is the package's one root
+bisection: `are_bounds.crossover` needs none, since the difference of
+two quadratic bounds is a quadratic, solved in closed form.  Only the RT
+chain is available: the multiplier lists for the other two pairs are
+not published in reproducible form, so nothing is guessed here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .are_bounds import bisect_roots, pair, quad_bounds
+from .are_bounds import pair, quad_bounds
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
@@ -40,6 +42,7 @@ __all__ = [
     "build_chain_rt",
     "classify_sign",
     "scan_signs",
+    "bisect_roots",
     "sign_pattern",
     "rho_tilde",
     "SIGN_FLOOR",
@@ -137,6 +140,29 @@ def scan_signs(xs: list[float], values: Iterable[float]) -> tuple[str, list[tupl
             symbols += sign
         before = v
     return symbols, changes
+
+
+def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
+    """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]),
+    for `sign_pattern`.
+
+    Each step is one call of h on the array of midpoints of the brackets
+    still open.  A bracket stops when it is at most 1e-10 wide or h is 0
+    at its midpoint, so its root has the bits that bisecting it alone gives.
+    """
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    open_ = np.flatnonzero(hi - lo > 1e-10)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        fm = h(mid)
+        up = (fm > 0.0) == (flo[open_] > 0.0)
+        lo[open_[up]], flo[open_[up]] = mid[up], fm[up]
+        hi[open_[~up]] = mid[~up]
+        zero = fm == 0.0
+        # A zero closes its bracket on the midpoint: 0.5 * (mid + mid) is mid.
+        lo[open_[zero]] = hi[open_[zero]] = mid[zero]
+        open_ = open_[hi[open_] - lo[open_] > 1e-10]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def sign_pattern(h: Callable, xs: list[float], values: Iterable[float]) -> SignPattern:

@@ -14,13 +14,12 @@ from arecorr.are_bounds import (
     crossover,
     endpoint_constants,
     pair,
-    partition_bounds,
     q,
     quad_bounds,
     quartic_bounds_rs,
     ratio_slope,
 )
-from arecorr.errors import BadPartition, DomainError, NoBracket
+from arecorr.errors import DomainError, NoBracket
 from arecorr.taylor import Jet
 
 # Endpoint values, endpoint slopes, and one-sided second-difference
@@ -71,7 +70,6 @@ TAG_CALLS = {
     "quad_bounds": lambda tag: quad_bounds(tag, 1),
     "endpoint_constants": endpoint_constants,
     "are_from_moments": lambda tag: are_from_moments(tag, 0.5),
-    "partition_bounds": lambda tag: partition_bounds(tag, 0, [0.0, 0.5, 1.0]),
     "crossover": lambda tag: crossover(tag, "U"),
 }
 
@@ -85,7 +83,6 @@ def test_every_tag_taking_function_refuses_a_bad_tag(monkeypatch, name, bad, col
         TAG_CALLS[name](tag)
     if cold:
         monkeypatch.setattr(ab, "_series_cache", {})
-        monkeypatch.setattr(ab, "_quad_cache", {})
     with pytest.raises(DomainError):
         TAG_CALLS[name](bad)
 
@@ -241,43 +238,33 @@ def test_quad_bounds_structure_and_sandwich() -> None:
                 v = are(tag, x)
                 assert lower(x) < v < upper(x)
                 assert lower(-x) == lower(x)  # even in x
-    cached = dict(ab._quad_cache)
+    cached = dict(ab._series_cache)
     for a in (2, -1):
         with pytest.raises(DomainError):
             quad_bounds("RT", a)
-    assert ab._quad_cache == cached
+    assert ab._series_cache == cached
 
 
 def test_partition_bounds_refine_the_quadratic_bounds() -> None:
-    # Edges chosen off the test grid: at an edge the cellwise bound
-    # touches the curve exactly, by construction.
+    # On a cell (x_{i-1}, x_i) of a partition of [0, 1], the line through
+    # the anchor plus q_a(x_{i-1}) t^2 below and q_a(x_i) t^2 above
+    # sandwich are, because q_a is increasing; at 0 and 1 q_a is taken
+    # as its one-sided limits, the q of the global bounds.  Edges are
+    # chosen off the test grid: at an edge the cellwise bound touches
+    # the curve exactly, by construction.
     edges = [0.0, 0.31, 0.73, 1.0]
     for tag in ("RT", "TS", "RS"):
         for a in (0, 1):
             lower, upper = quad_bounds(tag, a)
-            pw = partition_bounds(tag, a, edges)
-            assert pw.edges == (0.0, 0.31, 0.73, 1.0)
+            qs = [lower.q, *(q(tag, a, v) for v in edges[1:-1]), upper.q]
+            cells = [QuadCoeffs(a=a, b=lower.b, c=lower.c, q=v) for v in qs]
             for x in GRID:
+                i = sum(e <= x for e in edges[1:-1])
                 v = are(tag, x)
-                assert lower(x) <= pw.lower_at(x) < v < pw.upper_at(x) <= upper(x)
-            # Strict refinement away from the first/last cell edges.
-            assert pw.lower_at(0.5) > lower(0.5)
-            assert pw.upper_at(0.5) < upper(0.5)
-    # An inner edge opens the cell to its right.
-    below = math.nextafter(0.31, 0.0)
-    for x, cell in [(5e-324, 0), (below, 0), (0.31, 1), (-0.31, 1), (0.73, 2), (1.0 - 2**-53, 2)]:
-        assert pw._cell(x) == cell, x
-
-
-def test_bad_partitions_rejected() -> None:
-    with pytest.raises(BadPartition):
-        partition_bounds("RT", 0, [0.3, 0.7])
-    with pytest.raises(BadPartition):
-        partition_bounds("RT", 0, [0.0, 0.5, 0.5, 1.0])
-    with pytest.raises(BadPartition):
-        partition_bounds("RT", 0, [0.0])
-    with pytest.raises(DomainError):
-        partition_bounds("RT", 2, [0.0, 1.0])
+                assert lower(x) <= cells[i](x) < v < cells[i + 1](x) <= upper(x)
+            # Strict refinement on the middle cell.
+            assert cells[1](0.5) > lower(0.5)
+            assert cells[2](0.5) < upper(0.5)
 
 
 def test_quartic_bounds_tighter_than_quadratic() -> None:
@@ -359,8 +346,7 @@ def test_cold_endpoint_series_run_no_quadrature_and_build_each_sigma_s2_jet_once
         called.append(x0)
         return jet(x0, order)
 
-    # sigma_s2(0) = 1.0, coefficient 0 at anchor 0, is a memo read.
-    assert corrmath.sigma_s2(0.0) == 1.0
+    monkeypatch.setattr(corrmath, "_MEMO", {})
     monkeypatch.setattr(corrmath, "_integrate_arrays", refused)
     monkeypatch.setattr(corrmath, "integrate", refused)
     monkeypatch.setattr(corrmath, "_integrands", recorded)

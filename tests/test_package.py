@@ -1,9 +1,13 @@
 """Package-wide checks on the public names."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import arecorr
+from arecorr import errors
 
 
 def test_every_name_in_each_modules_all_resolves() -> None:
@@ -13,3 +17,31 @@ def test_every_name_in_each_modules_all_resolves() -> None:
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ lists undefined {missing}"
+
+
+def _raised_or_warned(tree: ast.AST) -> set[str]:
+    """Names of the classes a module raises (`raise E(...)`, `raise E`)
+    or warns with (`warnings.warn(..., E)`)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+            args = [*node.args, *(k.value for k in node.keywords)]
+            found.update(a.id for a in args if isinstance(a, ast.Name))
+    return found
+
+
+def test_every_error_class_is_exported_and_raised_or_warned_in_the_package() -> None:
+    classes = [
+        n for n, v in vars(errors).items() if inspect.isclass(v) and v.__module__ == errors.__name__
+    ]
+    assert "ArecorrError" in classes and "DomainError" in classes
+    assert set(classes) <= set(arecorr.__all__)
+    used = set()
+    for path in Path(arecorr.__file__).parent.glob("*.py"):
+        used |= _raised_or_warned(ast.parse(path.read_text()))
+    unused = [n for n in classes if n != "ArecorrError" and n not in used]
+    assert not unused, f"nothing in the package raises or warns {unused}"

@@ -195,7 +195,7 @@ def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
 
 
 def test_one_valued_f_gives_rows_by_one_arrays() -> None:
-    values, errs, evaluations = _integrate_arrays(np.sin, [0.0, 0.5, 0.3], [1.0, 1.0, 0.3])
+    values, errs, evaluations = _integrate_arrays(np.sin, [0.0, 0.5, 0.3], [1.0, 1.0, 0.3], 1e-12)
     assert values.shape == errs.shape == evaluations.shape == (3, 1)
     assert evaluations.dtype.kind == "i"
     assert values[2, 0] == 0.0
@@ -205,7 +205,8 @@ def test_integrate_refuses_a_k_valued_f() -> None:
     with pytest.raises(ValueError, match="one-valued"):
         integrate(_integrands, 0.0, 0.5, 1e-12)
     # A (1, N) array is one value per node.
-    assert integrate(_stacked(math.exp), 0.0, 1.0) == integrate(_elementwise(math.exp), 0.0, 1.0)
+    one_per_node = integrate(_stacked(math.exp), 0.0, 1.0, 1e-12)
+    assert one_per_node == integrate(_elementwise(math.exp), 0.0, 1.0, 1e-12)
 
 
 def test_tied_error_estimates_pop_in_push_order() -> None:

@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from arecorr.are_bounds import bisect_roots, endpoint_constants, q, quad_bounds, ratio_slope
+from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
 from arecorr.cli import _arrows
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
     ChainNode,
+    bisect_roots,
     build_chain_rt,
     classify_sign,
     interior_grid,

@@ -91,5 +91,4 @@ def test_run_checks_repeat_their_results_warm_and_after_every_memo_is_cleared(
     monkeypatch.setattr(corrmath, "_MEMO", {})
     monkeypatch.setattr(corrmath, "_JET_MEMO", {})
     monkeypatch.setattr(are_bounds, "_series_cache", {})
-    monkeypatch.setattr(are_bounds, "_quad_cache", {})
     assert _bits(run_checks(MIN_GRID)) == first
