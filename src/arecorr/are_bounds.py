@@ -10,8 +10,8 @@ series).  The same expansions supply the endpoint constants
 are(0), are(1-), are'(1-) and the one-sided limits of the second-difference
 functions q_a, and q_a within SERIES_RADIUS of its anchor.
 
-`are`, `q`, `are_from_moments`, `quartic_bounds_rs` and `QuadCoeffs`
-take a float or a 1-D float64 array of points.  On an array each element
+`are`, `q`, `q_from_are`, `are_from_moments`, `quartic_bounds_rs` and
+`QuadCoeffs` take a float or a 1-D float64 array of points.  On an array each element
 is bitwise the float call at that point: every power, arcsine and square
 root goes through corrmath's elementwise helpers, the series hand-offs
 near 1 and near each anchor are applied by mask, and a domain error on
@@ -47,6 +47,7 @@ __all__ = [
     "are_from_moments",
     "endpoint_constants",
     "q",
+    "q_from_are",
     "quad_bounds",
     "quartic_bounds_rs",
     "crossover",
@@ -165,15 +166,15 @@ def _check_open_unit(x: float) -> float:
     return abs(_domain(x, _open_unit, "|x| must be < 1"))
 
 
-def _branch(near, x, series: Callable, direct: Callable):
-    """series(x) where `near` holds, else direct(x): a flag for a float x,
-    a mask for an array x, whose two parts are evaluated apart."""
-    if not isinstance(x, np.ndarray):
-        return series(x) if near else direct(x)
-    out = np.empty(len(x))
+def _branch(near, series: Callable, direct: Callable, *args):
+    """series(*args) where `near` holds, else direct(*args): a flag for
+    float args, a mask for array args, whose two parts are evaluated apart."""
+    if not isinstance(args[0], np.ndarray):
+        return series(*args) if near else direct(*args)
+    out = np.empty(len(args[0]))
     for mask, fn in ((near, series), (~near, direct)):
         if mask.any():
-            out[mask] = fn(x[mask])
+            out[mask] = fn(*(v[mask] for v in args))
     return out
 
 
@@ -183,9 +184,9 @@ def are(tag: str, x: float) -> float:
     p = pair(tag)
     return _branch(
         1.0 - ax <= SERIES_RADIUS,
-        ax,
         lambda v: _series(tag, 1)(v - 1.0),
         lambda v: p.f(v) / p.g(v),
+        ax,
     )
 
 
@@ -257,21 +258,34 @@ def endpoint_constants(tag: str) -> Endpoints:
     return Endpoints(are_at_0=at0.b, are_at_1=at1.b, dare_at_1=at1.c)
 
 
+def _in_open_unit(v) -> bool:
+    return (0.0 < v) & (v < 1.0)
+
+
 def q(tag: str, a: int, x: float) -> float:
-    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2.
+    """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2,
+    for x in (0, 1): `q_from_are` fed are(tag, x)."""
+    x = _domain(x, _in_open_unit, "q needs x in (0, 1)")
+    return q_from_are(tag, a, x, are(tag, x))
+
+
+def q_from_are(tag: str, a: int, x: float, are_x: float) -> float:
+    """q_a(x) from are_x = are(tag, x), for x in (0, 1); with x an array,
+    are_x is the array of are's values there.
 
     Within SERIES_RADIUS of the anchor, where the ratio is near 0/0, it
-    is the endpoint series with its first two terms dropped.
+    is the endpoint series with its first two terms dropped, and are_x
+    is not read.
     """
     line = quad_bounds(tag, a)[0]
-    x = _domain(x, lambda v: (0.0 < v) & (v < 1.0), "q needs x in (0, 1)")
+    x = _domain(x, _in_open_unit, "q needs x in (0, 1)")
 
-    def direct(v):
+    def direct(v, are_v):
         t = v - a
-        return (are(tag, v) - line.b - line.c * t) / (t * t)
+        return (are_v - line.b - line.c * t) / (t * t)
 
     series = Jet(0.0, _series(tag, a).coeffs[2:])
-    return _branch(abs(x - a) <= SERIES_RADIUS, x, lambda v: series(v - a), direct)
+    return _branch(abs(x - a) <= SERIES_RADIUS, lambda v, _: series(v - a), direct, x, are_x)
 
 
 def quartic_bounds_rs(x: float) -> tuple[float, float]:

@@ -233,12 +233,11 @@ def _cmd_reduce(args) -> int:
         # the whole grid, and one array pass per bisection step gives them
         # at the midpoints.
         for node, (fj, gj) in zip(chain, chain[-1].stages(np.array(xs), 1)):
-            fv, gv = fj.value.tolist(), gj.value.tolist()
-            f_sp = sign_pattern(node.f, xs, fv)
-            g_sp = sign_pattern(node.g, xs, gv)
+            f_sp = sign_pattern(node.f, xs, fj.value)
+            g_sp = sign_pattern(node.g, xs, gj.value)
             try:
                 # g's scan refused |g| < SIGN_FLOOR, so no grid g is 0 here.
-                slope = ratio_slope(fj, gj).tolist()
+                slope = ratio_slope(fj, gj)
                 r_sp = sign_pattern(lambda v: ratio_slope(*node.jets(v, 1)), xs, slope)
                 r_sym, r_brk = _arrows(r_sp.symbols), _fmt_breaks(r_sp.breakpoints)
             except Indeterminate:
@@ -257,8 +256,8 @@ def _cmd_reduce(args) -> int:
                     "g_breakpoints": _fmt_breaks(g_sp.breakpoints),
                     "r_pattern": r_sym,
                     "r_breakpoints": r_brk,
-                    "min_abs_f": min(map(abs, fv)),
-                    "min_abs_g": min(map(abs, gv)),
+                    "min_abs_f": min(map(abs, fj.value.tolist())),
+                    "min_abs_g": min(map(abs, gj.value.tolist())),
                     "rho_tilde_0": rt0,
                 }
             )

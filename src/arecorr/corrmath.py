@@ -208,7 +208,14 @@ def _sigma_s2_block(xs: list[float]) -> list[float]:
 
 def _memoized(xs: list[float]) -> list[float]:
     """sigma_s2 at each of xs: memo reads, and the missing values integrated
-    in blocks of _BLOCK and put in the memo."""
+    in blocks of _BLOCK and put in the memo.
+
+    Only valid abscissae enter the memo, so when all of xs are in it
+    they need no check."""
+    try:
+        return list(map(_MEMO.__getitem__, xs))
+    except KeyError:
+        pass
     for v in xs:
         if not (0.0 <= v < 1.0):
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")

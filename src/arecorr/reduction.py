@@ -12,7 +12,12 @@ rounding.  Stage k holds the bits of node k's own pass, so one order-1
 pass of node 4 serves the whole chain; `ChainNode.jets` is its last
 stage.  On an array of points one pass gives the whole grid, bitwise
 equal to the pass at each point.  `scan_signs` reads the sign pattern
-of such a pass; `verify` needs only that.  `sign_pattern` also finds
+of such a pass as an array: a mask finds the first value that is not
+finite or lies below SIGN_FLOOR in size, which it names in its
+Indeterminate error, and a change mask of the signs gives the pattern
+and the point before each change; `verify` needs only that.
+`stage_rho_tilde` reads rho_tilde off a stage's order-1 jets at one
+point, for `rho_tilde` and for `verify`.  `sign_pattern` also finds
 where each sign changes, for `reduce`: it bisects all the sign changes
 of one function in lockstep with `bisect_roots`, one array pass per
 step on all their midpoints.  `bisect_roots` is the package's one root
@@ -24,9 +29,8 @@ not published in reproducible form, so nothing is guessed here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "bisect_roots",
     "sign_pattern",
     "rho_tilde",
+    "stage_rho_tilde",
     "SIGN_FLOOR",
 ]
 
@@ -118,28 +123,27 @@ def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
 
 
-def scan_signs(xs: list[float], values: Iterable[float]) -> tuple[str, list[tuple[int, float]]]:
-    """The sign pattern of values on the grid xs, read in grid order, and
-    for each sign change the index j and value of the point before it.
+def scan_signs(xs: list[float], values) -> tuple[str, list[tuple[int, float]]]:
+    """The sign pattern of values (an array, or a list) on the grid xs,
+    read in grid order, and for each sign change the index j and value
+    of the point before it.
 
     A value that is not finite or has |value| < SIGN_FLOOR raises
-    Indeterminate before any later value is read: pattern claims are
-    sign claims, so a value too close to zero must fail the scan loudly
-    rather than be skipped.
+    Indeterminate, naming the first such value in grid order: pattern
+    claims are sign claims, so a value too close to zero must fail the
+    scan loudly rather than be skipped.
     """
-    symbols = ""
-    changes: list[tuple[int, float]] = []
-    before = 0.0
-    for j, (x, v) in enumerate(zip(xs, values)):
-        if not math.isfinite(v) or abs(v) < SIGN_FLOOR:
-            raise Indeterminate(f"|h({x!r})| = {v!r} too small to carry a sign")
-        sign = "+" if v > 0.0 else "-"
-        if sign != symbols[-1:]:
-            if symbols:
-                changes.append((j - 1, before))
-            symbols += sign
-        before = v
-    return symbols, changes
+    v = np.asarray(values, dtype=float)
+    ok = np.isfinite(v) & (np.abs(v) >= SIGN_FLOOR)
+    if not ok.all():
+        j = ok.tolist().index(False)
+        raise Indeterminate(f"|h({xs[j]!r})| = {v[j].item()!r} too small to carry a sign")
+    if not len(v):
+        return "", []
+    plus = v > 0.0
+    at = (plus[:-1] ^ plus[1:]).nonzero()[0].tolist()
+    symbols = "".join("+" if plus[k] else "-" for k in [0] + [j + 1 for j in at])
+    return symbols, [(j, v[j].item()) for j in at]
 
 
 def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
@@ -165,7 +169,7 @@ def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]
     return (0.5 * (lo + hi)).tolist()
 
 
-def sign_pattern(h: Callable, xs: list[float], values: Iterable[float]) -> SignPattern:
+def sign_pattern(h: Callable, xs: list[float], values) -> SignPattern:
     """Sign pattern of h's values on the grid xs by `scan_signs`, with each
     sign change bisected by `bisect_roots`; h maps an array of points to
     an array of values."""
@@ -183,15 +187,20 @@ def classify_sign(h: Callable[[float], float], lo: float, hi: float, grid: int) 
     if not (lo < hi):
         raise ValueError("require lo < hi")
     pts = interior_grid(lo, hi, grid)
-    return sign_pattern(lambda m: np.array([h(x) for x in m.tolist()]), pts, map(h, pts))
+    values = np.array([h(x) for x in pts])
+    return sign_pattern(lambda m: np.array([h(x) for x in m.tolist()]), pts, values)
 
 
 def rho_tilde(node: ChainNode, x: float) -> float:
-    """sign(g_i') * (r_{i+1} g_i - f_i); its sign equals the sign of r_i'."""
-    fj, gj = node.jets(x, 1)
-    f0, f1 = fj.coeffs
-    g0, g1 = gj.coeffs
+    """sign(g_i') * (r_{i+1} g_i - f_i) at x; its sign equals the sign of r_i'."""
+    return stage_rho_tilde(node.index, *node.jets(x, 1))
+
+
+def stage_rho_tilde(i: int, f: Jet, g: Jet) -> float:
+    """rho_tilde of stage i from the order-1 jets of f_i and g_i at one point."""
+    f0, f1 = f.coeffs
+    g0, g1 = g.coeffs
     if abs(g1) < SIGN_FLOOR:
-        raise DomainError(f"g_{node.index}'({x!r}) ~ 0; rho_tilde undefined")
+        raise DomainError(f"g_{i}'({g.center!r}) ~ 0; rho_tilde undefined")
     sign = 1.0 if g1 > 0.0 else -1.0
     return sign * ((f1 / g1) * g0 - f0)

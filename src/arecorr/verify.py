@@ -2,14 +2,18 @@
 
 Each check gets a stable dotted name, a pass flag and a worst signed
 margin.  The grid is the interior scheme x_j = j/(grid+1), j = 1..grid,
-on (0, 1).  Every grid check is an array pass: one call of `are`, `q`,
-the bounds or the moment assembly per pair and anchor gives the whole
-grid, bitwise equal to the calls at each point, and each worst margin
-is taken by Python's `min`/`max` over the list of slacks in grid order,
-as a loop over the points took it.  The sign patterns of the reduction
-trace are read by `scan_signs` from the one jet pass of node 4 per
-anchor that also gives the endgame, with no root bisection.  A check
-passes by one of three rules:
+on (0, 1).  Every grid check is an array pass: one call of `are`, the
+bounds or the moment assembly per pair and anchor gives the whole grid,
+bitwise equal to the calls at each point, and each worst margin is
+taken by Python's `min`/`max` over the list of slacks in grid order, as
+a loop over the points took it.  Each grid quantity is computed once:
+q_a comes from the `are` values by `q_from_are`, and the moment-assembly
+row compares with those same values, except within SERIES_RADIUS of 1,
+where `are` is the endpoint series and f/g is taken directly.  One jet
+pass of node 4 per anchor, on the grid and a few probe points after it,
+gives the endgame, the sign patterns of the reduction trace (read by
+`scan_signs`, with no root bisection) and the trace's bracket values
+and rho_tilde.  A check passes by one of three rules:
 
 - a strict check (monotonicity, ranges, sandwiches, the endgame) passes
   when its margin, the worst slack over the grid, is > 0;
@@ -30,18 +34,21 @@ import numpy as np
 
 from .are_bounds import (
     PAIR_TAGS,
+    SERIES_RADIUS,
     are,
     are_from_moments,
     endpoint_constants,
     pair,
-    q,
+    q_from_are,
     quad_bounds,
     quartic_bounds_rs,
     ratio_slope,
 )
+from .are_bounds import q  # noqa: F401  bench/layertrace.py patches it here
 from .corrmath import sigma_s2
-from .reduction import build_chain_rt, interior_grid, rho_tilde, scan_signs
+from .reduction import build_chain_rt, interior_grid, scan_signs, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
+from .taylor import Jet
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
 
@@ -113,7 +120,7 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
 
     for tag in PAIR_TAGS:
         for a in (0, 1):
-            qs = q(tag, a, x)
+            qs = q_from_are(tag, a, x, are_vals[tag])
             margin = min(np.diff(qs).tolist())
             results.append(
                 _check(f"theorem1.q_monotone.{tag}.{a}", margin, f"min grid step {margin:.3e}")
@@ -150,28 +157,47 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     detail = f"max |are_RS - are_RT*are_TS| = {worst:.3e}"
     results.append(_check("factorization.identity", tol - worst, detail, worst <= tol))
 
+    # Off the endpoint-series band, are is f/g itself.
+    band = 1.0 - x <= SERIES_RADIUS
     for tag in PAIR_TAGS:
         p = pair(tag)
-        worst = max(abs(p.f(x) / p.g(x) - are_from_moments(tag, x)).tolist())
+        fg = are_vals[tag].copy()
+        if band.any():
+            fg[band] = p.f(x[band]) / p.g(x[band])
+        worst = max(abs(fg - are_from_moments(tag, x)).tolist())
         detail = f"max |f/g - moment assembly| = {worst:.3e}"
         results.append(
             _check(f"consistency.moment_assembly.{tag}", tol - worst, detail, worst <= tol)
         )
 
     # --- reduction chain ----------------------------------------------------
-    # One order-1 pass of node 4 per anchor holds every f_i and g_i on
-    # the grid, for the endgame and for the anchor's trace.
+    # One order-1 pass of node 4 per anchor, on the grid and then the
+    # trace's probe points, holds every f_i and g_i for the endgame and
+    # for the anchor's trace.
     traces = []
-    for a, trace in ((0, _trace_rt0), (1, _trace_rt1)):
-        chain = build_chain_rt(a)
-        stages = chain[4].stages(x, 1)
+    n = len(xs)
+    for a, probes, trace in ((0, (0.41, 0.71, 1e-6), _trace_rt0), (1, (0.6, 1e-6), _trace_rt1)):
+        pass_ = build_chain_rt(a)[4].stages(np.concatenate([x, probes]), 1)
+        stages = _part(pass_, slice(n))
         f4, g4 = stages[4]
         margin = _worst(-f4.value, -g4.value, ratio_slope(f4, g4))
         detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
         results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
-        traces.append(trace(chain, stages, xs))
+        at = {pt: _part(pass_, n + k) for k, pt in enumerate(probes)}
+        traces.append(trace(stages, at, xs))
 
     return results + traces
+
+
+def _part(stages: list, at: int | slice) -> list[tuple[Jet, Jet]]:
+    """The stages of an array pass at `at`: a slice of its points, or one
+    point, whose jets then hold floats."""
+
+    def pick(v):
+        v = v[at] if isinstance(v, np.ndarray) else v
+        return v if isinstance(at, slice) else float(v)
+
+    return [tuple(Jet(pick(j.center), tuple(map(pick, j.coeffs))) for j in st) for st in stages]
 
 
 def _pattern_problems(stages: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
@@ -181,23 +207,23 @@ def _pattern_problems(stages: list, xs: list[float], wants: list[tuple[str, str]
     values = {f"{fg}{i}": j.value for i, stage in enumerate(stages) for fg, j in zip("fg", stage)}
     problems = []
     for name, want in wants:
-        got = scan_signs(xs, values[name].tolist())[0]
+        got = scan_signs(xs, values[name])[0]
         if got != want:
             problems.append(f"{name}: got {got!r}, want {want!r}")
     return problems
 
 
-def _trace_rt0(chain: list, stages: list, xs: list[float]) -> CheckResult:
+def _trace_rt0(stages: list, at: dict, xs: list[float]) -> CheckResult:
     problems = _pattern_problems(
         stages,
         xs,
         [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")],
     )
     # Bracketing facts and the vanishing of the third stage at 0+.
-    f2, g2 = chain[2].jets(0.41)
-    f1, g1 = chain[1].jets(0.71)
+    f2, g2 = at[0.41][2]
+    f1, g1 = at[0.71][1]
     margin = min(-g2.value, f2.value, -g1.value, f1.value)
-    f3, g3 = chain[3].jets(1e-6)
+    f3, g3 = at[1e-6][3]
     vanish = max(abs(f3.value), abs(g3.value))
     if vanish > 1e-4:
         problems.append(f"stage-3 at 0+ = {vanish:.3e}")
@@ -205,13 +231,13 @@ def _trace_rt0(chain: list, stages: list, xs: list[float]) -> CheckResult:
     return _check("reduction.trace.RT.0", -1.0 if problems else margin, detail)
 
 
-def _trace_rt1(chain: list, stages: list, xs: list[float]) -> CheckResult:
+def _trace_rt1(stages: list, at: dict, xs: list[float]) -> CheckResult:
     problems = _pattern_problems(
         stages,
         xs,
         [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")],
     )
-    f3, g3 = chain[3].jets(0.6)
-    margin = min(-g3.value, f3.value, rho_tilde(chain[2], 1e-6))
+    f3, g3 = at[0.6][3]
+    margin = min(-g3.value, f3.value, stage_rho_tilde(2, *at[1e-6][2]))
     detail = "; ".join(problems) or f"min bracket/rho_tilde slack {margin:.3e}"
     return _check("reduction.trace.RT.1", -1.0 if problems else margin, detail)

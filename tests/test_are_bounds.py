@@ -15,11 +15,13 @@ from arecorr.are_bounds import (
     endpoint_constants,
     pair,
     q,
+    q_from_are,
     quad_bounds,
     quartic_bounds_rs,
     ratio_slope,
 )
 from arecorr.errors import DomainError, NoBracket
+from arecorr.reduction import interior_grid
 from arecorr.taylor import Jet
 
 # Endpoint values, endpoint slopes, and one-sided second-difference
@@ -468,6 +470,21 @@ def test_array_q_and_quadratic_bounds_have_the_bits_of_floats(tag: str) -> None:
         _same_bits(q(tag, a, xs), [q(tag, a, x) for x in _POSITIVE])
         for bound in quad_bounds(tag, a):
             _same_bits(bound(grid), [bound(x) for x in _ARRAY_GRID])
+
+
+@pytest.mark.parametrize("grid", [99, 499])
+def test_q_from_the_curve_values_keeps_the_bits_of_float_q(grid: int) -> None:
+    # The verify grids; at 499 both anchors' series bands hold grid points,
+    # at 99 only anchor 0's does.
+    xs = interior_grid(0.0, 1.0, grid)
+    x = np.array(xs)
+    banded = [a for a in (0, 1) if any(abs(v - a) <= ab.SERIES_RADIUS for v in xs)]
+    assert banded == ([0, 1] if grid == 499 else [0])
+    for tag in PAIR_TAGS:
+        for a in (0, 1):
+            want = [q(tag, a, v) for v in xs]
+            _same_bits(q(tag, a, x), want)
+            _same_bits(q_from_are(tag, a, x, are(tag, x)), want)
 
 
 def test_array_quartic_bounds_have_the_bits_of_floats() -> None:

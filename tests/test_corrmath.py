@@ -267,6 +267,51 @@ def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) ->
     corrmath._MEMO.clear()
 
 
+def _refuse_quadrature(monkeypatch, allowed: list[float] | None = None) -> list[list[float]]:
+    """Make `_integrate_arrays` raise, or integrate only the abscissae in
+    `allowed`; returns the list of abscissae of each call it let through."""
+    real = corrmath._integrate_arrays
+    seen: list[list[float]] = []
+
+    def guarded(f, lo, hi, abs_tol):
+        if allowed is None or not set(hi) <= set(allowed):
+            raise AssertionError(f"quadrature on {hi!r}")
+        seen.append(list(hi))
+        return real(f, lo, hi, abs_tol)
+
+    monkeypatch.setattr(corrmath, "_integrate_arrays", guarded)
+    return seen
+
+
+def test_fully_memoized_array_read_runs_no_quadrature(monkeypatch) -> None:
+    xs = [0.0, 0.3, 0.5, 0.3, 0.9]
+    want = [v.hex() for v in sigma_s2(np.array(xs)).tolist()]
+    memo = [corrmath._MEMO[x].hex() for x in xs]
+    _refuse_quadrature(monkeypatch)
+    assert [v.hex() for v in sigma_s2(np.array(xs)).tolist()] == want == memo
+    # -0.0 is the key 0.0, as it is on the float path.
+    assert sigma_s2(np.array([-0.0])).tolist()[0].hex() == want[0]
+
+
+def test_bad_element_among_memo_hits_is_named(monkeypatch) -> None:
+    hits = [0.2, 0.4]
+    sigma_s2(np.array(hits))
+    _refuse_quadrature(monkeypatch)
+    for bad in (-0.1, 1.0, math.nan):
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            sigma_s2(np.array([hits[0], bad, hits[1]]))
+
+
+def test_partly_memoized_array_integrates_only_the_missing_abscissae(monkeypatch) -> None:
+    hits, missing = [0.31, 0.62], [0.47, 0.83]
+    xs = [hits[0], missing[0], hits[1], missing[1]]
+    want = _cold_float_values(xs)
+    sigma_s2(np.array(hits))
+    seen = _refuse_quadrature(monkeypatch, allowed=missing)
+    assert [v.hex() for v in sigma_s2(np.array(xs)).tolist()] == want
+    assert seen == [missing]
+
+
 def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:
     for bad in ([0.5, 1.0], [-0.1], [0.2, math.nan], [math.inf]):
         with pytest.raises(DomainError):

@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
 from arecorr.cli import _arrows
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
+    SIGN_FLOOR,
     ChainNode,
     bisect_roots,
     build_chain_rt,
@@ -217,6 +220,50 @@ def test_scan_names_the_first_of_several_bad_values() -> None:
         scan_signs([0.1, 0.2, 0.3, 0.4], [1.0, -2.0, 0.0, math.nan])
     symbols, changes = scan_signs([0.1, 0.2, 0.3, 0.4], [1.0, -2.0, -3.0, 4.0])
     assert symbols == "+-+" and changes == [(0, 1.0), (2, -3.0)]
+
+
+def _scan_loop(xs: list[float], values: list[float]) -> tuple[str, list[tuple[int, float]]]:
+    """The point-by-point scan that `scan_signs` must reproduce."""
+    symbols = ""
+    changes: list[tuple[int, float]] = []
+    before = 0.0
+    for j, (x, v) in enumerate(zip(xs, values)):
+        if not math.isfinite(v) or abs(v) < SIGN_FLOOR:
+            raise Indeterminate(f"|h({x!r})| = {v!r} too small to carry a sign")
+        sign = "+" if v > 0.0 else "-"
+        if sign != symbols[-1:]:
+            if symbols:
+                changes.append((j - 1, before))
+            symbols += sign
+        before = v
+    return symbols, changes
+
+
+def _outcome(scan, xs: list[float], values) -> tuple:
+    try:
+        return scan(xs, values)
+    except Indeterminate as err:
+        return ("Indeterminate", str(err))
+
+
+_SCAN_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e-13, -1e-13, 0.0, -0.0]),
+    st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= SIGN_FLOOR),
+    st.sampled_from([SIGN_FLOOR, -SIGN_FLOOR, 1e300, -1e300, 5e-13]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_SCAN_VALUES, max_size=40))
+@example([1.0, -2.0, 0.0, math.nan])
+@example([1e300, -1e300, 1e300])
+@example([SIGN_FLOOR, -SIGN_FLOOR])
+@example([])
+def test_array_scan_agrees_with_the_scalar_loop(values: list[float]) -> None:
+    xs = [(j + 1) / (len(values) + 1) for j in range(len(values))]
+    want = _outcome(_scan_loop, xs, values)
+    assert _outcome(scan_signs, xs, np.array(values, dtype=float)) == want
+    assert _outcome(scan_signs, xs, values) == want
 
 
 def test_classify_sign_validates_window_and_grid() -> None:

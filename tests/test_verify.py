@@ -53,16 +53,28 @@ def test_trace_check_reports_a_third_stage_that_does_not_vanish_at_0(monkeypatch
 
 
 def test_checks_read_the_chain_from_array_passes_alone(monkeypatch) -> None:
-    # verify reads every chain value from its node passes and bisects
-    # nothing, so it must pass without the accessors.
-    def refuse(self, x):
+    # verify reads every chain value, the trace brackets and rho_tilde
+    # included, from one pass of node 4 per anchor and bisects nothing,
+    # so it must pass without the accessors.
+    def refuse(self, x, order=0):
         raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
 
-    monkeypatch.setattr(ChainNode, "f", refuse)
-    monkeypatch.setattr(ChainNode, "g", refuse)
+    passes = []
+    stages = ChainNode.stages
+
+    def counted(self, x, order=0):
+        passes.append((self.index, len(x), order))
+        return stages(self, x, order)
+
+    for name in ("f", "g", "jets"):
+        monkeypatch.setattr(ChainNode, name, refuse)
+    monkeypatch.setattr(ChainNode, "stages", counted)
+    monkeypatch.setattr(reduction, "rho_tilde", refuse)
     results = run_checks(MIN_GRID)
     assert len(results) == 38
     assert [r.name for r in results if not r.passed] == []
+    # The grid and the probe points: three at anchor 0, two at anchor 1.
+    assert passes == [(4, MIN_GRID + 3, 1), (4, MIN_GRID + 2, 1)]
 
 
 @pytest.mark.parametrize("grid", [99, 499])
