@@ -11,11 +11,11 @@ are(0), are(1-), are'(1-) and the one-sided limits of the second-difference
 functions q_a, and q_a within SERIES_RADIUS of its anchor.
 
 `are`, `q`, `q_from_are`, `are_from_moments`, `quartic_bounds_rs` and
-`QuadCoeffs` take a float or a 1-D float64 array of points.  On an array each element
-is bitwise the float call at that point: every power, arcsine and square
-root goes through corrmath's elementwise helpers, the series hand-offs
-near 1 and near each anchor are applied by mask, and a domain error on
-any element raises the float call's DomainError.
+`QuadCoeffs` take a float or a 1-D float64 array of points.  On an array
+each element is bitwise the float call at that point: every power,
+arcsine and square root goes through corrmath's elementwise helpers, the
+series hand-offs near 1 and near each anchor are applied by mask, and a
+domain error on any element raises the float call's DomainError.
 
 A pair is named by its tag, exactly "RT", "TS" or "RS".  Tags are
 checked where they are first looked up: an unknown one raises
@@ -264,9 +264,11 @@ def _in_open_unit(v) -> bool:
 
 def q(tag: str, a: int, x: float) -> float:
     """Second-difference function q_a(x) = (are(x) - b - c(x-a))/(x-a)^2,
-    for x in (0, 1): `q_from_are` fed are(tag, x)."""
+    for x in (0, 1): `q_from_are` fed are(tag, x) off the anchor's series
+    band, the only place it reads it; x stands in for it in the band."""
     x = _domain(x, _in_open_unit, "q needs x in (0, 1)")
-    return q_from_are(tag, a, x, are(tag, x))
+    near = abs(x - a) <= SERIES_RADIUS
+    return q_from_are(tag, a, x, _branch(near, lambda v: v, lambda v: are(tag, v), x))
 
 
 def q_from_are(tag: str, a: int, x: float, are_x: float) -> float:

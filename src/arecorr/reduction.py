@@ -123,7 +123,9 @@ def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
 
 
-def scan_signs(xs: list[float], values) -> tuple[str, list[tuple[int, float]]]:
+def scan_signs(
+    xs: list[float], values: np.ndarray | list[float]
+) -> tuple[str, list[tuple[int, float]]]:
     """The sign pattern of values (an array, or a list) on the grid xs,
     read in grid order, and for each sign change the index j and value
     of the point before it.
@@ -169,7 +171,9 @@ def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]
     return (0.5 * (lo + hi)).tolist()
 
 
-def sign_pattern(h: Callable, xs: list[float], values) -> SignPattern:
+def sign_pattern(
+    h: Callable, xs: list[float], values: np.ndarray | list[float]
+) -> SignPattern:
     """Sign pattern of h's values on the grid xs by `scan_signs`, with each
     sign change bisected by `bisect_roots`; h maps an array of points to
     an array of values."""
