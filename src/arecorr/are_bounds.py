@@ -13,7 +13,7 @@ functions q_a, and q_a within SERIES_RADIUS of its anchor.
 `are`, `q`, `q_from_are`, `are_from_moments`, `quartic_bounds_rs` and
 `QuadCoeffs` take a float or a 1-D float64 array of points.  On an array
 each element is bitwise the float call at that point: every power,
-arcsine and square root goes through corrmath's elementwise helpers, the
+arcsine and square root goes through taylor's elementwise kernels, the
 series hand-offs near 1 and near each anchor are applied by mask, and a
 domain error on any element raises the float call's DomainError.
 
@@ -31,10 +31,10 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .corrmath import _arcsine, _domain, _open_unit, _pow, moments_r, moments_s, moments_t
+from .corrmath import _PI2, _domain, _open_unit, moments_r, moments_s, moments_t
 from .corrmath import sigma_s2, sigma_s2_jet
 from .errors import DomainError, NoBracket
-from .taylor import Jet
+from .taylor import Jet, asin as _arcsine, power as _pow
 
 __all__ = [
     "Pair",
@@ -56,8 +56,6 @@ __all__ = [
 
 PairTag = Literal["RT", "TS", "RS"]
 PAIR_TAGS: tuple[PairTag, ...] = ("RT", "TS", "RS")
-
-_PI2 = math.pi**2
 
 # Direct f/g evaluation hands off to the endpoint expansion inside this
 # distance from x = 1; the expansions' nearest singularity sits at

@@ -6,8 +6,8 @@ that needs quadrature (four smooth integrals on [0, |rho|]), to a fixed
 absolute tolerance of 1e-12, with its values memoized per x = |rho|.
 rho may also be a 1-D float64 array: every field of the result is then
 an array whose elements are bitwise the float values, because powers,
-arcsines and square roots go through `_pow`, `_arcsine` and `_sqrt`,
-which compute each element as the float path does.
+arcsines and square roots go through taylor's `power`, `asin` and
+`sqrt`, which compute each element as the float path does.
 First derivatives are analytic throughout: the integral terms differentiate
 by the fundamental theorem of calculus, so no numerical differentiation
 happens anywhere in this module.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import _integrate_arrays
 from .quadrature import integrate  # noqa: F401  bench/layertrace.py patches it here
-from .taylor import Jet
+from .taylor import Jet, asin as _arcsine, power as _pow, sqrt as _sqrt
 
 __all__ = [
     "MomentSet",
@@ -46,6 +45,8 @@ RHO_CAP = 1.0 - 1e-12
 # (1+2+2+4) ~ 66 times the worst single-integral error, so this holds
 # sigma_s2 to an absolute 1e-12.
 _INTEGRAL_TOL = 1e-12 / 66.0
+
+_PI2 = math.pi**2
 
 
 @dataclass(frozen=True)
@@ -87,40 +88,6 @@ def _rho_values(rho):
     if isinstance(rho, np.ndarray):
         return _domain(rho, _open_unit, "|rho| must be < 1")
     return _rho_value(rho)
-
-
-def _asin(x: float) -> float:
-    # Clamp only last-bit overshoot; genuine domain violations still raise.
-    if 1.0 < abs(x) <= 1.0 + 1e-15:
-        x = math.copysign(1.0, x)
-    return math.asin(x)
-
-
-def _sqrt(v):
-    if isinstance(v, Jet):
-        return v.sqrt()
-    # Both square roots are correctly rounded.
-    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
-
-
-# On arrays, powers and arcsines go through math per element: numpy's
-# `**` and np.arcsin may differ from them in the last bit.
-
-
-def _pow(v, n: int):
-    if isinstance(v, np.ndarray):
-        return np.fromiter(map(math.pow, memoryview(v), repeat(float(n))), np.float64, len(v))
-    return v**n
-
-
-def _arcsine(v):
-    if isinstance(v, Jet):
-        return v.asin()
-    if isinstance(v, np.ndarray):
-        # _asin's clamp has nothing to do unless an element exceeds 1.
-        asin = math.asin if bool((np.abs(v) <= 1.0).all()) else _asin
-        return np.fromiter(map(asin, memoryview(v)), np.float64, len(v))
-    return _asin(v)
 
 
 def _integrands(u, need=None):
@@ -201,9 +168,8 @@ def _sigma_s2_block(xs: list[float]) -> list[float]:
     isum = 0.0
     for w, v in zip(_WEIGHTS, values.T):
         isum = isum + w * v
-    pi2 = math.pi**2
     asin2 = _pow(_arcsine(0.5 * np.array(xs)), 2)
-    return (1.0 - (324.0 / pi2) * asin2 + (72.0 / pi2) * isum).tolist()
+    return (1.0 - (324.0 / _PI2) * asin2 + (72.0 / _PI2) * isum).tolist()
 
 
 def _memoized(xs: list[float]) -> list[float]:
@@ -261,13 +227,12 @@ def sigma_s2_jet(x0: float, order: int) -> Jet:
 
 def _sigma_s2_jet(x0: float, order: int) -> Jet:
     x = Jet.variable(x0, order)
-    pi2 = math.pi**2
-    total = 1.0 - (324.0 / pi2) * _arcsine(0.5 * x) ** 2
+    total = 1.0 - (324.0 / _PI2) * _arcsine(0.5 * x) ** 2
     if order >= 1:
         igrands = _integrands(Jet.variable(x0, order - 1))
         for w, igrand in zip(_WEIGHTS, igrands):
             coeffs = [0.0] + [igrand.coeffs[m - 1] / m for m in range(1, order + 1)]
-            total = total + (72.0 / pi2) * w * Jet(x0, tuple(coeffs))
+            total = total + (72.0 / _PI2) * w * Jet(x0, tuple(coeffs))
     value = 1.0 if x0 == 0.0 else 0.0 if x0 == 1.0 else sigma_s2(x0)
     return Jet(x0, (value,) + total.coeffs[1:])
 
@@ -288,7 +253,7 @@ def moments_t(rho: float) -> MomentSet:
     return MomentSet(
         mu=(2.0 / pi) * _arcsine(v),
         dmu=2.0 / (pi * _sqrt(1.0 - v * v)),
-        sigma2=4.0 / 9.0 - (16.0 / pi**2) * half * half,
+        sigma2=4.0 / 9.0 - (16.0 / _PI2) * half * half,
     )
 
 
@@ -316,5 +281,5 @@ def mu_s_finite_n(rho: float, n: int) -> float:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n!r}")
     pi = math.pi
-    mu_t = (2.0 / pi) * _asin(v)
-    return ((n - 2) / (n + 1)) * (6.0 / pi) * _asin(0.5 * v) + 3.0 * mu_t / (n + 1)
+    mu_t = (2.0 / pi) * _arcsine(v)
+    return ((n - 2) / (n + 1)) * (6.0 / pi) * _arcsine(0.5 * v) + 3.0 * mu_t / (n + 1)

@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
+from .taylor import each
 
 __all__ = [
     "Integral",
@@ -141,8 +141,7 @@ def _gk15(f: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, need=Non
     # libm's pow, as Python's float `**` computes it.
     scale = (resasc != 0.0) & (err != 0.0)
     scaled = resasc[scale]
-    ratio = (200.0 * err[scale] / scaled).tolist()
-    power = np.fromiter(map(math.pow, ratio, repeat(1.5)), np.float64, len(ratio))
+    power = each(math.pow, 200.0 * err[scale] / scaled, 1.5)
     err[scale] = scaled * np.where(power < 1.0, power, 1.0)
     floor = (_EPMACH * 50.0) * resabs
     floored = np.where(resabs > _UFLOW / (50.0 * _EPMACH), floor, err)

@@ -44,6 +44,7 @@ import numpy.random  # noqa: F401  at import, so the first draw does not pay for
 
 from .corrmath import _fill_memo, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import DegenerateSample, DomainError, TiesPresent
+from .taylor import each
 
 __all__ = [
     "DEFAULT_SEED",
@@ -479,8 +480,7 @@ def phi(z):
     """Standard normal CDF of a float, or of each element of a 1-D float64
     array, bitwise the float value: only erfc is called per element."""
     if isinstance(z, np.ndarray):
-        args = (-z / math.sqrt(2.0)).tolist()
-        return 0.5 * np.fromiter(map(math.erfc, args), np.float64, len(args))
+        return 0.5 * each(math.erfc, -z / math.sqrt(2.0))
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 

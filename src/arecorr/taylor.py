@@ -11,21 +11,53 @@ A jet may also hold float64 arrays: a 1-D array of centers, and per
 coefficient an array over them (or a broadcast float).  Each element is
 then bitwise the jet at its own center, and a domain guard that fails on
 any element raises the float path's exception.
+
+The module also holds the elementwise kernels that every float, array
+and jet path of the package shares.  `sqrt`, `asin` and `power` take a
+float, a 1-D float64 array or a jet and return the same kind, and a
+jet's coefficient 0 comes from them too.  On an array, libm functions
+run per element through `each`, so every element has the bits of the
+float call: numpy's own loops (np.arcsin, np.power, ...) may differ from
+libm in the last bit.  Square roots are correctly rounded, so np.sqrt
+serves arrays.  Arcsines past 1 raise math.asin's ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-__all__ = ["Jet"]
+__all__ = ["Jet", "asin", "each", "power", "sqrt"]
 
 
 def _any(test) -> bool:
     """A comparison of coefficients: a bool for floats, any element for arrays."""
     return test if test.__class__ is bool else bool(test.any())
+
+
+def each(fn, v: np.ndarray, *args) -> np.ndarray:
+    """fn(element, *args) for each element of a 1-D array, as float64."""
+    return np.fromiter(map(fn, memoryview(v), *map(repeat, args)), np.float64, len(v))
+
+
+def sqrt(v):
+    if isinstance(v, Jet):
+        return v.sqrt()
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def asin(v):
+    if isinstance(v, Jet):
+        return v.asin()
+    return each(math.asin, v) if isinstance(v, np.ndarray) else math.asin(v)
+
+
+def power(v, n: int):
+    """v**n; on an array, libm's pow per element, as float `**` takes it."""
+    return each(math.pow, v, float(n)) if isinstance(v, np.ndarray) else v**n
 
 
 @dataclass(frozen=True)
@@ -126,8 +158,7 @@ class Jet:
         if _any(c0 <= 0.0):
             raise ValueError("jet sqrt needs a strictly positive value")
         out = [0.0] * len(self.coeffs)
-        # Both square roots are correctly rounded.
-        out[0] = np.sqrt(c0) if isinstance(c0, np.ndarray) else math.sqrt(c0)
+        out[0] = sqrt(c0)
         for k in range(1, len(self.coeffs)):
             acc = self.coeffs[k]
             for j in range(1, k):
@@ -141,9 +172,7 @@ class Jet:
         if _any(abs(c0) >= 1.0):
             raise ValueError("jet asin needs |value| < 1")
         out = [0.0] * len(self.coeffs)
-        # On arrays, math.asin per element: np.arcsin may differ in the last bit.
-        arr = isinstance(c0, np.ndarray)
-        out[0] = np.array([math.asin(v) for v in c0.tolist()]) if arr else math.asin(c0)
+        out[0] = asin(c0)
         if len(self.coeffs) > 1:
             w = (1.0 - self * self).sqrt()
             q = self.deriv() / Jet(self.center, w.coeffs[:-1])

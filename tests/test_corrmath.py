@@ -138,6 +138,27 @@ def test_integrand_values_and_domain() -> None:
         isin_integrand(1, 1.5)
 
 
+def test_arcsine_arguments_stay_far_inside_the_unit_interval() -> None:
+    # Why asin needs no clamp: on [-1, 1] no integrand's argument passes
+    # 3/(2 sqrt 6) ~ 0.61237 in magnitude, reached at |u| = 1.
+    edge = math.nextafter(1.0, 0.0)
+    u = np.concatenate([np.linspace(-1.0, 1.0, 20001), [-edge, edge]])
+    u2, u4 = corrmath._pow(u, 2), corrmath._pow(u, 4)
+    peak = max(float(np.abs(corrmath._arcsine_arg(k, u, u2, u4)).max()) for k in range(4))
+    assert peak <= 0.62
+    assert peak == pytest.approx(3.0 / (2.0 * math.sqrt(6.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("over", [1.0 + 2.0**-52, -(1.0 + 2.0**-52)])
+def test_asin_past_one_raises_rather_than_clamps(over: float) -> None:
+    with pytest.raises(ValueError):
+        corrmath._arcsine(over)
+    with pytest.raises(ValueError):
+        corrmath._arcsine(np.array([0.5, over]))
+    with pytest.raises(ValueError):
+        corrmath._arcsine(Jet.variable(over, 2))
+
+
 def test_sigma_jet_matches_value_and_derivative() -> None:
     x = 0.3
     j = sigma_s2_jet(x, 3)

@@ -45,3 +45,37 @@ def test_every_error_class_is_exported_and_raised_or_warned_in_the_package() -> 
         used |= _raised_or_warned(ast.parse(path.read_text()))
     unused = [n for n in classes if n != "ArecorrError" and n not in used]
     assert not unused, f"nothing in the package raises or warns {unused}"
+
+
+# numpy's own loops for these may differ from libm in the last bit.
+_NOT_BITWISE = {"arcsin", "power", "float_power", "exp", "log", "sin", "cos"}
+
+
+def _numpy_names(tree: ast.AST) -> list[tuple[str | None, str]]:
+    """(innermost enclosing function, attribute) of each `np.<attribute>`."""
+    found = []
+
+    def visit(node: ast.AST, where: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id in ("np", "numpy"):
+                    found.append((where, child.attr))
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_arrays_reach_libm_only_through_taylors_map() -> None:
+    fromiter, not_bitwise = [], []
+    for path in sorted(Path(arecorr.__file__).parent.glob("*.py")):
+        for where, attr in _numpy_names(ast.parse(path.read_text())):
+            if attr == "fromiter":
+                fromiter.append((path.stem, where))
+            elif attr in _NOT_BITWISE:
+                not_bitwise.append((path.stem, where, attr))
+    assert fromiter == [("taylor", "each")]
+    assert not not_bitwise, f"numpy loops that are not libm's: {not_bitwise}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from arecorr.taylor import Jet
+from arecorr.taylor import Jet, each
 
 
 def test_variable_and_constant_layout() -> None:
@@ -120,6 +120,19 @@ def test_array_jets_hold_the_bits_of_float_jets() -> None:
         want = expr(Jet.variable(x0, order))
         for k in range(order + 1):
             assert float(got.coeffs[k][j]).hex() == want.coeffs[k].hex()
+
+
+def test_each_has_the_bits_of_the_float_calls() -> None:
+    # Tiled so that the stride-3 view holds all five values, without a copy.
+    v = np.tile([-0.0, 5e-324, 1e-300, 0.5, 1.0], 3)
+    strided = v[::3]
+    assert not strided.flags.contiguous and sorted(strided.tolist()) == sorted(v[:5].tolist())
+    calls = [(math.asin, ()), (math.erfc, ())] + [(math.pow, (p,)) for p in (1.5, 2, 3, 4)]
+    for arr in (v, strided):
+        for fn, args in calls:
+            got = each(fn, arr, *args)
+            assert got.dtype == np.float64
+            assert [g.hex() for g in got.tolist()] == [fn(x, *args).hex() for x in arr.tolist()]
 
 
 def test_array_guards_reject_a_single_bad_element() -> None:
