@@ -10,9 +10,9 @@ allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.
 
 `mc` draws each replicate once for all its rhos and evaluates R, S and
-T on it at each rho.  `reduce` evaluates the chain only by array jet
-passes: one per anchor on the grid, then one per lockstep bisection
-step.
+T on it at each rho.  `reduce` evaluates the chain only by passes of
+its last node: per anchor, one array pass on the grid, one at 1e-6 for
+rho_tilde and one per step of the anchor's one lockstep bisection.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds, ratio_slope
 from .errors import ArecorrError, DomainError, Indeterminate
-from .reduction import build_chain_rt, interior_grid, rho_tilde, sign_pattern
+from .reduction import build_chain_rt, interior_grid, scan_signs, sign_patterns, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 from .stats_mc import _SIZE_LIMIT, DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
@@ -209,13 +209,16 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _fmt_breaks(points: tuple[float, ...]) -> str:
-    return ";".join(repr(b) for b in points)
-
-
 def _arrows(symbols: str) -> str:
     """The monotonicity pattern of a function from the sign pattern of its slope."""
     return symbols.replace("+", "↗").replace("-", "↘")
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _chain_values(node, x) -> list:
+    """f_k, g_k and r_k' for k = 0..i from one order-1 pass of node i at x;
+    r_k' is inf or nan where g_k is 0, with no warning."""
+    return [v for f, g in node.stages(x, 1) for v in (f.value, g.value, ratio_slope(f, g))]
 
 
 def _cmd_reduce(args) -> int:
@@ -228,36 +231,36 @@ def _cmd_reduce(args) -> int:
     rows = []
     xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
-        chain = build_chain_rt(a)
-        # One array pass of the last node gives every f_i, g_i and r_i' on
-        # the whole grid, and one array pass per bisection step gives them
-        # at the midpoints.
-        for node, (fj, gj) in zip(chain, chain[-1].stages(np.array(xs), 1)):
-            f_sp = sign_pattern(node.f, xs, fj.value)
-            g_sp = sign_pattern(node.g, xs, gj.value)
+        # Every f_i, g_i and r_i' from passes of the last node alone.
+        last = build_chain_rt(a)[-1]
+        values = _chain_values(last, np.array(xs))
+        scans = []
+        for k, v in enumerate(values):
             try:
-                # g's scan refused |g| < SIGN_FLOOR, so no grid g is 0 here.
-                slope = ratio_slope(fj, gj)
-                r_sp = sign_pattern(lambda v: ratio_slope(*node.jets(v, 1)), xs, slope)
-                r_sym, r_brk = _arrows(r_sp.symbols), _fmt_breaks(r_sp.breakpoints)
+                scans.append(scan_signs(xs, v))
             except Indeterminate:
-                r_sym, r_brk = "", ""
+                if k % 3 < 2:  # f_i or g_i
+                    raise
+                scans.append(("", []))  # r_i' has no sign: its columns stay blank
+        patterns = sign_patterns(lambda m, at: np.choose(at, _chain_values(last, m)), xs, scans)
+        for i, stage in enumerate(last.stages(1e-6, 1)):
+            f_sp, g_sp, r_sp = patterns[3 * i : 3 * i + 3]
             try:
-                rt0 = repr(rho_tilde(node, 1e-6))
+                rt0 = repr(stage_rho_tilde(i, *stage))
             except DomainError:
                 rt0 = ""
             rows.append(
                 {
                     "anchor": a,
-                    "node": node.index,
+                    "node": i,
                     "f_pattern": f_sp.symbols,
-                    "f_breakpoints": _fmt_breaks(f_sp.breakpoints),
+                    "f_breakpoints": ";".join(map(repr, f_sp.breakpoints)),
                     "g_pattern": g_sp.symbols,
-                    "g_breakpoints": _fmt_breaks(g_sp.breakpoints),
-                    "r_pattern": r_sym,
-                    "r_breakpoints": r_brk,
-                    "min_abs_f": min(map(abs, fj.value.tolist())),
-                    "min_abs_g": min(map(abs, gj.value.tolist())),
+                    "g_breakpoints": ";".join(map(repr, g_sp.breakpoints)),
+                    "r_pattern": _arrows(r_sp.symbols),
+                    "r_breakpoints": ";".join(map(repr, r_sp.breakpoints)),
+                    "min_abs_f": min(map(abs, values[3 * i].tolist())),
+                    "min_abs_g": min(map(abs, values[3 * i + 1].tolist())),
                     "rho_tilde_0": rt0,
                 }
             )

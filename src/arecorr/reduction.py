@@ -9,20 +9,20 @@ recursion: it expands f0 and g0 as Taylor jets of order `order + i` and
 differentiates and multiplies i times, so every f_k and g_k, k <= i,
 comes out of the one pass, and nested differentiation is exact to
 rounding.  Stage k holds the bits of node k's own pass, so one order-1
-pass of node 4 serves the whole chain; `ChainNode.jets` is its last
-stage.  On an array of points one pass gives the whole grid, bitwise
-equal to the pass at each point.  `scan_signs` reads the sign pattern
-of such a pass as an array: a mask finds the first value that is not
-finite or lies below SIGN_FLOOR in size, which it names in its
-Indeterminate error, and a change mask of the signs gives the pattern
-and the point before each change; `verify` needs only that.
-`stage_rho_tilde` reads rho_tilde off a stage's order-1 jets at one
-point, for `rho_tilde` and for `verify`.  `sign_pattern` also finds
-where each sign changes, for `reduce`: it bisects all the sign changes
-of one function in lockstep with `bisect_roots`, one array pass per
-step on all their midpoints.  `bisect_roots` is the package's one root
-bisection: `are_bounds.crossover` needs none, since the difference of
-two quadratic bounds is a quadratic, solved in closed form.  Only the RT
+pass of node 4 serves the whole chain.  On an array of points one pass
+gives the whole grid, bitwise equal to the pass at each point.
+`scan_signs` reads the sign pattern of such a pass as an array: a mask
+finds the first value that is not finite or lies below SIGN_FLOOR in
+size, which it names in its Indeterminate error, and a change mask of
+the signs gives the pattern and the point before each change; `verify`
+needs only that.  `stage_rho_tilde` reads rho_tilde off a stage's
+order-1 jets at one point, for `verify` and `reduce`.  `sign_patterns`
+also finds where each sign changes, for `reduce`: it bisects every sign
+change of all the scans it is given in one `bisect_roots` lockstep, so
+one node-4 pass per step on all the open midpoints serves every f_i,
+g_i and r_i'.  `bisect_roots` is the package's one root bisection:
+`are_bounds.crossover` needs none, since the difference of two
+quadratic bounds is a quadratic, solved in closed form.  Only the RT
 chain is available: the multiplier lists for the other two pairs are
 not published in reproducible form, so nothing is guessed here.
 """
@@ -47,8 +47,7 @@ __all__ = [
     "classify_sign",
     "scan_signs",
     "bisect_roots",
-    "sign_pattern",
-    "rho_tilde",
+    "sign_patterns",
     "stage_rho_tilde",
     "SIGN_FLOOR",
 ]
@@ -96,7 +95,7 @@ class ChainNode:
         return [(Jet(f.center, f.coeffs[:n]), Jet(g.center, g.coeffs[:n])) for f, g in out]
 
     def jets(self, x: float | np.ndarray, order: int = 0) -> tuple[Jet, Jet]:
-        """The jets of f_i and g_i at x, truncated at `order`."""
+        """The jets of f_i and g_i at x to `order`; only the gate and tests call it, f or g."""
         return self.stages(x, order)[-1]
 
     def f(self, x: float) -> float:
@@ -150,17 +149,18 @@ def scan_signs(
 
 def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:
     """A sign change of h in each bracket [lo[j], hi[j]], with flo[j] = h(lo[j]),
-    for `sign_pattern`.
+    for `sign_patterns`.
 
-    Each step is one call of h on the array of midpoints of the brackets
-    still open.  A bracket stops when it is at most 1e-10 wide or h is 0
-    at its midpoint, so its root has the bits that bisecting it alone gives.
+    Each step is one call h(mid, at) on the midpoints of the brackets still
+    open and their indices j, two arrays.  A bracket stops when it is at most
+    1e-10 wide or h is 0 at its midpoint, so its root has the bits that
+    bisecting it alone gives.
     """
     lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
     open_ = np.flatnonzero(hi - lo > 1e-10)
     while open_.size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        fm = h(mid)
+        fm = h(mid, open_)
         up = (fm > 0.0) == (flo[open_] > 0.0)
         lo[open_[up]], flo[open_[up]] = mid[up], fm[up]
         hi[open_[~up]] = mid[~up]
@@ -171,17 +171,16 @@ def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]
     return (0.5 * (lo + hi)).tolist()
 
 
-def sign_pattern(
-    h: Callable, xs: list[float], values: np.ndarray | list[float]
-) -> SignPattern:
-    """Sign pattern of h's values on the grid xs by `scan_signs`, with each
-    sign change bisected by `bisect_roots`; h maps an array of points to
-    an array of values."""
-    symbols, changes = scan_signs(xs, values)
-    breakpoints = bisect_roots(
-        h, [xs[j] for j, _ in changes], [xs[j + 1] for j, _ in changes], [v for _, v in changes]
-    )
-    return SignPattern(symbols=symbols, breakpoints=tuple(breakpoints))
+def sign_patterns(h: Callable, xs: list[float], scans: list) -> list[SignPattern]:
+    """The sign pattern of each `scan_signs` result on the grid xs, with
+    every sign change of every scan bisected in one `bisect_roots`
+    lockstep; h(mid, k) maps an array of points, and the index into
+    `scans` of the function each belongs to, to that function's values."""
+    changes = [(k, j, v) for k, (_, ch) in enumerate(scans) for j, v in ch]
+    scan_of = np.array([k for k, _, _ in changes], dtype=int)
+    lo, hi = [xs[j] for _, j, _ in changes], [xs[j + 1] for _, j, _ in changes]
+    roots = iter(bisect_roots(lambda m, at: h(m, scan_of[at]), lo, hi, [v for *_, v in changes]))
+    return [SignPattern(sym, tuple(next(roots) for _ in ch)) for sym, ch in scans]
 
 
 def classify_sign(h: Callable[[float], float], lo: float, hi: float, grid: int) -> SignPattern:
@@ -191,17 +190,13 @@ def classify_sign(h: Callable[[float], float], lo: float, hi: float, grid: int) 
     if not (lo < hi):
         raise ValueError("require lo < hi")
     pts = interior_grid(lo, hi, grid)
-    values = np.array([h(x) for x in pts])
-    return sign_pattern(lambda m: np.array([h(x) for x in m.tolist()]), pts, values)
-
-
-def rho_tilde(node: ChainNode, x: float) -> float:
-    """sign(g_i') * (r_{i+1} g_i - f_i) at x; its sign equals the sign of r_i'."""
-    return stage_rho_tilde(node.index, *node.jets(x, 1))
+    scan = scan_signs(pts, np.array([h(x) for x in pts]))
+    return sign_patterns(lambda m, _: np.array([h(x) for x in m.tolist()]), pts, [scan])[0]
 
 
 def stage_rho_tilde(i: int, f: Jet, g: Jet) -> float:
-    """rho_tilde of stage i from the order-1 jets of f_i and g_i at one point."""
+    """sign(g_i') * (r_{i+1} g_i - f_i) at one point, from the order-1 jets
+    of f_i and g_i there; its sign equals the sign of r_i'."""
     f0, f1 = f.coeffs
     g0, g1 = g.coeffs
     if abs(g1) < SIGN_FLOOR:

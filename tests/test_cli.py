@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arecorr import cli
+from arecorr import cli, reduction
 from arecorr.are_bounds import PAIR_TAGS, are
 from arecorr.cli import main
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import ChainNode, interior_grid
+from arecorr.taylor import Jet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -305,9 +306,10 @@ def test_mc_output_is_byte_identical_across_runs_and_workers(
 # ------------------------------------------------------------------ reduce
 
 
+@pytest.mark.filterwarnings("error")
 def test_reduce_reports_the_documented_chain_diagnostics(capsys) -> None:
-    rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
-    assert rc == 0
+    rc, out, err = _run(capsys, ["reduce", "--grid", "99"])
+    assert (rc, err) == (0, "")
     rows = _rows(out)
     assert len(rows) == 10  # both anchors x nodes 0..4
     by_key = {(r["anchor"], r["node"]): r for r in rows}
@@ -323,22 +325,41 @@ def test_reduce_reports_the_documented_chain_diagnostics(capsys) -> None:
     assert root["r_pattern"] == "↗"
 
 
+@pytest.mark.filterwarnings("error")
 def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> None:
-    # Grid values and bisection midpoints both come from array passes, so
-    # reduce must give its golden bytes with the node refusing a float,
-    # except at rho_tilde_0's one point x = 1e-6.
+    # reduce reads every f_i, g_i, r_i' and rho_tilde from passes of node 4:
+    # per anchor one on the grid, one at 1e-6 and one per step of its one
+    # lockstep bisection, which at grid 999 takes 24 steps.
+    def refuse(self, x, order=0):
+        raise AssertionError(f"evaluation of node {self.index} at {x!r} outside `stages`")
+
+    passes = []
+    stages = ChainNode.stages
+
+    def counted(self, x, order=0):
+        passes.append((self.index, np.shape(x), order))
+        return stages(self, x, order)
+
+    lockstep = []
+    bisect_roots = reduction.bisect_roots
+
+    def counted_bisect(h, lo, hi, flo):
+        lockstep.append(len(lo))
+        return bisect_roots(h, lo, hi, flo)
+
     for name in ("f", "g", "jets"):
-        accessor = getattr(ChainNode, name)
-
-        def arrays_only(self, x, *rest, accessor=accessor):
-            if not isinstance(x, np.ndarray) and x != 1e-6:
-                raise AssertionError(f"scalar evaluation of node {self.index} at {x!r}")
-            return accessor(self, x, *rest)
-
-        monkeypatch.setattr(ChainNode, name, arrays_only)
-    rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
-    assert rc == 0
-    assert out.encode("utf-8") == (GOLDEN_DIR / "reduce_grid99.csv").read_bytes()
+        monkeypatch.setattr(ChainNode, name, refuse)
+    monkeypatch.setattr(ChainNode, "stages", counted)
+    monkeypatch.setattr(reduction, "bisect_roots", counted_bisect)
+    rc, out, err = _run(capsys, ["reduce", "--grid", "999", "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN_DIR / "reduce_grid999.json").read_bytes()
+    assert len(passes) == 52
+    assert {(index, order) for index, _, order in passes} == {(4, 1)}
+    shapes = [shape for _, shape, _ in passes]
+    assert (shapes.count((999,)), shapes.count(())) == (2, 2)
+    # One lockstep per anchor holds all of the anchor's sign changes.
+    assert lockstep == [4, 3]
 
 
 def test_reduce_leaves_r_blank_when_the_slope_has_no_sign(capsys, monkeypatch) -> None:
@@ -352,6 +373,34 @@ def test_reduce_leaves_r_blank_when_the_slope_has_no_sign(capsys, monkeypatch) -
     for row, gold in zip(got, want):
         assert gold["r_pattern"]
         assert row == {**gold, "r_pattern": "", "r_breakpoints": ""}
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_names_the_first_grid_value_without_a_sign(capsys) -> None:
+    # At grid 99999 f_0 at anchor 1 falls below SIGN_FLOOR at x = 0.99994.
+    rc, out, err = _run(capsys, ["reduce", "--grid", "99999", "--anchor", "1"])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "arecorr: error: |h(0.99994)| = 8.745724571165456e-13 too small to carry a sign\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_refuses_a_zero_g_with_one_stderr_line(capsys, monkeypatch) -> None:
+    # With g_1 = 0 everywhere, r_1' is 0/0, formed before g_1's scan refuses
+    # the grid: the refusal must be the only line on stderr, with no warning.
+    stages = ChainNode.stages
+
+    def zero_g1(self, x, order=0):
+        out = stages(self, x, order)
+        f, g = out[1]
+        out[1] = (f, Jet(g.center, tuple(c * 0.0 for c in g.coeffs)))
+        return out
+
+    monkeypatch.setattr(ChainNode, "stages", zero_g1)
+    rc, out, err = _run(capsys, ["reduce", "--grid", "99", "--anchor", "0"])
+    assert (rc, out) == (1, "")
+    assert err == "arecorr: error: |h(0.01)| = 0.0 too small to carry a sign\n"
 
 
 def test_reduce_refuses_pairs_without_published_chains(capsys) -> None:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
-from arecorr.cli import _arrows
+from arecorr.cli import _arrows, _chain_values
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
@@ -20,9 +20,9 @@ from arecorr.reduction import (
     build_chain_rt,
     classify_sign,
     interior_grid,
-    rho_tilde,
     scan_signs,
-    sign_pattern,
+    sign_patterns,
+    stage_rho_tilde,
 )
 from arecorr.taylor import Jet
 
@@ -32,6 +32,11 @@ XS = [k / 10 for k in range(1, 10)]
 def _dr(node: ChainNode, x: float) -> float:
     """r_i'(x) by the quotient rule over order-1 jets."""
     return ratio_slope(*node.jets(x, 1))
+
+
+def _rho_tilde(node, x: float) -> float:
+    """rho_tilde of node i at x, from node i's own order-1 pass."""
+    return stage_rho_tilde(node.index, *node.jets(x, 1))
 
 
 def test_chain_has_five_nodes_with_multipliers() -> None:
@@ -291,7 +296,7 @@ def test_rho_tilde_sign_tracks_the_ratio_derivative() -> None:
         for node in build_chain_rt(a):
             for x in XS:
                 try:
-                    rt = rho_tilde(node, x)
+                    rt = _rho_tilde(node, x)
                 except DomainError:
                     continue
                 dr = _dr(node, x)
@@ -304,8 +309,8 @@ def test_rho_tilde_sign_tracks_the_ratio_derivative() -> None:
 
 def test_rho_tilde_positive_at_stage_two_near_anchor_one() -> None:
     nodes = build_chain_rt(1)
-    assert rho_tilde(nodes[2], 1e-6) == pytest.approx(1.9584203, abs=1e-6)
-    assert rho_tilde(nodes[2], 1e-6) > 0.0
+    assert _rho_tilde(nodes[2], 1e-6) == pytest.approx(1.9584203, abs=1e-6)
+    assert _rho_tilde(nodes[2], 1e-6) > 0.0
 
 
 def test_rho_tilde_rejects_flat_denominator() -> None:
@@ -317,7 +322,7 @@ def test_rho_tilde_rejects_flat_denominator() -> None:
             return v, v * 0.0 + 1.0
 
     with pytest.raises(DomainError):
-        rho_tilde(Flat(), 0.5)
+        _rho_tilde(Flat(), 0.5)
 
 
 def test_jet_accessors_expose_requested_order() -> None:
@@ -428,52 +433,55 @@ def _half(x):
 def test_bisect_roots_gives_the_scalar_loop_bits_on_every_bracket(h, brackets) -> None:
     lo, hi = (list(ends) for ends in zip(*brackets))
     flo = [h(v) for v in lo]
-    got = bisect_roots(h, lo, hi, flo)
+    got = bisect_roots(lambda m, _: h(m), lo, hi, flo)
     want = [_bisect_root(h, *args) for args in zip(lo, hi, flo)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_bisect_roots_of_no_brackets_evaluates_nothing() -> None:
-    def refuse(m):
+    def refuse(m, at):
         raise AssertionError(f"h called on {m!r}")
 
     assert bisect_roots(refuse, [], [], []) == []
 
 
 def _scalar_pattern(h, xs: list[float]) -> tuple[str, tuple[float, ...]]:
-    """Sign pattern and roots of h point by point: the oracle of `sign_pattern`."""
+    """Sign pattern and roots of h point by point: the oracle of `sign_patterns`."""
     symbols, changes = scan_signs(xs, [h(x) for x in xs])
     return symbols, tuple(_bisect_root(h, xs[j], xs[j + 1], v) for j, v in changes)
 
 
-def _node_functions(node: ChainNode, xs: list[float]):
-    """(name, function of a point or an array, values of one grid pass) for f_i, g_i, r_i'."""
-    fj, gj = node.jets(np.array(xs), 1)
-    return [
-        ("f", node.f, fj.value),
-        ("g", node.g, gj.value),
-        ("r'", lambda x: ratio_slope(*node.jets(x, 1)), ratio_slope(fj, gj)),
-    ]
+def _node_functions(node: ChainNode):
+    """(name, function of a point or an array) for f_i, g_i and r_i', each
+    from node i's own pass."""
+    return [("f", node.f), ("g", node.g), ("r'", lambda x: ratio_slope(*node.jets(x, 1)))]
 
 
 @pytest.mark.parametrize("grid", [99, 499])
 def test_sign_pattern_breakpoints_are_the_scalar_bisection_bits(grid: int) -> None:
+    # reduce bisects the sign changes of all 15 functions of an anchor in
+    # one lockstep, each step one pass of node 4 on every open midpoint;
+    # each pattern and root must be the scalar loop's on node i's own pass.
     xs = interior_grid(0.0, 1.0, grid)
     for a in (0, 1):
-        for node in build_chain_rt(a):
-            for name, h, values in _node_functions(node, xs):
-                got = sign_pattern(h, xs, values.tolist())
-                symbols, roots = _scalar_pattern(h, xs)
-                assert got.symbols == symbols, (a, node.index, name)
-                assert [v.hex() for v in got.breakpoints] == [v.hex() for v in roots]
+        chain = build_chain_rt(a)
+        scans = [scan_signs(xs, v) for v in _chain_values(chain[4], np.array(xs))]
+        got = sign_patterns(lambda m, at: np.choose(at, _chain_values(chain[4], m)), xs, scans)
+        named = [(node.index, name, h) for node in chain for name, h in _node_functions(node)]
+        assert len(got) == len(named) == 15
+        for (i, name, h), pattern in zip(named, got):
+            symbols, roots = _scalar_pattern(h, xs)
+            assert pattern.symbols == symbols, (a, i, name)
+            assert [v.hex() for v in pattern.breakpoints] == [v.hex() for v in roots]
 
 
 def test_sign_pattern_bisects_two_slope_roots_in_lockstep() -> None:
     # At grid 9999, r_0' at anchor 1 changes sign twice near x = 1.
     xs = interior_grid(0.0, 1.0, 9999)
-    _, h, values = _node_functions(build_chain_rt(1)[0], xs)[2]
-    got = sign_pattern(h, xs, values.tolist())
-    symbols, changes = scan_signs(xs, values.tolist())
+    h = _node_functions(build_chain_rt(1)[0])[2][1]
+    values = h(np.array(xs)).tolist()
+    symbols, changes = scan_signs(xs, values)
+    got = sign_patterns(lambda m, _: h(m), xs, [(symbols, changes)])
     want = [_bisect_root(h, xs[j], xs[j + 1], v) for j, v in changes]
-    assert got.symbols == symbols == "+-+"
-    assert [v.hex() for v in got.breakpoints] == [v.hex() for v in want]
+    assert got[0].symbols == symbols == "+-+"
+    assert [v.hex() for v in got[0].breakpoints] == [v.hex() for v in want]

@@ -69,7 +69,6 @@ def test_checks_read_the_chain_from_array_passes_alone(monkeypatch) -> None:
     for name in ("f", "g", "jets"):
         monkeypatch.setattr(ChainNode, name, refuse)
     monkeypatch.setattr(ChainNode, "stages", counted)
-    monkeypatch.setattr(reduction, "rho_tilde", refuse)
     results = run_checks(MIN_GRID)
     assert len(results) == 38
     assert [r.name for r in results if not r.passed] == []
