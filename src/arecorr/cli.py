@@ -10,9 +10,9 @@ allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.
 
 `mc` draws each replicate once for all its rhos and evaluates R, S and
-T on it at each rho.  `reduce` evaluates the chain only by passes of
-its last node: per anchor, one array pass on the grid, one at 1e-6 for
-rho_tilde and one per step of the anchor's one lockstep bisection.
+T on it at each rho.  `reduce` reads the chain only from passes of its
+last node: per anchor, one `scan_chain` pass on the grid and 1e-6 (for
+rho_tilde), and one per step of the anchor's one lockstep bisection.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import sys
 
 import numpy as np
 
-from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds, ratio_slope
+from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
 from .errors import ArecorrError, DomainError, Indeterminate
-from .reduction import build_chain_rt, interior_grid, scan_signs, sign_patterns, stage_rho_tilde
+from .reduction import build_chain_rt, chain_values, interior_grid, scan_chain, sign_patterns
+from .reduction import stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 from .stats_mc import _SIZE_LIMIT, DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
 from .verify import MIN_GRID, run_checks
@@ -214,13 +215,6 @@ def _arrows(symbols: str) -> str:
     return symbols.replace("+", "↗").replace("-", "↘")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _chain_values(node, x) -> list:
-    """f_k, g_k and r_k' for k = 0..i from one order-1 pass of node i at x;
-    r_k' is inf or nan where g_k is 0, with no warning."""
-    return [v for f, g in node.stages(x, 1) for v in (f.value, g.value, ratio_slope(f, g))]
-
-
 def _cmd_reduce(args) -> int:
     if args.pair != "rt":
         raise _UsageError(
@@ -233,17 +227,16 @@ def _cmd_reduce(args) -> int:
     for a in _selected_anchors(args.anchor):
         # Every f_i, g_i and r_i' from passes of the last node alone.
         last = build_chain_rt(a)[-1]
-        values = _chain_values(last, np.array(xs))
-        scans = []
-        for k, v in enumerate(values):
-            try:
-                scans.append(scan_signs(xs, v))
-            except Indeterminate:
+        values, scans, probed = scan_chain(last, xs, (1e-6,))
+        for k, scan in enumerate(scans):
+            if isinstance(scan, Indeterminate):
                 if k % 3 < 2:  # f_i or g_i
-                    raise
-                scans.append(("", []))  # r_i' has no sign: its columns stay blank
-        patterns = sign_patterns(lambda m, at: np.choose(at, _chain_values(last, m)), xs, scans)
-        for i, stage in enumerate(last.stages(1e-6, 1)):
+                    raise scan
+                scans[k] = ("", [])  # r_i' has no sign: its columns stay blank
+        patterns = sign_patterns(
+            lambda m, at: np.choose(at, chain_values(last.stages(m, 1))), xs, scans
+        )
+        for i, stage in enumerate(probed[1e-6]):
             f_sp, g_sp, r_sp = patterns[3 * i : 3 * i + 3]
             try:
                 rt0 = repr(stage_rho_tilde(i, *stage))

@@ -20,7 +20,7 @@ class NoConvergence(ArecorrError, ArithmeticError):
 
 
 class NoBracket(ArecorrError, ArithmeticError):
-    """No sign change was found on the search interval for a root."""
+    """`are_bounds.crossover`'s quadratic has zero or two roots in [1e-6, 1 - 1e-6]."""
 
 
 class Indeterminate(ArecorrError, ArithmeticError):

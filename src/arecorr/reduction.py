@@ -14,13 +14,14 @@ gives the whole grid, bitwise equal to the pass at each point.
 `scan_signs` reads the sign pattern of such a pass as an array: a mask
 finds the first value that is not finite or lies below SIGN_FLOOR in
 size, which it names in its Indeterminate error, and a change mask of
-the signs gives the pattern and the point before each change; `verify`
-needs only that.  `stage_rho_tilde` reads rho_tilde off a stage's
-order-1 jets at one point, for `verify` and `reduce`.  `sign_patterns`
-also finds where each sign changes, for `reduce`: it bisects every sign
-change of all the scans it is given in one `bisect_roots` lockstep, so
-one node-4 pass per step on all the open midpoints serves every f_i,
-g_i and r_i'.  `bisect_roots` is the package's one root bisection:
+the signs gives the pattern and the point before each change.
+`scan_chain`, the one chain reader of `verify` and `reduce`, makes one
+order-1 pass of node 4 on the grid and a few probe points and returns
+f_i, g_i and r_i' (`chain_values`), their scans, and the stages at the
+probes, where `stage_rho_tilde` reads rho_tilde.  `sign_patterns`
+bisects every sign change of the scans in one `bisect_roots` lockstep,
+one node-4 pass per step on all the open midpoints, for `reduce`.
+`bisect_roots` is the package's one root bisection:
 `are_bounds.crossover` needs none, since the difference of two
 quadratic bounds is a quadratic, solved in closed form.  Only the RT
 chain is available: the multiplier lists for the other two pairs are
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .are_bounds import pair, quad_bounds
+from .are_bounds import pair, quad_bounds, ratio_slope
 from .errors import DomainError, Indeterminate
 from .taylor import Jet
 
@@ -46,6 +47,8 @@ __all__ = [
     "build_chain_rt",
     "classify_sign",
     "scan_signs",
+    "chain_values",
+    "scan_chain",
     "bisect_roots",
     "sign_patterns",
     "stage_rho_tilde",
@@ -94,15 +97,11 @@ class ChainNode:
         n = order + 1
         return [(Jet(f.center, f.coeffs[:n]), Jet(g.center, g.coeffs[:n])) for f, g in out]
 
-    def jets(self, x: float | np.ndarray, order: int = 0) -> tuple[Jet, Jet]:
-        """The jets of f_i and g_i at x to `order`; only the gate and tests call it, f or g."""
-        return self.stages(x, order)[-1]
-
     def f(self, x: float) -> float:
-        return self.jets(x)[0].value
+        return self.stages(x)[-1][0].value
 
     def g(self, x: float) -> float:
-        return self.jets(x)[1].value
+        return self.stages(x)[-1][1].value
 
 
 def build_chain_rt(a: int) -> list[ChainNode]:
@@ -145,6 +144,32 @@ def scan_signs(
     at = (plus[:-1] ^ plus[1:]).nonzero()[0].tolist()
     symbols = "".join("+" if plus[k] else "-" for k in [0] + [j + 1 for j in at])
     return symbols, [(j, v[j].item()) for j in at]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def chain_values(stages: list[tuple[Jet, Jet]]) -> list:
+    """f_k, g_k and r_k' of each order-1 stage; r_k' is inf or nan, unwarned, where g_k is 0."""
+    return [v for f, g in stages for v in (f.value, g.value, ratio_slope(f, g))]
+
+
+def scan_chain(node: ChainNode, xs: list[float], probes: tuple[float, ...]) -> tuple:
+    """One order-1 pass of node i on the grid xs with the probes appended:
+    the grid arrays of `chain_values`; the `scan_signs` result of each, or
+    the Indeterminate its scan raised, for each caller's own rule; and a
+    dict from each probe point to the stages there, as float jets."""
+    stages = node.stages(np.array([*xs, *probes]), 1)
+    values = [v[: len(xs)] for v in chain_values(stages)]
+    scans = []
+    for v in values:
+        try:
+            scans.append(scan_signs(xs, v))
+        except Indeterminate as exc:
+            scans.append(exc)
+    at = {
+        pt: [tuple(Jet(pt, tuple(c[m].item() for c in j.coeffs)) for j in st) for st in stages]
+        for m, pt in enumerate(probes, len(xs))
+    }
+    return values, scans, at
 
 
 def bisect_roots(h: Callable, lo: list[float], hi: list[float], flo: list[float]) -> list[float]:

@@ -9,11 +9,11 @@ taken by Python's `min`/`max` over the list of slacks in grid order, as
 a loop over the points took it.  Each grid quantity is computed once:
 q_a comes from the `are` values by `q_from_are`, and the moment-assembly
 row compares with those same values, except within SERIES_RADIUS of 1,
-where `are` is the endpoint series and f/g is taken directly.  One jet
-pass of node 4 per anchor, on the grid and a few probe points after it,
-gives the endgame, the sign patterns of the reduction trace (read by
-`scan_signs`, with no root bisection) and the trace's bracket values
-and rho_tilde.  A check passes by one of three rules:
+where `are` is the endpoint series and f/g is taken directly.  One
+`reduction.scan_chain` pass of node 4 per anchor, on the grid and a few
+probe points after it, gives the endgame, the sign patterns of the
+reduction trace (its scans, with no root bisection) and the trace's
+bracket values and rho_tilde.  A check passes by one of three rules:
 
 - a strict check (monotonicity, ranges, sandwiches, the endgame) passes
   when its margin, the worst slack over the grid, is > 0;
@@ -42,13 +42,12 @@ from .are_bounds import (
     q_from_are,
     quad_bounds,
     quartic_bounds_rs,
-    ratio_slope,
 )
 from .are_bounds import q  # noqa: F401  bench/layertrace.py patches it here
 from .corrmath import sigma_s2
-from .reduction import build_chain_rt, interior_grid, scan_signs, stage_rho_tilde
+from .errors import Indeterminate
+from .reduction import build_chain_rt, interior_grid, scan_chain, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
-from .taylor import Jet
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
 
@@ -171,53 +170,38 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         )
 
     # --- reduction chain ----------------------------------------------------
-    # One order-1 pass of node 4 per anchor, on the grid and then the
+    # One `scan_chain` pass of node 4 per anchor, on the grid and then the
     # trace's probe points, holds every f_i and g_i for the endgame and
     # for the anchor's trace.
     traces = []
-    n = len(xs)
     for a, probes, trace in ((0, (0.41, 0.71, 1e-6), _trace_rt0), (1, (0.6, 1e-6), _trace_rt1)):
-        pass_ = build_chain_rt(a)[4].stages(np.concatenate([x, probes]), 1)
-        stages = _part(pass_, slice(n))
-        f4, g4 = stages[4]
-        margin = _worst(-f4.value, -g4.value, ratio_slope(f4, g4))
+        values, scans, at = scan_chain(build_chain_rt(a)[4], xs, probes)
+        f4, g4, r4 = values[-3:]
+        margin = _worst(-f4, -g4, r4)
         detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
         results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
-        at = {pt: _part(pass_, n + k) for k, pt in enumerate(probes)}
-        traces.append(trace(stages, at, xs))
+        traces.append(trace(scans, at))
 
     return results + traces
 
 
-def _part(stages: list, at: int | slice) -> list[tuple[Jet, Jet]]:
-    """The stages of an array pass at `at`: a slice of its points, or one
-    point, whose jets then hold floats."""
-
-    def pick(v):
-        v = v[at] if isinstance(v, np.ndarray) else v
-        return v if isinstance(at, slice) else float(v)
-
-    return [tuple(Jet(pick(j.center), tuple(map(pick, j.coeffs))) for j in st) for st in stages]
-
-
-def _pattern_problems(stages: list, xs: list[float], wants: list[tuple[str, str]]) -> list[str]:
-    """The sign pattern of each named f_i or g_i on xs, scanned in the
-    order of `wants` from the values of stage i of one array pass; one
-    line per pattern that is not the wanted one."""
-    values = {f"{fg}{i}": j.value for i, stage in enumerate(stages) for fg, j in zip("fg", stage)}
+def _pattern_problems(scans: list, wants: list[tuple[str, str]]) -> list[str]:
+    """One line per named f_i or g_i whose pattern in `scan_chain`'s scans
+    is not the wanted one, read in `wants` order; the first of them that
+    has no sign raises its Indeterminate."""
     problems = []
     for name, want in wants:
-        got = scan_signs(xs, values[name])[0]
-        if got != want:
-            problems.append(f"{name}: got {got!r}, want {want!r}")
+        scan = scans[3 * int(name[1:]) + "fg".index(name[0])]
+        if isinstance(scan, Indeterminate):
+            raise scan
+        if scan[0] != want:
+            problems.append(f"{name}: got {scan[0]!r}, want {want!r}")
     return problems
 
 
-def _trace_rt0(stages: list, at: dict, xs: list[float]) -> CheckResult:
+def _trace_rt0(scans: list, at: dict) -> CheckResult:
     problems = _pattern_problems(
-        stages,
-        xs,
-        [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")],
+        scans, [("g2", "+-"), ("f2", "+-"), ("g1", "+-"), ("f1", "+-"), ("g0", "+")]
     )
     # Bracketing facts and the vanishing of the third stage at 0+.
     f2, g2 = at[0.41][2]
@@ -231,11 +215,9 @@ def _trace_rt0(stages: list, at: dict, xs: list[float]) -> CheckResult:
     return _check("reduction.trace.RT.0", -1.0 if problems else margin, detail)
 
 
-def _trace_rt1(stages: list, at: dict, xs: list[float]) -> CheckResult:
+def _trace_rt1(scans: list, at: dict) -> CheckResult:
     problems = _pattern_problems(
-        stages,
-        xs,
-        [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")],
+        scans, [("g3", "+-"), ("f3", "+-"), ("g2", "+"), ("f2", "-+"), ("g1", "-"), ("g0", "+")]
     )
     f3, g3 = at[0.6][3]
     margin = min(-g3.value, f3.value, stage_rho_tilde(2, *at[1e-6][2]))

@@ -328,8 +328,9 @@ def test_reduce_reports_the_documented_chain_diagnostics(capsys) -> None:
 @pytest.mark.filterwarnings("error")
 def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> None:
     # reduce reads every f_i, g_i, r_i' and rho_tilde from passes of node 4:
-    # per anchor one on the grid, one at 1e-6 and one per step of its one
-    # lockstep bisection, which at grid 999 takes 24 steps.
+    # per anchor one `scan_chain` pass on the grid with 1e-6 appended, and
+    # one per step of its one lockstep bisection, which at grid 999 takes
+    # 24 steps.
     def refuse(self, x, order=0):
         raise AssertionError(f"evaluation of node {self.index} at {x!r} outside `stages`")
 
@@ -347,24 +348,24 @@ def test_reduce_reads_the_chain_from_array_passes_alone(capsys, monkeypatch) -> 
         lockstep.append(len(lo))
         return bisect_roots(h, lo, hi, flo)
 
-    for name in ("f", "g", "jets"):
+    for name in ("f", "g"):
         monkeypatch.setattr(ChainNode, name, refuse)
     monkeypatch.setattr(ChainNode, "stages", counted)
     monkeypatch.setattr(reduction, "bisect_roots", counted_bisect)
     rc, out, err = _run(capsys, ["reduce", "--grid", "999", "--format", "json"])
     assert (rc, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN_DIR / "reduce_grid999.json").read_bytes()
-    assert len(passes) == 52
+    assert len(passes) == 50
     assert {(index, order) for index, _, order in passes} == {(4, 1)}
     shapes = [shape for _, shape, _ in passes]
-    assert (shapes.count((999,)), shapes.count(())) == (2, 2)
+    assert (shapes.count((1000,)), shapes.count(())) == (2, 0)
     # One lockstep per anchor holds all of the anchor's sign changes.
     assert lockstep == [4, 3]
 
 
 def test_reduce_leaves_r_blank_when_the_slope_has_no_sign(capsys, monkeypatch) -> None:
     # r' values below SIGN_FLOOR fail its scan; f and g are reported as before.
-    monkeypatch.setattr(cli, "ratio_slope", lambda f, g: np.full(np.shape(f.value), 1e-13))
+    monkeypatch.setattr(reduction, "ratio_slope", lambda f, g: np.full(np.shape(f.value), 1e-13))
     rc, out, _ = _run(capsys, ["reduce", "--grid", "99"])
     assert rc == 0
     got = _rows(out)

@@ -79,3 +79,25 @@ def test_arrays_reach_libm_only_through_taylors_map() -> None:
                 not_bitwise.append((path.stem, where, attr))
     assert fromiter == [("taylor", "each")]
     assert not not_bitwise, f"numpy loops that are not libm's: {not_bitwise}"
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name (with its alias) in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(n for alias in node.names for n in (alias.name, alias.asname) if n)
+    return found
+
+
+def test_the_commands_read_the_chain_only_through_reductions_scan() -> None:
+    # `verify` and `reduce` share one chain reader, `reduction.scan_chain`:
+    # neither scans signs, forms r' or builds a jet of its own.
+    package = Path(arecorr.__file__).parent
+    for stem in ("cli", "verify"):
+        found = _referenced(ast.parse((package / f"{stem}.py").read_text()))
+        assert found & {"scan_signs", "ratio_slope", "Jet"} == set(), stem

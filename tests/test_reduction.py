@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arecorr.are_bounds import endpoint_constants, q, quad_bounds, ratio_slope
-from arecorr.cli import _arrows, _chain_values
+from arecorr.cli import _arrows
 from arecorr.errors import DomainError, Indeterminate
 from arecorr.reduction import (
     MULTIPLIERS,
@@ -18,8 +18,10 @@ from arecorr.reduction import (
     ChainNode,
     bisect_roots,
     build_chain_rt,
+    chain_values,
     classify_sign,
     interior_grid,
+    scan_chain,
     scan_signs,
     sign_patterns,
     stage_rho_tilde,
@@ -31,12 +33,12 @@ XS = [k / 10 for k in range(1, 10)]
 
 def _dr(node: ChainNode, x: float) -> float:
     """r_i'(x) by the quotient rule over order-1 jets."""
-    return ratio_slope(*node.jets(x, 1))
+    return ratio_slope(*node.stages(x, 1)[-1])
 
 
 def _rho_tilde(node, x: float) -> float:
     """rho_tilde of node i at x, from node i's own order-1 pass."""
-    return stage_rho_tilde(node.index, *node.jets(x, 1))
+    return stage_rho_tilde(node.index, *node.stages(x, 1)[-1])
 
 
 def test_chain_has_five_nodes_with_multipliers() -> None:
@@ -317,9 +319,9 @@ def test_rho_tilde_rejects_flat_denominator() -> None:
     class Flat:
         index = 9
 
-        def jets(self, x: float, order: int = 0) -> tuple[Jet, Jet]:
+        def stages(self, x: float, order: int = 0) -> list[tuple[Jet, Jet]]:
             v = Jet.variable(x, order)
-            return v, v * 0.0 + 1.0
+            return [(v, v * 0.0 + 1.0)]
 
     with pytest.raises(DomainError):
         _rho_tilde(Flat(), 0.5)
@@ -327,11 +329,11 @@ def test_rho_tilde_rejects_flat_denominator() -> None:
 
 def test_jet_accessors_expose_requested_order() -> None:
     node = build_chain_rt(0)[1]
-    fj, gj = node.jets(0.3, 2)
+    fj, gj = node.stages(0.3, 2)[-1]
     assert len(fj.coeffs) == len(gj.coeffs) == 3
     assert fj.coeffs[0] == pytest.approx(node.f(0.3))
     assert gj.coeffs[0] == pytest.approx(node.g(0.3))
-    assert len(node.jets(0.3)[0].coeffs) == 1  # default order 0
+    assert len(node.stages(0.3)[-1][0].coeffs) == 1  # default order 0
 
 
 def _bits(coeffs: tuple[float, ...]) -> list[str]:
@@ -344,7 +346,7 @@ def test_low_jet_coefficients_do_not_depend_on_the_order() -> None:
     for a in (0, 1):
         for node in build_chain_rt(a):
             for x in XS:
-                by_order = [node.jets(x, k) for k in (0, 1, 2)]
+                by_order = [node.stages(x, k)[-1] for k in (0, 1, 2)]
                 for j, (fj, gj) in enumerate(by_order):
                     for fk, gk in by_order[j:]:
                         assert _bits(fk.coeffs[: j + 1]) == _bits(fj.coeffs)
@@ -371,7 +373,7 @@ def test_stages_of_one_pass_hold_the_bits_of_each_nodes_own_pass() -> None:
                 stages = chain[4].stages(x, order)
                 assert len(stages) == len(chain)
                 for node, stage in zip(chain, stages):
-                    for got, want in zip(stage, node.jets(x, order)):
+                    for got, want in zip(stage, node.stages(x, order)[-1]):
                         assert len(got.coeffs) == order + 1
                         assert _raw(got, x) == _raw(want, x), (a, node.index, order)
 
@@ -383,8 +385,8 @@ def test_array_pass_holds_the_bits_of_the_pass_at_each_point() -> None:
     for a in (0, 1):
         for node in build_chain_rt(a):
             for order in (0, 1, 2):
-                fa, ga = node.jets(np.array(xs), order)
-                want = [node.jets(x, order) for x in xs]
+                fa, ga = node.stages(np.array(xs), order)[-1]
+                want = [node.stages(x, order)[-1] for x in xs]
                 for k in range(order + 1):
                     for arr, pick in ((fa, 0), (ga, 1)):
                         got = np.broadcast_to(arr.coeffs[k], len(xs)).tolist()
@@ -454,7 +456,7 @@ def _scalar_pattern(h, xs: list[float]) -> tuple[str, tuple[float, ...]]:
 def _node_functions(node: ChainNode):
     """(name, function of a point or an array) for f_i, g_i and r_i', each
     from node i's own pass."""
-    return [("f", node.f), ("g", node.g), ("r'", lambda x: ratio_slope(*node.jets(x, 1)))]
+    return [("f", node.f), ("g", node.g), ("r'", lambda x: ratio_slope(*node.stages(x, 1)[-1]))]
 
 
 @pytest.mark.parametrize("grid", [99, 499])
@@ -465,8 +467,10 @@ def test_sign_pattern_breakpoints_are_the_scalar_bisection_bits(grid: int) -> No
     xs = interior_grid(0.0, 1.0, grid)
     for a in (0, 1):
         chain = build_chain_rt(a)
-        scans = [scan_signs(xs, v) for v in _chain_values(chain[4], np.array(xs))]
-        got = sign_patterns(lambda m, at: np.choose(at, _chain_values(chain[4], m)), xs, scans)
+        scans = scan_chain(chain[4], xs, ())[1]
+        got = sign_patterns(
+            lambda m, at: np.choose(at, chain_values(chain[4].stages(m, 1))), xs, scans
+        )
         named = [(node.index, name, h) for node in chain for name, h in _node_functions(node)]
         assert len(got) == len(named) == 15
         for (i, name, h), pattern in zip(named, got):

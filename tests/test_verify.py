@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import re
 
-import numpy as np
 import pytest
 
 from arecorr import are_bounds, corrmath, reduction, verify
+from arecorr.errors import Indeterminate
 from arecorr.reduction import ChainNode, build_chain_rt, classify_sign, interior_grid
 from arecorr.verify import MIN_GRID, CheckResult, run_checks
 
@@ -66,7 +66,7 @@ def test_checks_read_the_chain_from_array_passes_alone(monkeypatch) -> None:
         passes.append((self.index, len(x), order))
         return stages(self, x, order)
 
-    for name in ("f", "g", "jets"):
+    for name in ("f", "g"):
         monkeypatch.setattr(ChainNode, name, refuse)
     monkeypatch.setattr(ChainNode, "stages", counted)
     results = run_checks(MIN_GRID)
@@ -86,8 +86,25 @@ def test_pattern_scan_agrees_with_classify_sign_on_every_node(grid: int) -> None
             for node in nodes
             for name in "fg"
         ]
-        stages = nodes[-1].stages(np.array(xs), 1)
-        assert verify._pattern_problems(stages, xs, wants) == [], (a, wants)
+        scans = reduction.scan_chain(nodes[-1], xs, ())[1]
+        assert verify._pattern_problems(scans, wants) == [], (a, wants)
+
+
+def test_one_stored_scan_serves_both_rules_for_a_value_without_a_sign() -> None:
+    # At grid 99999 f_0 and g_0 at anchor 1, both ~ (1 - x)^3 near 1, fall
+    # below SIGN_FLOOR.  reduce raises the first f_i or g_i in node order,
+    # f_0 (test_cli); verify's trace raises the first function it wants, in
+    # its `wants` order, which is g_0: the scan stored for it, unchanged.
+    xs = interior_grid(0.0, 1.0, 99999)
+    _, scans, at = reduction.scan_chain(build_chain_rt(1)[4], xs, (0.6, 1e-6))
+    errors = {k: str(scan) for k, scan in enumerate(scans) if isinstance(scan, Indeterminate)}
+    assert errors == {
+        0: "|h(0.99994)| = 8.745724571165456e-13 too small to carry a sign",
+        1: "|h(0.99997)| = 4.859927099990565e-13 too small to carry a sign",
+    }
+    with pytest.raises(Indeterminate) as raised:
+        verify._trace_rt1(scans, at)
+    assert raised.value is scans[1]
 
 
 def _bits(results: list[CheckResult]) -> list[tuple]:
