@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArecorrError,
+    BadArgument,
     DegenerateSample,
     DomainError,
     Indeterminate,
@@ -24,6 +25,7 @@ from .errors import (
 
 __all__ = [
     "ArecorrError",
+    "BadArgument",
     "DegenerateSample",
     "DomainError",
     "Indeterminate",

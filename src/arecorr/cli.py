@@ -7,7 +7,11 @@ Output is CSV (default), JSON mirroring the CSV fields, or, for
 byte-identical output.  Exit codes: 0 success, 1 verification failure
 or any other error the package, the file system or the memory
 allocator reports, 2 usage error; errors print one `arecorr: ...` line
-to stderr and nothing to stdout.
+to stderr and nothing to stdout.  Each flag is checked once: the grid
+by `reduction.sign_grid` and `interior_grid`, --tol by `run_checks`,
+--n, --reps and --seed by `mc_replicates`, and only table's grid >= 2,
+--rho and reduce's --pair here.  A bad one raises `errors.BadArgument`,
+which `main` prints as `arecorr: error: --<message>`, with exit code 2.
 
 `mc` draws each replicate once for all its rhos and evaluates R, S and
 T on it at each rho.  `reduce` reads the chain only from passes of its
@@ -22,18 +26,17 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .are_bounds import PAIR_TAGS, are, crossover, quad_bounds
-from .errors import ArecorrError, DomainError, Indeterminate
-from .reduction import build_chain_rt, chain_values, interior_grid, scan_chain, sign_patterns
-from .reduction import stage_rho_tilde
+from .errors import ArecorrError, BadArgument, DomainError, Indeterminate
+from .reduction import build_chain_rt, chain_values, interior_grid, scan_chain, sign_grid
+from .reduction import sign_patterns, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
-from .stats_mc import _SIZE_LIMIT, DEFAULT_SEED, _mc_key, mc_moments, mc_replicates
-from .verify import MIN_GRID, run_checks
+from .stats_mc import DEFAULT_SEED, mc_moments, mc_replicates
+from .verify import run_checks
 
 __all__ = ["main", "run"]
 
@@ -54,22 +57,18 @@ _TABLE_BLOCK = 256
 _MC_BLOCK = 8
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_rho_list(text: str) -> list[float]:
     out = []
     for tokraw in text.split(","):
         tok = tokraw.strip()
         if not tok:
-            raise _UsageError(f"empty entry in --rho list {text!r}")
+            raise BadArgument(f"rho list {text!r} has an empty entry")
         try:
             v = float(tok)
         except ValueError:
-            raise _UsageError(f"--rho entry {tok!r} is not a number") from None
+            raise BadArgument(f"rho entry {tok!r} is not a number") from None
         if not abs(v) < 1.0:
-            raise _UsageError(f"--rho entry {v!r} must satisfy |rho| < 1")
+            raise BadArgument(f"rho entry {v!r} must satisfy |rho| < 1")
         out.append(v)
     return out
 
@@ -123,17 +122,9 @@ def _table_blocks(xs: list[float]):
         ]
 
 
-def _check_grid_size(grid: int) -> None:
-    # interior_grid builds a list of `grid` floats: refuse one that could
-    # never be held before it starts allocating.
-    if grid >= _SIZE_LIMIT:
-        raise _UsageError(f"--grid must be < 2**55, got {grid!r}")
-
-
 def _cmd_table(args) -> int:
     if args.grid < 2:
-        raise _UsageError(f"--grid must be >= 2, got {args.grid}")
-    _check_grid_size(args.grid)
+        raise BadArgument(f"grid must be >= 2, got {args.grid}")
     xs = interior_grid(0.0, 1.0, args.grid)
     _write_out(_render(_table_blocks(xs), args.format), args.out)
     return 0
@@ -162,18 +153,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _check_sign_grid(grid: int) -> None:
-    if grid < MIN_GRID:
-        raise _UsageError(
-            f"--grid {grid} is too coarse for sign refinement; need >= {MIN_GRID}"
-        )
-    _check_grid_size(grid)
-
-
 def _cmd_verify(args) -> int:
-    _check_sign_grid(args.grid)
-    if not (args.tol > 0.0 and math.isfinite(args.tol)):
-        raise _UsageError(f"--tol must be finite and > 0, got {args.tol}")
     results = run_checks(grid=args.grid, tol=args.tol)
     if args.format == "text":
         lines = [
@@ -189,10 +169,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    try:
-        _mc_key(args.n, args.reps, args.seed)
-    except DomainError as exc:
-        raise _UsageError(f"--{exc}") from None
     rhos = _parse_rho_list(args.rho)
     # rho outermost, so the three statistics of one rho read one memo
     # entry; the stable sort restores one block of rows per statistic.
@@ -217,13 +193,12 @@ def _arrows(symbols: str) -> str:
 
 def _cmd_reduce(args) -> int:
     if args.pair != "rt":
-        raise _UsageError(
-            "only --pair rt is supported: published multiplier chains for the "
-            "other pairs are not available"
+        raise BadArgument(
+            f"pair must be rt, got {args.pair!r}: published multiplier chains for "
+            "the other pairs are not available"
         )
-    _check_sign_grid(args.grid)
+    xs = sign_grid(args.grid)
     rows = []
-    xs = interior_grid(0.0, 1.0, args.grid)
     for a in _selected_anchors(args.anchor):
         # Every f_i, g_i and r_i' from passes of the last node alone.
         last = build_chain_rt(a)[-1]
@@ -313,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"arecorr: error: {exc}", file=sys.stderr)
+    except BadArgument as exc:
+        print(f"arecorr: error: --{exc}", file=sys.stderr)
         return 2
     except ArecorrError as exc:
         print(f"arecorr: error: {exc}", file=sys.stderr)

@@ -21,6 +21,9 @@ f_i, g_i and r_i' (`chain_values`), their scans, and the stages at the
 probes, where `stage_rho_tilde` reads rho_tilde.  `sign_patterns`
 bisects every sign change of the scans in one `bisect_roots` lockstep,
 one node-4 pass per step on all the open midpoints, for `reduce`.
+`sign_grid`, the grid both commands scan, is `interior_grid` of (0, 1)
+with at least MIN_GRID points; `interior_grid` refuses a size past
+`errors.check_size`'s bound before it allocates.  Both raise BadArgument.
 `bisect_roots` is the package's one root bisection:
 `are_bounds.crossover` needs none, since the difference of two
 quadratic bounds is a quadratic, solved in closed form.  Only the RT
@@ -36,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .are_bounds import pair, quad_bounds, ratio_slope
-from .errors import DomainError, Indeterminate
+from .errors import BadArgument, DomainError, Indeterminate, check_size
 from .taylor import Jet
 
 __all__ = [
@@ -44,6 +47,8 @@ __all__ = [
     "ChainNode",
     "SignPattern",
     "interior_grid",
+    "sign_grid",
+    "MIN_GRID",
     "build_chain_rt",
     "classify_sign",
     "scan_signs",
@@ -57,6 +62,10 @@ __all__ = [
 
 # Grid values closer to zero than this cannot be assigned a sign.
 SIGN_FLOOR = 1e-12
+
+# Coarser grids cannot resolve the sign patterns whose roots sit ~0.02
+# apart, so `sign_grid` refuses them.
+MIN_GRID = 99
 
 # The multipliers a_1..a_4, each positive on [0, 1].
 MULTIPLIERS: tuple[Callable[[Jet], Jet], ...] = (
@@ -118,7 +127,16 @@ class SignPattern:
 
 def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     """The points lo + (hi - lo) j/(grid + 1), j = 1..grid, inside (lo, hi)."""
+    check_size("grid", grid)
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
+
+
+def sign_grid(grid: int) -> list[float]:
+    """The interior grid of (0, 1) on which `verify` and `reduce` read sign
+    patterns; one coarser than MIN_GRID raises BadArgument."""
+    if grid < MIN_GRID:
+        raise BadArgument(f"grid {grid!r} is too coarse for sign refinement; need >= {MIN_GRID}")
+    return interior_grid(0.0, 1.0, grid)
 
 
 def scan_signs(

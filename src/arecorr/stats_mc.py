@@ -43,7 +43,7 @@ import numpy as np
 import numpy.random  # noqa: F401  at import, so the first draw does not pay for it
 
 from .corrmath import _fill_memo, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
-from .errors import DegenerateSample, DomainError, TiesPresent
+from .errors import BadArgument, DegenerateSample, DomainError, TiesPresent, check_size
 from .taylor import each
 
 __all__ = [
@@ -97,10 +97,6 @@ DEFAULT_SEED = 20260814
 
 # Seeds are one 64-bit Philox key word; one outside [0, 2**64) would alias.
 SEED_LIMIT = 2**64
-
-# n and reps stay below this, so that every array of a run, a few times
-# n or reps float64 values, has a byte count that numpy can index.
-_SIZE_LIMIT = 2**55
 
 _STAT_NAMES = ("R", "S", "T")
 
@@ -163,7 +159,7 @@ def _key_word(name: str, v) -> int:
     try:
         return operator.index(v)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+        raise BadArgument(f"{name} must be an integer, got {v!r}") from None
 
 
 # The largest uniform.  The centre of the top 53-bit cell, 1 - 2**-54,
@@ -527,17 +523,17 @@ def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.nda
 
 
 def _mc_key(n, reps, seed) -> tuple[int, int, int]:
-    """(n, reps, seed) as ints, checked for a Monte Carlo run."""
+    """(n, reps, seed) as ints, checked for a Monte Carlo run; a bad one
+    raises BadArgument."""
     n, reps, seed = _key_word("n", n), _key_word("reps", reps), _key_word("seed", seed)
     if reps < 100:
-        raise DomainError(f"reps must be >= 100, got {reps!r}")
+        raise BadArgument(f"reps must be >= 100, got {reps!r}")
     if n < 10:
-        raise DomainError(f"n must be >= 10, got {n!r}")
-    for name, v in (("n", n), ("reps", reps)):
-        if v >= _SIZE_LIMIT:
-            raise DomainError(f"{name} must be < 2**55, got {v!r}")
+        raise BadArgument(f"n must be >= 10, got {n!r}")
+    check_size("n", n)
+    check_size("reps", reps)
     if not 0 <= seed < SEED_LIMIT:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed!r}")
+        raise BadArgument(f"seed must lie in [0, 2**64), got {seed!r}")
     return n, reps, seed
 
 

@@ -1,8 +1,10 @@
 """Named invariant suites over the whole package, for the CLI and tests.
 
 Each check gets a stable dotted name, a pass flag and a worst signed
-margin.  The grid is the interior scheme x_j = j/(grid+1), j = 1..grid,
-on (0, 1).  Every grid check is an array pass: one call of `are`, the
+margin.  The grid is `reduction.sign_grid`, the interior scheme
+x_j = j/(grid+1), j = 1..grid, on (0, 1) with grid >= MIN_GRID; a
+coarser grid, and then a tol that is not finite and > 0, raise
+BadArgument.  Every grid check is an array pass: one call of `are`, the
 bounds or the moment assembly per pair and anchor gives the whole grid,
 bitwise equal to the calls at each point, and each worst margin is
 taken by Python's `min`/`max` over the list of slacks in grid order, as
@@ -15,11 +17,11 @@ probe points after it, gives the endgame, the sign patterns of the
 reduction trace (its scans, with no root bisection) and the trace's
 bracket values and rho_tilde.  A check passes by one of three rules:
 
-- a strict check (monotonicity, ranges, sandwiches, the endgame) passes
-  when its margin, the worst slack over the grid, is > 0;
-- a tolerance check (closed-form endpoints, factorization, moment
-  assembly) passes when its worst deviation is <= the tolerance, and
-  its margin is the tolerance minus that deviation;
+- a strict check (`_strict`: monotonicity, ranges, sandwiches, the
+  endgame) passes when its margin, the worst slack over the grid, is > 0;
+- a tolerance check (`_within`: closed-form endpoints, factorization,
+  moment assembly) passes when its worst deviation is <= the tolerance,
+  and its margin is the tolerance minus that deviation;
 - a reduction trace check is strict on its worst bracket slack, and
   reports margin -1.0 when a sign pattern is wrong (or, at anchor 0,
   the third stage does not vanish at 0+).
@@ -45,15 +47,11 @@ from .are_bounds import (
 )
 from .are_bounds import q  # noqa: F401  bench/layertrace.py patches it here
 from .corrmath import sigma_s2
-from .errors import Indeterminate
-from .reduction import build_chain_rt, interior_grid, scan_chain, stage_rho_tilde
+from .errors import BadArgument, Indeterminate
+from .reduction import MIN_GRID, build_chain_rt, scan_chain, sign_grid, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
-
-# Coarser grids cannot resolve the sign patterns whose roots sit ~0.02
-# apart, so the suite refuses them.
-MIN_GRID = 99
 
 # Fixed comparison tolerance for the closed-form endpoint constants.
 ENDPOINT_TOL = 1e-9
@@ -79,24 +77,28 @@ def _closed_forms() -> dict[tuple[str, int], float]:
     }
 
 
-def _check(name: str, margin: float, detail: str, passed: bool | None = None) -> CheckResult:
-    """The result of one check; it passes when margin > 0 unless `passed` is given."""
-    return CheckResult(name, margin > 0.0 if passed is None else passed, margin, detail)
+def _strict(name: str, detail: str, *slacks: float | np.ndarray) -> CheckResult:
+    """A row that passes when its margin is > 0: min(s0[0], s1[0], ...,
+    s0[1], s1[1], ...) by Python's min over slacks that are grid arrays
+    or floats, the least slack point by point in grid order, as a loop
+    over the grid took it.  Its detail is `detail.format(margin)`."""
+    margin = min(np.column_stack(slacks).ravel().tolist())
+    return CheckResult(name, margin > 0.0, margin, detail.format(margin))
 
 
-def _worst(*slacks: np.ndarray) -> float:
-    """min(inf, s0[0], s1[0], ..., s0[1], s1[1], ...) by Python's min: the
-    least slack point by point in grid order, as a loop over the grid took it."""
-    return min(math.inf, *np.stack(slacks, axis=1).ravel().tolist())
+def _within(name: str, tol: float, what: str, deviation: float | np.ndarray) -> CheckResult:
+    """A tolerance row: it passes when the largest |deviation| (a float,
+    or an array over the grid) is <= tol, with margin tol minus it."""
+    worst = max(np.abs(np.ravel(deviation)).tolist())
+    return CheckResult(name, worst <= tol, tol - worst, f"{what} = {worst:.3e}")
 
 
 def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
-    """Run every named invariant; returns one CheckResult per name."""
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
+    """Run every named invariant; returns one CheckResult per name.  A bad
+    grid, and then a bad tol, raise BadArgument."""
+    xs = sign_grid(grid)
     if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    xs = interior_grid(0.0, 1.0, grid)
+        raise BadArgument(f"tol must be finite and > 0, got {tol!r}")
     x = np.array(xs)
     # One array quadrature pass; every later sigma_s2 call reads the memo.
     sigma_s2(x)
@@ -106,55 +108,47 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     for (tag, a), want in _closed_forms().items():
         ep = endpoint_constants(tag)
         got = ep.are_at_1 if a else ep.are_at_0
-        diff = abs(got - want)
-        detail = f"|{got!r} - {want!r}| = {diff:.3e}"
         name = f"endpoints.closed_form.{tag}.{a}"
-        results.append(_check(name, ENDPOINT_TOL - diff, detail, diff <= ENDPOINT_TOL))
+        results.append(_within(name, ENDPOINT_TOL, f"|{got!r} - {want!r}|", got - want))
 
     # --- efficiency curves and the second-difference functions -------------
     are_vals = {tag: are(tag, x) for tag in PAIR_TAGS}
     for tag in PAIR_TAGS:
-        margin = min(np.diff(are_vals[tag]).tolist())
-        results.append(_check(f"are.monotone.{tag}", margin, f"min grid step {margin:.3e}"))
+        step = np.diff(are_vals[tag])
+        results.append(_strict(f"are.monotone.{tag}", "min grid step {:.3e}", step))
 
     for tag in PAIR_TAGS:
         for a in (0, 1):
             qs = q_from_are(tag, a, x, are_vals[tag])
-            margin = min(np.diff(qs).tolist())
-            results.append(
-                _check(f"theorem1.q_monotone.{tag}.{a}", margin, f"min grid step {margin:.3e}")
-            )
+            name = f"theorem1.q_monotone.{tag}.{a}"
+            results.append(_strict(name, "min grid step {:.3e}", np.diff(qs)))
             lo, hi = (bound.q for bound in quad_bounds(tag, a))
-            margin = min(min((qs - lo).tolist()), min((hi - qs).tolist()))
-            results.append(
-                _check(f"theorem1.q_range.{tag}.{a}", margin, f"q in ({lo:.6f}, {hi:.6f})")
-            )
+            detail = f"q in ({lo:.6f}, {hi:.6f})"
+            results.append(_strict(f"theorem1.q_range.{tag}.{a}", detail, qs - lo, hi - qs))
 
     # --- quadratic sandwich and quartic refinement -------------------------
     for tag in PAIR_TAGS:
         for a in (0, 1):
             lower, upper = quad_bounds(tag, a)
             vals = are_vals[tag]
-            margin = min(min((vals - lower(x)).tolist()), min((upper(x) - vals).tolist()))
-            detail = f"min slack {margin:.3e}"
-            results.append(_check(f"bounds.sandwich.{tag}.{a}", margin, detail))
+            name = f"bounds.sandwich.{tag}.{a}"
+            results.append(_strict(name, "min slack {:.3e}", vals - lower(x), upper(x) - vals))
 
     rs = are_vals["RS"]
     for a in (0, 1):
         (lo_rt, up_rt), (lo_ts, up_ts), (lo_rs, up_rs) = (quad_bounds(tag, a) for tag in PAIR_TAGS)
         ltilde, utilde = lo_rt(x) * lo_ts(x), up_rt(x) * up_ts(x)
-        margin = _worst(ltilde - lo_rs(x), rs - ltilde, utilde - rs, up_rs(x) - utilde)
-        detail = f"min slack in quartic chain {margin:.3e}"
-        results.append(_check(f"bounds.quartic.RS.{a}", margin, detail))
+        slacks = ltilde - lo_rs(x), rs - ltilde, utilde - rs, up_rs(x) - utilde
+        detail = "min slack in quartic chain {:.3e}"
+        results.append(_strict(f"bounds.quartic.RS.{a}", detail, *slacks))
 
     lo, hi = quartic_bounds_rs(x)
-    margin = _worst(rs - lo, hi - rs)
-    results.append(_check("bounds.quartic_combined.RS", margin, f"min slack {margin:.3e}"))
+    results.append(_strict("bounds.quartic_combined.RS", "min slack {:.3e}", rs - lo, hi - rs))
 
     # --- cross-pair and cross-module consistency ---------------------------
-    worst = max(abs(rs - are_vals["RT"] * are_vals["TS"]).tolist())
-    detail = f"max |are_RS - are_RT*are_TS| = {worst:.3e}"
-    results.append(_check("factorization.identity", tol - worst, detail, worst <= tol))
+    product = are_vals["RT"] * are_vals["TS"]
+    what = "max |are_RS - are_RT*are_TS|"
+    results.append(_within("factorization.identity", tol, what, rs - product))
 
     # Off the endpoint-series band, are is f/g itself.
     band = 1.0 - x <= SERIES_RADIUS
@@ -163,11 +157,9 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         fg = are_vals[tag].copy()
         if band.any():
             fg[band] = p.f(x[band]) / p.g(x[band])
-        worst = max(abs(fg - are_from_moments(tag, x)).tolist())
-        detail = f"max |f/g - moment assembly| = {worst:.3e}"
-        results.append(
-            _check(f"consistency.moment_assembly.{tag}", tol - worst, detail, worst <= tol)
-        )
+        name = f"consistency.moment_assembly.{tag}"
+        what = "max |f/g - moment assembly|"
+        results.append(_within(name, tol, what, fg - are_from_moments(tag, x)))
 
     # --- reduction chain ----------------------------------------------------
     # One `scan_chain` pass of node 4 per anchor, on the grid and then the
@@ -177,9 +169,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     for a, probes, trace in ((0, (0.41, 0.71, 1e-6), _trace_rt0), (1, (0.6, 1e-6), _trace_rt1)):
         values, scans, at = scan_chain(build_chain_rt(a)[4], xs, probes)
         f4, g4, r4 = values[-3:]
-        margin = _worst(-f4, -g4, r4)
         detail = "needs f4 < 0, g4 < 0, r4' > 0 on the grid"
-        results.append(_check(f"reduction.endgame.RT.{a}", margin, detail))
+        results.append(_strict(f"reduction.endgame.RT.{a}", detail, -f4, -g4, r4))
         traces.append(trace(scans, at))
 
     return results + traces
@@ -211,8 +202,8 @@ def _trace_rt0(scans: list, at: dict) -> CheckResult:
     vanish = max(abs(f3.value), abs(g3.value))
     if vanish > 1e-4:
         problems.append(f"stage-3 at 0+ = {vanish:.3e}")
-    detail = "; ".join(problems) or f"min bracket slack {margin:.3e}"
-    return _check("reduction.trace.RT.0", -1.0 if problems else margin, detail)
+    detail = "; ".join(problems) or "min bracket slack {:.3e}"
+    return _strict("reduction.trace.RT.0", detail, -1.0 if problems else margin)
 
 
 def _trace_rt1(scans: list, at: dict) -> CheckResult:
@@ -221,5 +212,5 @@ def _trace_rt1(scans: list, at: dict) -> CheckResult:
     )
     f3, g3 = at[0.6][3]
     margin = min(-g3.value, f3.value, stage_rho_tilde(2, *at[1e-6][2]))
-    detail = "; ".join(problems) or f"min bracket/rho_tilde slack {margin:.3e}"
-    return _check("reduction.trace.RT.1", -1.0 if problems else margin, detail)
+    detail = "; ".join(problems) or "min bracket/rho_tilde slack {:.3e}"
+    return _strict("reduction.trace.RT.1", detail, -1.0 if problems else margin)

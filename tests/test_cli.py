@@ -266,7 +266,7 @@ def test_a_bare_memory_error_still_says_what_failed(capsys, monkeypatch) -> None
 
 
 def test_grid_commands_refuse_sizes_past_numpys_index_range(capsys) -> None:
-    # Refused before interior_grid would start on a list of 10**20 floats.
+    # interior_grid refuses it before it starts on a list of 10**20 floats.
     huge = str(10**20)
     for command in ("table", "verify", "reduce"):
         rc, out, err = _run(capsys, [command, "--grid", huge])
@@ -552,6 +552,8 @@ _ARGVS = st.one_of(
 @example(["mc", "--n", "10", "--reps", "100", "--seed", str(2**64), "--rho", "0.5"])
 @example(["mc", "--n", "10", "--reps", "100", "--seed", str(2**64 - 1), "--rho", "0.5,-0.3"])
 @example(["table", "--grid", "2", "--format", "json"])
+@example(["mc", "--n", "10", "--reps", "100", "--seed", "0", "--rho", "0.1,,0.2"])
+@example(["reduce", "--pair", "ts"])
 def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -559,6 +561,11 @@ def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> 
             rc = main(argv)
         except SystemExit as exc:  # argparse refusing a flag
             rc = exc.code
+        else:
+            if rc == 2:
+                # A flag out of range: one line that names the flag.
+                assert len(err.getvalue().splitlines()) == 1
+                assert err.getvalue().startswith("arecorr: error: --")
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if rc != 0:

@@ -101,3 +101,11 @@ def test_the_commands_read_the_chain_only_through_reductions_scan() -> None:
     for stem in ("cli", "verify"):
         found = _referenced(ast.parse((package / f"{stem}.py").read_text()))
         assert found & {"scan_signs", "ratio_slope", "Jet"} == set(), stem
+
+
+def test_the_command_line_leaves_every_argument_check_to_the_library() -> None:
+    # Each bound lives in the module that owns the argument, behind
+    # errors.BadArgument, which `main` maps to exit 2.
+    tree = ast.parse((Path(arecorr.__file__).parent / "cli.py").read_text())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
+    assert _referenced(tree) & {"MIN_GRID", "_SIZE_LIMIT", "_mc_key"} == set()

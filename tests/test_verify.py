@@ -8,17 +8,33 @@ import re
 import pytest
 
 from arecorr import are_bounds, corrmath, reduction, verify
-from arecorr.errors import Indeterminate
+from arecorr.errors import BadArgument, Indeterminate
 from arecorr.reduction import ChainNode, build_chain_rt, classify_sign, interior_grid
 from arecorr.verify import MIN_GRID, CheckResult, run_checks
 
 
-@pytest.mark.parametrize("tol", [0.0, math.inf, math.nan], ids=["zero", "inf", "nan"])
-def test_run_checks_refuses_a_tolerance_that_is_not_finite_and_positive(tol: float) -> None:
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        ((run_checks, MIN_GRID, 0.0), "tol"),
+        ((run_checks, MIN_GRID, math.inf), "tol"),
+        ((run_checks, MIN_GRID, math.nan), "tol"),
+        ((run_checks, MIN_GRID - 1), "grid"),
+        ((run_checks, MIN_GRID - 1, 0.0), "grid"),
+        ((run_checks, 2**55), "grid"),
+        ((interior_grid, 0.0, 1.0, 2**55), "grid"),
+    ],
+    ids=["zero", "inf", "nan", "coarse-grid", "coarse-grid-and-zero", "huge-grid", "interior"],
+)
+def test_run_checks_refuses_a_tolerance_that_is_not_finite_and_positive(call, name) -> None:
     # An infinite tolerance would pass every tolerance check with an
-    # infinite margin, which JSON cannot carry.
-    with pytest.raises(ValueError, match="tol"):
-        run_checks(MIN_GRID, tol)
+    # infinite margin, which JSON cannot carry.  A grid of 2**55 points
+    # is refused before any of its list is built; with both a bad grid
+    # and a bad tol, the grid is named.  BadArgument is a ValueError.
+    fn, *args = call
+    with pytest.raises(BadArgument, match=f"^{name} ") as raised:
+        fn(*args)
+    assert isinstance(raised.value, ValueError)
 
 
 def _trace_results() -> dict[str, CheckResult]:
