@@ -27,6 +27,7 @@ import dataclasses
 import io
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -84,7 +85,11 @@ def _selected_anchors(flag: str) -> list[int]:
 def _render(blocks, fmt: str) -> list[str]:
     """Blocks of rows as the parts of one JSON or CSV text; every command
     emits at least one row, and the first row's keys are the CSV
-    columns.  Only each block's text is kept, not its rows."""
+    columns.  Only each block's text is kept, not its rows.
+
+    A CSV block whose every cell is a float is one `%r` format of all
+    its cells, kept as formatted: csv.writer writes a float as its repr,
+    which never needs quoting."""
     if fmt == "json":
         # Each block's items, as json.dumps of all rows would write them.
         items = [json.dumps(block, indent=2)[2:-2] for block in blocks]
@@ -95,8 +100,13 @@ def _render(blocks, fmt: str) -> list[str]:
     for block in blocks:
         if not parts:
             writer.writerow(block[0])
-        writer.writerows(map(dict.values, block))
-        parts.append(buf.getvalue())
+        cells = tuple(chain.from_iterable(map(dict.values, block)))
+        if {*map(type, cells)} == {float}:
+            line = ",".join(["%r"] * len(block[0])) + "\n"
+            parts += [buf.getvalue(), line * len(block) % cells]
+        else:
+            writer.writerows(map(dict.values, block))
+            parts.append(buf.getvalue())
         buf.seek(0)
         buf.truncate()
     return parts

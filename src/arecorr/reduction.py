@@ -23,7 +23,8 @@ bisects every sign change of the scans in one `bisect_roots` lockstep,
 one node-4 pass per step on all the open midpoints, for `reduce`.
 `sign_grid`, the grid both commands scan, is `interior_grid` of (0, 1)
 with at least MIN_GRID points; `interior_grid` refuses a size past
-`errors.check_size`'s bound before it allocates.  Both raise BadArgument.
+`errors.check_size`'s bound before it allocates.  `check_sign_grid`
+makes both checks without building the grid.  All raise BadArgument.
 `bisect_roots` is the package's one root bisection:
 `are_bounds.crossover` needs none, since the difference of two
 quadratic bounds is a quadratic, solved in closed form.  Only the RT
@@ -47,6 +48,7 @@ __all__ = [
     "ChainNode",
     "SignPattern",
     "interior_grid",
+    "check_sign_grid",
     "sign_grid",
     "MIN_GRID",
     "build_chain_rt",
@@ -131,11 +133,18 @@ def interior_grid(lo: float, hi: float, grid: int) -> list[float]:
     return [lo + (hi - lo) * j / (grid + 1) for j in range(1, grid + 1)]
 
 
-def sign_grid(grid: int) -> list[float]:
-    """The interior grid of (0, 1) on which `verify` and `reduce` read sign
-    patterns; one coarser than MIN_GRID raises BadArgument."""
+def check_sign_grid(grid: int) -> None:
+    """Raise BadArgument for a sign grid coarser than MIN_GRID or past the
+    size bound of `interior_grid`."""
     if grid < MIN_GRID:
         raise BadArgument(f"grid {grid!r} is too coarse for sign refinement; need >= {MIN_GRID}")
+    check_size("grid", grid)
+
+
+def sign_grid(grid: int) -> list[float]:
+    """The interior grid of (0, 1) on which `verify` and `reduce` read sign
+    patterns, once `check_sign_grid` accepts its size."""
+    check_sign_grid(grid)
     return interior_grid(0.0, 1.0, grid)
 
 

@@ -105,7 +105,8 @@ _STAT_NAMES = ("R", "S", "T")
 _BLOCK_CELLS = 2**13
 
 # Memo of read-only (3, reps) replicate arrays keyed by (rho, n, reps,
-# seed), kept to _MEMO_SIZE entries by `corrmath._fill_memo`.
+# seed), kept by `corrmath._fill_memo` to _MEMO_SIZE entries or to one
+# call's distinct keys, whichever is more.
 _MEMO: dict[tuple[float, int, int, int], np.ndarray] = {}
 _MEMO_SIZE = 16
 
@@ -541,8 +542,8 @@ def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.
     """Read-only (3, reps) arrays of R, S and T on replicates 0..reps-1,
     one per rho of `rhos`, from the memo or one _replicates call.
 
-    The rhos missing from the memo share their draws, and at most
-    _MEMO_SIZE of them stay in it for later calls such as mc_moments.
+    The rhos missing from the memo share their draws, and every rho of
+    the call stays in it for later calls such as mc_moments.
     """
     n, reps, seed = _mc_key(n, reps, seed)
     keys = [(_rho_value(rho), n, reps, seed) for rho in rhos]

@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-__all__ = ["Jet", "asin", "each", "power", "sqrt"]
+__all__ = ["Jet", "asin", "each", "power", "powers", "sqrt"]
 
 
 def _any(test) -> bool:
@@ -38,9 +38,11 @@ def _any(test) -> bool:
     return test if test.__class__ is bool else bool(test.any())
 
 
-def each(fn, v: np.ndarray, *args) -> np.ndarray:
-    """fn(element, *args) for each element of a 1-D array, as float64."""
-    return np.fromiter(map(fn, memoryview(v), *map(repeat, args)), np.float64, len(v))
+def each(fn, v: np.ndarray | list, *args) -> np.ndarray:
+    """fn(element, *args) for each element of a 1-D array or a list of
+    floats, as float64."""
+    items = v if isinstance(v, list) else memoryview(v)
+    return np.fromiter(map(fn, items, *map(repeat, args)), np.float64, len(v))
 
 
 def sqrt(v):
@@ -58,6 +60,15 @@ def asin(v):
 def power(v, n: int):
     """v**n; on an array, libm's pow per element, as float `**` takes it."""
     return each(math.pow, v, float(n)) if isinstance(v, np.ndarray) else v**n
+
+
+def powers(v, *ns: int) -> tuple:
+    """power(v, n) for each n in ns; an array's elements are converted to
+    floats once for all of them."""
+    if not isinstance(v, np.ndarray):
+        return tuple(power(v, n) for n in ns)
+    items = v.tolist()
+    return tuple(each(math.pow, items, float(n)) for n in ns)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Each check gets a stable dotted name, a pass flag and a worst signed
 margin.  The grid is `reduction.sign_grid`, the interior scheme
 x_j = j/(grid+1), j = 1..grid, on (0, 1) with grid >= MIN_GRID; a
-coarser grid, and then a tol that is not finite and > 0, raise
-BadArgument.  Every grid check is an array pass: one call of `are`, the
-bounds or the moment assembly per pair and anchor gives the whole grid,
+coarser or too large grid, and then a tol that is not finite and > 0,
+raise BadArgument before the grid is built.  Every grid check is an
+array pass: one call of `are`, the bounds or the moment assembly per
+pair and anchor gives the whole grid,
 bitwise equal to the calls at each point, and each worst margin is
 taken by Python's `min`/`max` over the list of slacks in grid order, as
 a loop over the points took it.  Each grid quantity is computed once:
@@ -48,7 +49,8 @@ from .are_bounds import (
 from .are_bounds import q  # noqa: F401  bench/layertrace.py patches it here
 from .corrmath import sigma_s2
 from .errors import BadArgument, Indeterminate
-from .reduction import MIN_GRID, build_chain_rt, scan_chain, sign_grid, stage_rho_tilde
+from .reduction import MIN_GRID, build_chain_rt, check_sign_grid, scan_chain, sign_grid
+from .reduction import stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
 
 __all__ = ["CheckResult", "run_checks", "MIN_GRID", "ENDPOINT_TOL"]
@@ -95,10 +97,11 @@ def _within(name: str, tol: float, what: str, deviation: float | np.ndarray) -> 
 
 def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
     """Run every named invariant; returns one CheckResult per name.  A bad
-    grid, and then a bad tol, raise BadArgument."""
-    xs = sign_grid(grid)
+    grid, and then a bad tol, raise BadArgument before the grid is built."""
+    check_sign_grid(grid)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise BadArgument(f"tol must be finite and > 0, got {tol!r}")
+    xs = sign_grid(grid)
     x = np.array(xs)
     # One array quadrature pass; every later sigma_s2 call reads the memo.
     sigma_s2(x)

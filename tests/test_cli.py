@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,78 @@ def test_table_error_in_a_late_block_writes_nothing(capsys, monkeypatch, tmp_pat
         assert err.splitlines() == ["arecorr: error: are failed on the third block"]
         assert len(calls) == 2 * len(PAIR_TAGS) + 1
         assert not target.exists()
+
+
+def _csv_writer_text(blocks: list[list[dict]]) -> str:
+    """Blocks of rows as csv.writer writes them, with the first row's keys
+    as the header."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(blocks[0][0])
+    for block in blocks:
+        writer.writerows(map(dict.values, block))
+    return buf.getvalue()
+
+
+_CSV_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, 1.0, math.inf, -math.inf, math.nan]
+) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.lists(_CSV_FLOATS, min_size=width, max_size=width), min_size=1, max_size=6),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+@example([[[0.0, -0.0, 5e-324, 1e16], [1e-05, math.inf, -math.inf, math.nan]]])
+@example([[[0.1]], [[-0.0], [1e16]]])
+def test_all_float_csv_blocks_are_the_bytes_of_csv_writer(blocks) -> None:
+    keys = [f"c{j}" for j in range(len(blocks[0][0]))]
+    rows = [[dict(zip(keys, row)) for row in block] for block in blocks]
+    assert "".join(cli._render(rows, "csv")) == _csv_writer_text(rows)
+
+
+def test_csv_blocks_with_other_cells_keep_csv_writers_quoting() -> None:
+    blocks = [
+        [{"x": 0.5, "name": "a,b"}, {"x": -0.0, "name": 'say "hi"'}],
+        [{"x": 1.5, "name": 2.5}],
+        [{"x": 1, "name": True}],
+    ]
+    text = "".join(cli._render(blocks, "csv"))
+    assert text == _csv_writer_text(blocks)
+    assert text == 'x,name\n0.5,"a,b"\n-0.0,"say ""hi"""\n1.5,2.5\n1,True\n'
+
+
+def test_table_maps_the_same_libm_work_through_taylor() -> None:
+    # A deterministic count of the cold table's work: elements mapped
+    # through taylor.each (each one a libm call) and Kronrod passes.  The
+    # libm work is what it was with 64-abscissa blocks, which made 26
+    # passes.
+    script = """
+import contextlib, io, sys
+from arecorr import cli, quadrature, taylor
+count = {"elements": 0, "gk15": 0}
+each, rule = taylor.each, quadrature._gk15
+def counted_each(fn, v, *args):
+    count["elements"] += len(v)
+    return each(fn, v, *args)
+def counted_rule(*args):
+    count["gk15"] += 1
+    return rule(*args)
+taylor.each = quadrature.each = counted_each
+quadrature._gk15 = counted_rule
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["table", "--grid", "999"]) == 0
+print(count["elements"], count["gk15"])
+"""
+    done = _python_run("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["202057", "14"]
 
 
 # ---------------------------------------------------------------------- mc

@@ -143,8 +143,8 @@ def test_arcsine_arguments_stay_far_inside_the_unit_interval() -> None:
     # 3/(2 sqrt 6) ~ 0.61237 in magnitude, reached at |u| = 1.
     edge = math.nextafter(1.0, 0.0)
     u = np.concatenate([np.linspace(-1.0, 1.0, 20001), [-edge, edge]])
-    u2, u4 = corrmath._pow(u, 2), corrmath._pow(u, 4)
-    peak = max(float(np.abs(corrmath._arcsine_arg(k, u, u2, u4)).max()) for k in range(4))
+    powers = corrmath._powers(u, 2, 3, 4)
+    peak = max(float(np.abs(corrmath._arcsine_arg(k, u, *powers)).max()) for k in range(4))
     assert peak <= 0.62
     assert peak == pytest.approx(3.0 / (2.0 * math.sqrt(6.0)), rel=1e-12)
 
@@ -170,8 +170,9 @@ def _one_integrand(k: int, u):
     """Row k (0..3) of the four integrands alone: what the endpoint series
     once integrated one row at a time."""
     u2 = corrmath._pow(u, 2)
+    u3 = corrmath._pow(u, 3) if k == 0 else None
     u4 = corrmath._pow(u, 4) if k >= 2 else None
-    arg = corrmath._arcsine_arg(k, u, u2, u4)
+    arg = corrmath._arcsine_arg(k, u, u2, u3, u4)
     return corrmath._arcsine(arg) / corrmath._sqrt(4.0 - u2)
 
 
@@ -279,11 +280,12 @@ def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) ->
     assert len(corrmath._MEMO) <= 8
     assert set(corrmath._MEMO) >= set(second)
     assert [v.hex() for v in got.tolist()] == want[5:]
-    # An array with more new values than the memo holds still returns all.
+    # An array with more new values than the memo holds still returns all,
+    # and the memo holds them all: its bound is max(8, the call's keys).
     many = [j / 20 for j in range(20)]
     want = _cold_float_values(many)
     got = sigma_s2(np.array(many))
-    assert len(corrmath._MEMO) <= 8
+    assert set(corrmath._MEMO) == set(many)
     assert [v.hex() for v in got.tolist()] == want
     corrmath._MEMO.clear()
 
@@ -331,6 +333,19 @@ def test_partly_memoized_array_integrates_only_the_missing_abscissae(monkeypatch
     seen = _refuse_quadrature(monkeypatch, allowed=missing)
     assert [v.hex() for v in sigma_s2(np.array(xs)).tolist()] == want
     assert seen == [missing]
+
+
+def test_an_array_larger_than_the_memo_is_integrated_once(monkeypatch) -> None:
+    # With more abscissae than _MEMO_SIZE, a second read of the same array
+    # is all memo hits, also when the first read found some of them there.
+    monkeypatch.setattr(corrmath, "_MEMO_SIZE", 8)
+    corrmath._MEMO.clear()
+    many = [j / 40 for j in range(1, 21)]
+    sigma_s2(np.array(many[:5] + [0.9, 0.95]))
+    want = [v.hex() for v in sigma_s2(np.array(many)).tolist()]
+    _refuse_quadrature(monkeypatch)
+    assert [v.hex() for v in sigma_s2(np.array(many)).tolist()] == want
+    corrmath._MEMO.clear()
 
 
 def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:

@@ -696,11 +696,12 @@ def test_one_fill_keeps_every_rho_and_matches_one_rho_at_a_time(monkeypatch) -> 
     assert filled[0] is filled[2] and filled[3] is filled[4]
     for rho, values in zip(rhos, filled):
         assert stats_mc.mc_replicates([rho], 10, 100, 4)[0] is values
-    # More new rhos than the memo holds still give every rho's values.
+    # More new rhos than the memo holds still give every rho's values, and
+    # all stay in it: its bound is max(_MEMO_SIZE, the call's distinct keys).
     monkeypatch.setattr(stats_mc, "_MEMO", {})
     monkeypatch.setattr(stats_mc, "_MEMO_SIZE", 1)
     again = stats_mc.mc_replicates(rhos, 10, 100, 4)
-    assert len(stats_mc._MEMO) == 1
+    assert [key[0] for key in stats_mc._MEMO] == [0.9, -0.5, -0.0]
     for got, want in zip(again, filled):
         assert np.array_equal(got, want)
     with pytest.raises(DomainError, match="n must be >= 10"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from arecorr.taylor import Jet, each
+from arecorr.taylor import Jet, each, power, powers
 
 
 def test_variable_and_constant_layout() -> None:
@@ -128,11 +128,32 @@ def test_each_has_the_bits_of_the_float_calls() -> None:
     strided = v[::3]
     assert not strided.flags.contiguous and sorted(strided.tolist()) == sorted(v[:5].tolist())
     calls = [(math.asin, ()), (math.erfc, ())] + [(math.pow, (p,)) for p in (1.5, 2, 3, 4)]
-    for arr in (v, strided):
+    for arr in (v, strided, v.tolist()):
         for fn, args in calls:
             got = each(fn, arr, *args)
             assert got.dtype == np.float64
-            assert [g.hex() for g in got.tolist()] == [fn(x, *args).hex() for x in arr.tolist()]
+            assert [g.hex() for g in got.tolist()] == [fn(x, *args).hex() for x in list(arr)]
+
+
+def _bits(v) -> list[str]:
+    """The hex of every float in a float, an array or a jet's coefficients."""
+    if isinstance(v, Jet):
+        return [b for c in v.coeffs for b in _bits(c)]
+    return [x.hex() for x in np.ravel(v).tolist()]
+
+
+def test_powers_have_the_bits_of_power() -> None:
+    v = np.tile([-0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0, 1.9], 3)
+    strided = v[::3]
+    assert not strided.flags.contiguous
+    floats = v[:7].tolist()
+    jets = [Jet.variable(0.3, 3), Jet.variable(-0.7, 2), Jet.variable(v[3:7], 3)]
+    for arg in (v, strided, *floats, *jets):
+        got = powers(arg, 2, 3, 4)
+        assert len(got) == 3
+        for n, g in zip((2, 3, 4), got):
+            assert type(g) is type(power(arg, n))
+            assert _bits(g) == _bits(power(arg, n)), (arg, n)
 
 
 def test_array_guards_reject_a_single_bad_element() -> None:

@@ -37,6 +37,19 @@ def test_run_checks_refuses_a_tolerance_that_is_not_finite_and_positive(call, na
     assert isinstance(raised.value, ValueError)
 
 
+def test_run_checks_names_a_bad_tol_before_it_builds_the_grid(monkeypatch) -> None:
+    # 10**12 points pass the size bound but would not fit in memory, so
+    # the grid builder is patched to raise if it is reached.
+    def refuse(*args):
+        raise AssertionError(f"grid built: {args!r}")
+
+    monkeypatch.setattr(reduction, "interior_grid", refuse)
+    with pytest.raises(BadArgument, match="^tol "):
+        run_checks(10**12, 0.0)
+    with pytest.raises(BadArgument, match="^grid "):
+        run_checks(MIN_GRID - 1, 0.0)
+
+
 def _trace_results() -> dict[str, CheckResult]:
     return {r.name: r for r in run_checks(MIN_GRID) if r.name.startswith("reduction.trace.")}
 
