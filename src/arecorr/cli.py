@@ -9,14 +9,15 @@ or any other error the package, the file system or the memory
 allocator reports, 2 usage error; errors print one `arecorr: ...` line
 to stderr and nothing to stdout.  Each flag is checked once: the grid
 by `reduction.sign_grid` and `interior_grid`, --tol by `run_checks`,
---n, --reps and --seed by `mc_replicates`, and only table's grid >= 2,
+--n, --reps and --seed by `mc_reports`, and only table's grid >= 2,
 --rho and reduce's --pair here.  A bad one raises `errors.BadArgument`,
 which `main` prints as `arecorr: error: --<message>`, with exit code 2.
 
-`mc` draws each replicate once for all its rhos and evaluates R, S and
-T on it at each rho.  `reduce` reads the chain only from passes of its
-last node: per anchor, one `scan_chain` pass on the grid and 1e-6 (for
-rho_tilde), and one per step of the anchor's one lockstep bisection.
+`mc` is one `mc_reports` call, which draws each replicate once per
+block of rhos and evaluates R, S and T on it at each of them.  `reduce`
+reads the chain only from passes of its last node: per anchor, one
+`scan_chain` pass on the grid and 1e-6 (for rho_tilde), and one per
+step of the anchor's one lockstep bisection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import ArecorrError, BadArgument, DomainError, Indeterminate
 from .reduction import build_chain_rt, chain_values, interior_grid, scan_chain, sign_grid
 from .reduction import sign_patterns, stage_rho_tilde
 from .reduction import classify_sign  # noqa: F401  bench/layertrace.py patches it here
-from .stats_mc import DEFAULT_SEED, mc_moments, mc_replicates
+from .stats_mc import DEFAULT_SEED, mc_reports
+from .stats_mc import mc_moments  # noqa: F401  bench/layertrace.py patches it here
 from .verify import run_checks
 
 __all__ = ["main", "run"]
@@ -51,11 +53,6 @@ _ANCHOR_CHOICES = ("0", "1", "both")
 # blocks keep the array temporaries small: with 4096, `table --grid
 # 4999` peaked about 0.1 MiB higher in RSS than with 256.
 _TABLE_BLOCK = 256
-
-# `mc` reports its rhos in blocks that fit in the replicate memo, each
-# block after one mc_replicates call that draws the block's replicates
-# once for all its rhos.
-_MC_BLOCK = 8
 
 
 def _parse_rho_list(text: str) -> list[float]:
@@ -179,19 +176,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    rhos = _parse_rho_list(args.rho)
-    # rho outermost, so the three statistics of one rho read one memo
-    # entry; the stable sort restores one block of rows per statistic.
-    reports = []
-    for i in range(0, len(rhos), _MC_BLOCK):
-        block = rhos[i : i + _MC_BLOCK]
-        mc_replicates(block, args.n, args.reps, args.seed)
-        reports += [
-            mc_moments(stat, rho, n=args.n, reps=args.reps, seed=args.seed)
-            for rho in block
-            for stat in "RST"
-        ]
-    reports.sort(key=lambda rep: "RST".index(rep.stat))
+    reports = mc_reports(_parse_rho_list(args.rho), args.n, args.reps, args.seed)
     _write_out(_render([[dataclasses.asdict(rep) for rep in reports]], args.format), args.out)
     return 0
 

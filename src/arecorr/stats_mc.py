@@ -15,12 +15,13 @@ Normal variates come from the inverse-CDF map applied to 53-bit
 uniforms; X and Z draws interleave within one stream, so a smaller n
 yields a prefix of a larger n's sample at the same key.
 
-Monte Carlo works on blocks of replicates held as (rows, n) arrays:
-one generator re-keyed per row fills the block's words, one
-inverse-CDF call maps them to x and z, and x is ranked once.  Each rho
-forms its y from x and z; R comes from batched row dot products, S and
-T from one argsort of y and exact integer counts.  The per-sample code
-is this code on a one-row block, so replicates match it bit for bit.
+Monte Carlo (`mc_reports`, which caches nothing) works on blocks of
+replicates held as (rows, n) arrays: one generator re-keyed per row
+fills the block's words, one inverse-CDF call maps them to x and z, and
+x is ranked once.  Each rho forms its y from x and z; R comes from
+batched row dot products, S and T from one argsort of y and exact
+integer counts.  The per-sample code is this code on a one-row block,
+so replicates match it bit for bit.
 
 The inverse CDF is scipy's `ndtri` ufunc, loaded at import from the
 scipy.special extension module that holds it without running the
@@ -42,7 +43,7 @@ from itertools import combinations
 import numpy as np
 import numpy.random  # noqa: F401  at import, so the first draw does not pay for it
 
-from .corrmath import _fill_memo, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
+from .corrmath import _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import BadArgument, DegenerateSample, DomainError, TiesPresent, check_size
 from .taylor import each
 
@@ -61,7 +62,7 @@ __all__ = [
     "kernel_h_s_n",
     "spearman_ustat_identity",
     "mc_moments",
-    "mc_replicates",
+    "mc_reports",
     "phi",
 ]
 
@@ -104,11 +105,9 @@ _STAT_NAMES = ("R", "S", "T")
 # working arrays stay a few hundred KiB whatever n is.
 _BLOCK_CELLS = 2**13
 
-# Memo of read-only (3, reps) replicate arrays keyed by (rho, n, reps,
-# seed), kept by `corrmath._fill_memo` to _MEMO_SIZE entries or to one
-# call's distinct keys, whichever is more.
-_MEMO: dict[tuple[float, int, int, int], np.ndarray] = {}
-_MEMO_SIZE = 16
+# Rhos per `_replicates` call in `mc_reports`: they share its draws, and
+# its (rhos, 3, reps) result is the one array that grows with reps.
+_RHO_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,20 @@ class BivariateSample:
 
 @dataclass(frozen=True)
 class McReport:
+    """One statistic's Monte Carlo report at one rho, over the values v_i
+    of the statistic on replicates i = 0..reps-1 drawn from `seed`.
+
+    - mean_hat: the mean of the v_i.
+    - var_hat_scaled: n times their ddof-1 variance, an estimate of sigma^2.
+    - se_mean: the standard error of mean_hat, sqrt(ddof-1 variance / reps).
+    - se_var: the standard error of var_hat_scaled, n*sqrt((m4 - m2^2)/reps),
+      where m2 and m4 are the v_i's central moments (ddof 0).
+    - cdf_sup_dist: the sup distance between the standard normal CDF and
+      the empirical CDF of sqrt(n)*(v_i - mu)/sigma, where sigma^2 is the
+      asymptotic variance and mu the asymptotic mean for R and T; S is
+      centred at its exact finite-n mean, `mu_s_finite_n(rho, n)`.
+    """
+
     stat: str
     rho: float
     n: int
@@ -220,8 +233,8 @@ def sample_bivariate_normal(
 ) -> BivariateSample:
     """n iid pairs with Y = rho*X + sqrt(1-rho^2)*Z, X, Z standard normal.
 
-    The generator is Philox keyed by (seed, stream); `stream` is the
-    replicate index when called from mc_moments.  Uniforms take the top
+    The generator is Philox keyed by (seed, stream); replicate i of
+    `mc_reports` is the sample of stream i.  Uniforms take the top
     53 bits of each 64-bit word, offset to the cell center so 0 and 1
     never occur; the inverse normal CDF then maps them to variates.
     """
@@ -497,8 +510,8 @@ def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
 
 
 def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.ndarray:
-    """Read-only (len(rhos), 3, reps) array: R, S and T of each rho on
-    replicates 0..reps-1.
+    """(len(rhos), 3, reps) array: R, S and T of each rho on replicates
+    0..reps-1.
 
     Replicate i is drawn once for all of rhos, from stream i of `seed`.
     Blocks of _BLOCK_CELLS // n replicates are drawn as (rows, n) arrays
@@ -519,7 +532,6 @@ def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.nda
             _refuse_constant(y)
             values[0, lo:hi] = _pearson_rows(x, y)
             values[1:, lo:hi] = _block_st(x, y, ranked_x)
-    out.flags.writeable = False
     return out
 
 
@@ -538,47 +550,8 @@ def _mc_key(n, reps, seed) -> tuple[int, int, int]:
     return n, reps, seed
 
 
-def mc_replicates(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
-    """Read-only (3, reps) arrays of R, S and T on replicates 0..reps-1,
-    one per rho of `rhos`, from the memo or one _replicates call.
-
-    The rhos missing from the memo share their draws, and every rho of
-    the call stays in it for later calls such as mc_moments.
-    """
-    n, reps, seed = _mc_key(n, reps, seed)
-    keys = [(_rho_value(rho), n, reps, seed) for rho in rhos]
-
-    def compute(todo):
-        return _replicates(tuple(k[0] for k in todo), n, reps, seed)
-
-    # One block holds every missing key, so they share one _replicates call.
-    return _fill_memo(_MEMO, _MEMO_SIZE, keys, compute, max(1, len(keys)))
-
-
-def mc_moments(
-    stat: str,
-    rho: float,
-    n: int,
-    reps: int,
-    seed: int = DEFAULT_SEED,
-) -> McReport:
-    """Monte Carlo check of the asymptotic mean/variance and normality.
-
-    Replicate i draws its sample from stream i of `seed`, so the result
-    is a pure function of (stat, rho, n, reps, seed); the values of R, S
-    and T come from the same draws and are read from the mc_replicates
-    memo, which one mc_replicates call can fill for many rhos.
-    `cdf_sup_dist` is the sup distance between the empirical CDF of
-    sqrt(n)*(stat - mu)/sigma and the standard normal CDF, where mu is
-    the exact finite-n mean for S and the asymptotic mean otherwise.
-    """
-    stat_u = str(stat).upper()
-    if stat_u not in _STAT_NAMES:
-        raise DomainError(f"stat must be one of {_STAT_NAMES}, got {stat!r}")
-    n, reps, seed = _mc_key(n, reps, seed)
-    value = _rho_value(rho)
-    vals = mc_replicates([value], n, reps, seed)[0][_STAT_NAMES.index(stat_u)]
-
+def _report(stat: str, rho: float, n: int, reps: int, seed: int, vals: np.ndarray) -> McReport:
+    """The McReport of `stat` at `rho` from its values on the replicates."""
     mean_hat = float(vals.mean())
     var_hat = float(vals.var(ddof=1))
     centered = vals - vals.mean()
@@ -586,15 +559,15 @@ def mc_moments(
     m4 = float(np.mean(centered**4))
     se_var = n * math.sqrt(max(m4 - m2 * m2, 0.0) / reps)
 
-    mu, sigma2 = _asymptotics(stat_u, value, n)
+    mu, sigma2 = _asymptotics(stat, rho, n)
     z = np.sort(math.sqrt(n) * (vals - mu) / math.sqrt(sigma2))
     cdf = phi(z)
     steps = np.arange(1, reps + 1, dtype=np.float64) / reps
     sup_dist = float(max((steps - cdf).max(), (cdf - (steps - 1.0 / reps)).max()))
 
     return McReport(
-        stat=stat_u,
-        rho=value,
+        stat=stat,
+        rho=rho,
         n=n,
         reps=reps,
         mean_hat=mean_hat,
@@ -604,3 +577,33 @@ def mc_moments(
         cdf_sup_dist=sup_dist,
         seed=seed,
     )
+
+
+def mc_reports(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[McReport]:
+    """Monte Carlo check of the asymptotic mean, variance and normality of
+    R, S and T at each of `rhos`: the reports of R at every rho in order,
+    then those of S, then those of T.  McReport says what each field is.
+
+    n, reps, seed and every rho are checked before any draw.  Replicate
+    i is drawn from stream i of `seed`, once for each block of up to
+    _RHO_BLOCK rhos, so a report is a pure function of (stat, rho, n,
+    reps, seed), and R, S and T at one rho describe the same samples.
+    """
+    n, reps, seed = _mc_key(n, reps, seed)
+    values = [_rho_value(rho) for rho in rhos]
+    by_stat = ([], [], [])
+    for i in range(0, len(values), _RHO_BLOCK):
+        block = values[i : i + _RHO_BLOCK]
+        for rho, stats in zip(block, _replicates(tuple(block), n, reps, seed)):
+            for reports, stat, vals in zip(by_stat, _STAT_NAMES, stats):
+                reports.append(_report(stat, rho, n, reps, seed, vals))
+    return [report for reports in by_stat for report in reports]
+
+
+def mc_moments(stat: str, rho: float, n: int, reps: int, seed: int = DEFAULT_SEED) -> McReport:
+    """The report of one statistic ("R", "S" or "T") at one rho: its row
+    of mc_reports([rho], n, reps, seed)."""
+    stat_u = str(stat).upper()
+    if stat_u not in _STAT_NAMES:
+        raise DomainError(f"stat must be one of {_STAT_NAMES}, got {stat!r}")
+    return mc_reports([rho], n, reps, seed)[_STAT_NAMES.index(stat_u)]

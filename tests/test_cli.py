@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arecorr import cli, reduction
+from arecorr import cli, reduction, stats_mc
 from arecorr.are_bounds import PAIR_TAGS, are
 from arecorr.cli import main
 from arecorr.errors import DomainError, Indeterminate
@@ -318,7 +318,7 @@ def test_running_out_of_memory_exits_one_with_a_single_stderr_line(
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.46 TiB for an array")
 
-    monkeypatch.setattr(cli, "mc_moments", exhausted)
+    monkeypatch.setattr(cli, "mc_reports", exhausted)
     rc, out, err = _run(capsys, MC_FAST)
     assert rc == 1
     assert out == ""
@@ -331,7 +331,7 @@ def test_a_bare_memory_error_still_says_what_failed(capsys, monkeypatch) -> None
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "mc_moments", exhausted)
+    monkeypatch.setattr(cli, "mc_reports", exhausted)
     rc, out, err = _run(capsys, MC_FAST)
     assert rc == 1
     assert out == ""
@@ -363,17 +363,25 @@ def test_mc_emits_one_row_per_stat_and_rho(capsys) -> None:
     assert all(r["seed"] for r in rows)
 
 
-def test_mc_output_is_byte_identical_across_runs_and_workers(
+def test_mc_output_is_byte_identical_across_runs_that_each_draw_once(
     capsys, monkeypatch
 ) -> None:
-    rc1, first, _ = _run(capsys, MC_FAST)
-    rc2, second, _ = _run(capsys, MC_FAST)
-    assert rc1 == rc2 == 0
-    assert first == second
-    monkeypatch.setenv("ARECORR_WORKERS", "6")
-    rc3, pooled, _ = _run(capsys, MC_FAST)
-    assert rc3 == 0
-    assert pooled == first
+    # Nothing is cached: each run draws its replicates in one call.
+    calls = []
+    replicates = stats_mc._replicates
+
+    def counted(*args):
+        calls.append(args)
+        return replicates(*args)
+
+    monkeypatch.setattr(stats_mc, "_replicates", counted)
+    outputs = []
+    for run in range(3):
+        rc, out, _ = _run(capsys, MC_FAST)
+        assert rc == 0
+        assert len(calls) == run + 1
+        outputs.append(out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
 
 
 # ------------------------------------------------------------------ reduce

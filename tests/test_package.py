@@ -103,6 +103,25 @@ def test_the_commands_read_the_chain_only_through_reductions_scan() -> None:
         assert found & {"scan_signs", "ratio_slope", "Jet"} == set(), stem
 
 
+def test_mc_runs_only_through_mc_reports() -> None:
+    # `mc` is one mc_reports call; cli keeps mc_moments bound, uncalled.
+    tree = ast.parse((Path(arecorr.__file__).parent / "cli.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "stats_mc"
+        for alias in node.names
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "mc_moments" in imported
+    assert called & imported == {"mc_reports"}
+    assert "stats_mc" not in _referenced(tree)
+
+
 def test_the_command_line_leaves_every_argument_check_to_the_library() -> None:
     # Each bound lives in the module that owns the argument, behind
     # errors.BadArgument, which `main` maps to exit 2.

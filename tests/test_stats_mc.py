@@ -30,6 +30,7 @@ from arecorr.stats_mc import (
     kernel_h_s_n,
     kernel_h_t,
     mc_moments,
+    mc_reports,
     pearson_r,
     phi,
     sample_bivariate_normal,
@@ -680,37 +681,7 @@ def test_block_values_on_both_sides_of_the_float_guard(side) -> None:
     assert values[1, 2] == -1.0
 
 
-def test_cached_replicates_are_read_only() -> None:
-    values = stats_mc.mc_replicates([0.2], 10, 100, 3)[0]
-    assert stats_mc.mc_replicates([0.2], 10, 100, 3)[0] is values
-    assert values.shape == (3, 100)
-    assert not values.flags.writeable
-    with pytest.raises(ValueError):
-        values[0, 0] = 0.0
-
-
-def test_one_fill_keeps_every_rho_and_matches_one_rho_at_a_time(monkeypatch) -> None:
-    rhos = [0.9, -0.5, 0.9, -0.0, 0.0]
-    filled = stats_mc.mc_replicates(rhos, 10, 100, 4)
-    # A repeated rho, and 0.0 after -0.0, are one entry.
-    assert filled[0] is filled[2] and filled[3] is filled[4]
-    for rho, values in zip(rhos, filled):
-        assert stats_mc.mc_replicates([rho], 10, 100, 4)[0] is values
-    # More new rhos than the memo holds still give every rho's values, and
-    # all stay in it: its bound is max(_MEMO_SIZE, the call's distinct keys).
-    monkeypatch.setattr(stats_mc, "_MEMO", {})
-    monkeypatch.setattr(stats_mc, "_MEMO_SIZE", 1)
-    again = stats_mc.mc_replicates(rhos, 10, 100, 4)
-    assert [key[0] for key in stats_mc._MEMO] == [0.9, -0.5, -0.0]
-    for got, want in zip(again, filled):
-        assert np.array_equal(got, want)
-    with pytest.raises(DomainError, match="n must be >= 10"):
-        stats_mc.mc_replicates([0.5], 9, 100)
-    with pytest.raises(DomainError):
-        stats_mc.mc_replicates([1.0], 10, 100)
-
-
-def test_new_rhos_past_the_memo_size_share_one_replicates_call(monkeypatch) -> None:
+def test_twenty_rhos_are_drawn_in_replicates_calls_of_8_8_and_4(monkeypatch) -> None:
     calls = []
     replicates = stats_mc._replicates
 
@@ -718,13 +689,50 @@ def test_new_rhos_past_the_memo_size_share_one_replicates_call(monkeypatch) -> N
         calls.append(rhos)
         return replicates(rhos, *rest)
 
-    monkeypatch.setattr(stats_mc, "_MEMO", {})
     monkeypatch.setattr(stats_mc, "_replicates", counted)
     rhos = [j / 25 for j in range(20)]
-    assert len(rhos) > stats_mc._MEMO_SIZE
-    got = stats_mc.mc_replicates(rhos, 10, 100, 5)
-    assert calls == [tuple(rhos)]
-    assert [v.shape for v in got] == [(3, 100)] * 20
+    reports = mc_reports(rhos, 10, 100, 5)
+    assert calls == [tuple(rhos[:8]), tuple(rhos[8:16]), tuple(rhos[16:])]
+    assert [(r.stat, r.rho) for r in reports] == [(stat, rho) for stat in "RST" for rho in rhos]
+
+
+def test_every_report_equals_its_mc_moments_call_in_order() -> None:
+    rhos = [0.9, -0.5, 0.9, -0.0, 0.0]
+    reports = mc_reports(rhos, 10, 100, 4)
+    assert len(reports) == 15
+    for k, report in enumerate(reports):
+        stat, rho = "RST"[k // 5], rhos[k % 5]
+        assert report == mc_moments(stat, rho, 10, 100, seed=4)
+        assert report.stat == stat
+        assert math.copysign(1.0, report.rho) == math.copysign(1.0, rho)
+    # A repeated rho draws the same replicates again.
+    assert reports[0] == reports[2]
+
+
+def test_mc_reports_refuses_what_mc_moments_refuses(monkeypatch) -> None:
+    # Every argument is checked before the first block is drawn.
+    def no_draws(*args):
+        raise AssertionError("drew before every argument was checked")
+
+    monkeypatch.setattr(stats_mc, "_replicates", no_draws)
+    cases = [
+        ((0.5,), 9, 100, DEFAULT_SEED, "n must be >= 10"),
+        ((0.5,), 10.0, 100, DEFAULT_SEED, "n must be an integer"),
+        ((0.5,), 10, 99, DEFAULT_SEED, "reps must be >= 100"),
+        ((0.5,), 10, 100.0, DEFAULT_SEED, "reps must be an integer"),
+        ((0.5,), 10, 100, -1, "seed must lie in"),
+        ((0.5,), 10, 100, SEED_LIMIT, "seed must lie in"),
+        ((0.5,), 10, 100, 1.9, "seed must be an integer"),
+        ((0.5,) * 8 + (1.0,), 10, 100, DEFAULT_SEED, r"\|rho\| must be < 1"),
+        ((-1.0,), 10, 100, DEFAULT_SEED, r"\|rho\| must be < 1"),
+    ]
+    for rhos, n, reps, seed, message in cases:
+        for call in (
+            lambda: mc_reports(rhos, n, reps, seed),
+            lambda: mc_moments("R", rhos[-1], n, reps, seed),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 # Each scenario runs in a fresh interpreter, since the loader runs once
@@ -784,9 +792,9 @@ def test_ndtri_is_scipys_ufunc_however_it_is_loaded(code: str) -> None:
 def test_mc_refuses_sizes_past_numpys_index_range() -> None:
     # Refused by the key check, before any array is made.
     with pytest.raises(DomainError, match=r"^n must be < 2\*\*55"):
-        stats_mc.mc_replicates([0.5], 10**20, 100)
+        mc_reports([0.5], 10**20, 100)
     with pytest.raises(DomainError, match=r"^reps must be < 2\*\*55"):
-        stats_mc.mc_replicates([0.5], 10, 10**20)
+        mc_reports([0.5], 10, 10**20)
     with pytest.raises(DomainError, match="reps must be < 2"):
         mc_moments("R", 0.5, 10, 10**20)
 
@@ -836,8 +844,8 @@ def test_mc_variance_of_t_is_its_exact_finite_n_variance(n, reps) -> None:
     # 0.444, so this checks T's variance where the asymptotic one fails.
     assert math.isclose(_kendall_n_var(0.0, n), 2 * (2 * n + 5) / (9 * (n - 1)))
     rhos = (0.0, 0.5, 0.9)
-    stats_mc.mc_replicates(rhos, n, reps, 7)  # one fill for every rho
-    for rho in rhos:
-        rep = mc_moments("T", rho, n, reps, seed=7)
-        z = (rep.var_hat_scaled - _kendall_n_var(rho, n)) / rep.se_var
-        assert abs(z) <= 4.0, (rho, z)
+    # One draw for every rho; T's reports are the last three.
+    for rep in mc_reports(rhos, n, reps, 7)[6:]:
+        assert rep.stat == "T"
+        z = (rep.var_hat_scaled - _kendall_n_var(rep.rho, n)) / rep.se_var
+        assert abs(z) <= 4.0, (rep.rho, z)
