@@ -135,24 +135,26 @@ _series_cache: dict[tuple[PairTag, int], Jet] = {}
 
 
 def _series(tag: str, anchor: int) -> Jet:
-    """Truncated expansion of are(anchor + t) in t, as a jet centred at t = 0."""
+    """Truncated expansion of are(anchor + t) in t, as a jet centred at t = 0.
+
+    The first request at an anchor builds every pair's series there from
+    one jet of each distinct f, so TS and RS share sigma_s2's jet; none
+    is cached unless all pass the vanishing check."""
     key = (tag, anchor)
-    got = _series_cache.get(key)
-    if got is not None:
-        return got
-    p = pair(tag)
-    x = Jet.variable(float(anchor), _JET_ORDER)
-    fj, gj = p.f(x), p.g(x)
-    m = _VANISH_AT_1[tag] if anchor == 1 else 0
-    for k in range(m):
-        if abs(fj.coeffs[k]) > _VANISH_NOISE or abs(gj.coeffs[k]) > _VANISH_NOISE:
-            raise RuntimeError(
-                f"{tag} expansion at {anchor}: coefficient {k} expected to "
-                f"vanish, got f={fj.coeffs[k]!r} g={gj.coeffs[k]!r}"
-            )
-    made = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
-    _series_cache[key] = made
-    return made
+    if key not in _series_cache:
+        pair(tag)  # refuses an unknown tag
+        x = Jet.variable(float(anchor), _JET_ORDER)
+        fjets = {f: f(x) for f in dict.fromkeys(p.f for p in _PAIRS.values())}
+        made = {}
+        for t, p in _PAIRS.items():
+            fj, gj = fjets[p.f], p.g(x)
+            m = _VANISH_AT_1[t] if anchor == 1 else 0
+            low = fj.coeffs[:m], gj.coeffs[:m]
+            if any(abs(c) > _VANISH_NOISE for c in low[0] + low[1]):
+                raise RuntimeError(f"{t} expansion at {anchor}: f, g terms {low} must vanish")
+            made[(t, anchor)] = Jet(0.0, fj.coeffs[m:]) / Jet(0.0, gj.coeffs[m:])
+        _series_cache.update(made)
+    return _series_cache[key]
 
 
 # ---------------------------------------------------------------------------

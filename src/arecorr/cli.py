@@ -46,12 +46,12 @@ __all__ = ["main", "run"]
 _PAIR_CHOICES = ("rt", "ts", "rs", "all")
 _ANCHOR_CHOICES = ("0", "1", "both")
 
-# `table` builds its rows in blocks of abscissae that fit in the sigma_s2
-# memo, each block's columns from one array call of `are` per pair; the
-# TS call fills the memo that the RS call reads.  `_render` keeps only
-# each block's text, so one block of row dicts is live at a time.  Small
-# blocks keep the array temporaries small: with 4096, `table --grid
-# 4999` peaked about 0.1 MiB higher in RSS than with 256.
+# `table` builds its rows in blocks of abscissae, each block's columns
+# from one array call of `are` per pair; the TS call leaves the block's
+# sigma_s2 values in the memo, where the RS call reads them.  `_render`
+# keeps only each block's text, so one block of row dicts is live at a
+# time.  Small blocks keep the array temporaries small: with 4096,
+# `table --grid 4999` peaked about 0.1 MiB higher in RSS than with 256.
 _TABLE_BLOCK = 256
 
 

@@ -3,7 +3,9 @@
 All moment functions take the population correlation rho in (-1, 1) and
 return closed-form values; the Spearman variance is the one quantity
 that needs quadrature (four smooth integrals on [0, |rho|]), to a fixed
-absolute tolerance of 1e-12, with its values memoized per x = |rho|.
+absolute tolerance of 1e-12.  One memo keeps the values of the last
+sigma_s2 call that integrated, keyed by x = |rho|; nothing else here is
+cached.
 rho may also be a 1-D float64 array: every field of the result is then
 an array whose elements are bitwise the float values, because powers,
 arcsines and square roots go through taylor's `power`, `powers`, `asin`
@@ -134,37 +136,15 @@ def _arcsine_arg(k: int, u, u2, u3, u4):
 
 _WEIGHTS = (1.0, 2.0, 2.0, 4.0)
 
-# Memo of sigma_s2 values keyed by x, kept by `_fill_memo` to _MEMO_SIZE
-# entries or to one request's distinct keys, whichever is more.
+# Memo of sigma_s2 values keyed by x: after a call that integrated, it
+# holds exactly that call's distinct abscissae (see `_memoized`).
 _MEMO: dict[float, float] = {}
-_MEMO_SIZE = 65536
-# Memo of sigma_s2_jet values keyed by (x0, order), kept like _MEMO.
-_JET_MEMO: dict[tuple[float, int], Jet] = {}
 # Abscissae per lockstep quadrature; bounds its working arrays, which
 # hold the four integrands on up to four distinct intervals per abscissa.
 # 128 halves the Kronrod passes of 64 (a cold sigma_s2 of 4,999
 # abscissae took 93 ms against 104 on 2-core x86-64, CPython 3.11.7);
 # 256 was no faster.
 _BLOCK = 128
-
-
-def _fill_memo(memo: dict, size: int, keys: list, compute: Callable, block: int) -> list:
-    """The values of keys, from the memo or from compute(list of keys) on
-    blocks of at most `block` missing keys, whose values enter the memo.
-    When the new values would take it past max(size, distinct keys)
-    entries, it is emptied and keeps only this call's values, so after
-    the call it holds every key of the call, and a repeat of the call
-    computes nothing."""
-    out = {key: memo.get(key) for key in keys}
-    todo = [key for key, got in out.items() if got is None]
-    if len(memo) + len(todo) > max(size, len(out)):
-        memo.clear()
-        memo.update((key, got) for key, got in out.items() if got is not None)
-    for i in range(0, len(todo), block):
-        part = todo[i : i + block]
-        for key, got in zip(part, compute(part)):
-            memo[key] = out[key] = got
-    return [out[key] for key in keys]
 
 
 def _sigma_s2_block(xs: list[float]) -> list[float]:
@@ -180,7 +160,8 @@ def _sigma_s2_block(xs: list[float]) -> list[float]:
 
 def _memoized(xs: list[float]) -> list[float]:
     """sigma_s2 at each of xs: memo reads, and the missing values integrated
-    in blocks of _BLOCK and put in the memo.
+    in blocks of _BLOCK.  A call that integrates leaves exactly its own
+    distinct abscissae in the memo; a call of memo hits leaves it as it is.
 
     Only valid abscissae enter the memo, so when all of xs are in it
     they need no check."""
@@ -191,7 +172,14 @@ def _memoized(xs: list[float]) -> list[float]:
     for v in xs:
         if not (0.0 <= v < 1.0):
             raise DomainError(f"sigma_s2 needs 0 <= x < 1, got {v!r}")
-    return _fill_memo(_MEMO, _MEMO_SIZE, list(map(float, xs)), _sigma_s2_block, _BLOCK)
+    got = {key: _MEMO.get(key) for key in map(float, xs)}
+    todo = [key for key, v in got.items() if v is None]
+    for i in range(0, len(todo), _BLOCK):
+        part = todo[i : i + _BLOCK]
+        got.update(zip(part, _sigma_s2_block(part)))
+    _MEMO.clear()
+    _MEMO.update(got)
+    return list(map(got.__getitem__, xs))
 
 
 def sigma_s2(x):
@@ -199,13 +187,12 @@ def sigma_s2(x):
 
     x is a float, or a 1-D float64 array whose elements give bitwise the
     float values.  Each value is computed to a fixed absolute tolerance
-    of 1e-12 and memoized per x in a bounded memo (emptied when full,
-    but never of the call's own values): the function is pure, and the
-    invariant suites revisit the same grid abscissae many times.
-    Missing abscissae are integrated in blocks of _BLOCK, each block by
-    one lockstep quadrature of the four integrands together, and enter
-    the memo, so an array call ahead of a loop of float calls on the
-    same abscissae turns those into memo reads.
+    of 1e-12.  Missing abscissae are integrated in blocks of _BLOCK,
+    each block by one lockstep quadrature of the four integrands
+    together.  A call that integrates leaves exactly its distinct
+    abscissae in the memo, so an array call ahead of float or array
+    reads of the same abscissae turns those into memo reads; memory is
+    bounded by the largest call.
     """
     if isinstance(x, np.ndarray):
         if x.ndim != 1:
@@ -216,23 +203,16 @@ def sigma_s2(x):
 
 
 def sigma_s2_jet(x0: float, order: int) -> Jet:
-    """Taylor jet of sigma_s2 at x0 in [0, 1], memoized per (x0, order).
+    """Taylor jet of sigma_s2 at x0 in [0, 1].
 
     Coefficient 0 is exactly 1.0 at 0, where the integrals are empty,
     0.0 at 1, where S = 1 almost surely, and sigma_s2(x0) elsewhere.
     Every higher coefficient comes from jets of the integrands
     (fundamental theorem of calculus), so an endpoint jet runs no
     quadrature and no jet's derivatives carry quadrature noise.
-    The TS and RS endpoint series share each jet through the memo.
     """
     if not (0.0 <= x0 <= 1.0):
         raise DomainError(f"sigma_s2_jet needs 0 <= x0 <= 1, got {x0!r}")
-    return _fill_memo(
-        _JET_MEMO, _MEMO_SIZE, [(x0, order)], lambda keys: [_sigma_s2_jet(*k) for k in keys], 1
-    )[0]
-
-
-def _sigma_s2_jet(x0: float, order: int) -> Jet:
     x = Jet.variable(x0, order)
     total = 1.0 - (324.0 / _PI2) * _arcsine(0.5 * x) ** 2
     if order >= 1:

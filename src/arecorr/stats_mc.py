@@ -371,6 +371,17 @@ def _inversions(seq: np.ndarray) -> np.ndarray:
     return total
 
 
+def _rank_products(u: np.ndarray, v: np.ndarray):
+    """u @ v of "<" counts of n values, exact: when n (n - 1)**2 can pass
+    int64, the int64 products of column chunks too short to pass it are
+    summed in Python ints."""
+    n = v.shape[-1]
+    step = (2**63 - 1) // (n - 1) ** 2
+    if step >= n:
+        return u @ v
+    return sum((u[..., i : i + step] @ v[i : i + step]).astype(object) for i in range(0, n, step))
+
+
 def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
     """(2, rows) array of S and T of each row of two (rows, n) arrays, n >= 2,
     given ranked_x = _ranked_rows(x), which is left unchanged.
@@ -390,12 +401,12 @@ def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
     tied = tied_x | ~(y_sorted[:, 1:] != y_sorted[:, :-1]).all(axis=1)
     w = np.take_along_axis(x_counts, y_order, axis=1)
     del y_order, y_sorted
-    totals = w @ np.arange(n)
+    totals = _rank_products(w, np.arange(n))
     if tied.any():
         warnings.warn("tied coordinates present; S counts smaller values", TiesPresent)
         for k in np.flatnonzero(tied):
             y_counts = np.searchsorted(np.sort(y[k]), y[k])
-            totals[k] = x_counts[k] @ y_counts
+            totals[k] = _rank_products(x_counts[k], y_counts)
             w[k] = y_counts[np.lexsort((-y[k], x[k]))]
     inversions = _inversions(w)
     if 3 * (n**3 - n) < 2**53:

@@ -103,7 +103,8 @@ def run_checks(grid: int = 999, tol: float = 1e-10) -> list[CheckResult]:
         raise BadArgument(f"tol must be finite and > 0, got {tol!r}")
     xs = sign_grid(grid)
     x = np.array(xs)
-    # One array quadrature pass; every later sigma_s2 call reads the memo.
+    # One quadrature pass over the whole grid: the memo then holds exactly
+    # the grid, so no later sigma_s2 read of grid points integrates again.
     sigma_s2(x)
     results: list[CheckResult] = []
 

@@ -352,15 +352,33 @@ def test_cold_endpoint_series_run_no_quadrature_and_build_each_sigma_s2_jet_once
     monkeypatch.setattr(corrmath, "_integrate_arrays", refused)
     monkeypatch.setattr(corrmath, "integrate", refused)
     monkeypatch.setattr(corrmath, "_integrands", recorded)
-    monkeypatch.setattr(corrmath, "_JET_MEMO", {})
     monkeypatch.setattr(ab, "sigma_s2_jet", counted)
     monkeypatch.setattr(ab, "_series_cache", {})
     for tag in PAIR_TAGS:
         for a in (0, 1):
             ab._series(tag, a)
-    # TS and RS ask for sigma_s2's jet at each anchor; it is built once there.
-    assert sorted(called) == [0.0, 0.0, 1.0, 1.0]
-    assert built == [0.0, 1.0]
+    # The first request at an anchor builds all three series there, from
+    # one jet of sigma_s2 that TS and RS share.
+    assert called == built == [0.0, 1.0]
+
+
+def test_a_series_failing_the_vanishing_check_caches_nothing_at_its_anchor(
+    monkeypatch,
+) -> None:
+    want = {(tag, a): ab._series(tag, a).coeffs for tag in PAIR_TAGS for a in (0, 1)}
+    cache: dict = {}
+    monkeypatch.setattr(ab, "_series_cache", cache)
+    ab._series("RT", 0)
+    rs = ab._PAIRS["RS"]
+    with monkeypatch.context() as m:
+        # An RS g that no longer vanishes at 1; RT and TS still pass there.
+        m.setitem(ab._PAIRS, "RS", ab.Pair("RS", rs.f, lambda x: rs.g(x) + 1e-6))
+        with pytest.raises(RuntimeError, match="RS expansion at 1"):
+            ab._series("RT", 1)
+    assert set(cache) == {(tag, 0) for tag in PAIR_TAGS}
+    # A later good request builds all three series at the anchor.
+    ab._series("TS", 1)
+    assert {key: s.coeffs for key, s in cache.items()} == want
 
 
 def test_crossover_invalid_which() -> None:

@@ -201,8 +201,6 @@ def test_sigma_jet_has_the_bits_of_one_row_quadratures(x0: float) -> None:
         got = sigma_s2_jet(x0, order)
         assert got.coeffs[0].hex() == value.hex(), order
         assert [v.hex() for v in got.coeffs[1:]] == [v.hex() for v in want.coeffs[1:]], order
-        # The memo hands the same jet to every later caller.
-        assert sigma_s2_jet(x0, order) is got
 
 
 def test_four_integrals_on_0_1_give_sigma_s2_of_1_zero() -> None:
@@ -269,27 +267,6 @@ def test_integrand_arrays_have_the_bits_of_floats() -> None:
     assert not masked[~need].any()
 
 
-def test_sigma_s2_memo_stays_bounded_and_keeps_each_calls_values(monkeypatch) -> None:
-    monkeypatch.setattr(corrmath, "_MEMO_SIZE", 8)
-    corrmath._MEMO.clear()
-    first = [0.11, 0.12, 0.13, 0.14, 0.15]
-    second = [0.21, 0.22, 0.23, 0.24, 0.25]
-    want = _cold_float_values(first + second)
-    sigma_s2(np.array(first))
-    got = sigma_s2(np.array(second))
-    assert len(corrmath._MEMO) <= 8
-    assert set(corrmath._MEMO) >= set(second)
-    assert [v.hex() for v in got.tolist()] == want[5:]
-    # An array with more new values than the memo holds still returns all,
-    # and the memo holds them all: its bound is max(8, the call's keys).
-    many = [j / 20 for j in range(20)]
-    want = _cold_float_values(many)
-    got = sigma_s2(np.array(many))
-    assert set(corrmath._MEMO) == set(many)
-    assert [v.hex() for v in got.tolist()] == want
-    corrmath._MEMO.clear()
-
-
 def _refuse_quadrature(monkeypatch, allowed: list[float] | None = None) -> list[list[float]]:
     """Make `_integrate_arrays` raise, or integrate only the abscissae in
     `allowed`; returns the list of abscissae of each call it let through."""
@@ -335,16 +312,36 @@ def test_partly_memoized_array_integrates_only_the_missing_abscissae(monkeypatch
     assert seen == [missing]
 
 
-def test_an_array_larger_than_the_memo_is_integrated_once(monkeypatch) -> None:
-    # With more abscissae than _MEMO_SIZE, a second read of the same array
-    # is all memo hits, also when the first read found some of them there.
-    monkeypatch.setattr(corrmath, "_MEMO_SIZE", 8)
+def test_a_call_that_integrates_leaves_exactly_its_distinct_keys_in_the_memo() -> None:
+    first = [0.11, 0.12, 0.13]
+    second = [0.21, 0.12, 0.21, 0.22]
+    want = _cold_float_values(second)
+    sigma_s2(np.array(first))
+    assert list(corrmath._MEMO) == first
+    # 0.12 is a hit and 0.21 a repeat; the memo keeps only this call's keys.
+    got = sigma_s2(np.array(second))
+    assert [v.hex() for v in got.tolist()] == want
+    assert list(corrmath._MEMO) == [0.21, 0.12, 0.22]
     corrmath._MEMO.clear()
-    many = [j / 40 for j in range(1, 21)]
-    sigma_s2(np.array(many[:5] + [0.9, 0.95]))
-    want = [v.hex() for v in sigma_s2(np.array(many)).tolist()]
+
+
+def test_a_repeat_or_a_float_read_of_the_memo_runs_no_quadrature(monkeypatch) -> None:
+    # A call of hits, whole or in part, leaves the memo as it is.
+    xs = [j / 40 for j in range(1, 21)]
+    want = [v.hex() for v in sigma_s2(np.array(xs)).tolist()]
     _refuse_quadrature(monkeypatch)
-    assert [v.hex() for v in sigma_s2(np.array(many)).tolist()] == want
+    assert [v.hex() for v in sigma_s2(np.array(xs)).tolist()] == want
+    assert [v.hex() for v in sigma_s2(np.array(xs[5:9])).tolist()] == want[5:9]
+    assert [sigma_s2(x).hex() for x in xs] == want
+    assert list(corrmath._MEMO) == xs
+    corrmath._MEMO.clear()
+
+
+def test_a_float_miss_leaves_one_key_in_the_memo() -> None:
+    sigma_s2(np.array([0.3, 0.4]))
+    want = _cold_float_values([0.35])
+    assert sigma_s2(0.35).hex() == want[0]
+    assert list(corrmath._MEMO) == [0.35]
     corrmath._MEMO.clear()
 
 

@@ -128,3 +128,37 @@ def test_the_command_line_leaves_every_argument_check_to_the_library() -> None:
     tree = ast.parse((Path(arecorr.__file__).parent / "cli.py").read_text())
     assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
     assert _referenced(tree) & {"MIN_GRID", "_SIZE_LIMIT", "_mc_key"} == set()
+
+
+def _empty_dicts(tree: ast.Module) -> list[str]:
+    """Module-level names bound to an empty dict, `{}` or `dict()`: the
+    module's caches, filled while it runs."""
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "defaultdict")
+        )
+        if empty:
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_the_only_caches_are_the_sigma_s2_memo_and_the_endpoint_series() -> None:
+    # The caching decisions live in corrmath and are_bounds: no third
+    # cache, no functools cache, and no other module reads the memo.
+    caches, memo_readers, decorated = [], [], []
+    for path in sorted(Path(arecorr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        caches += [(path.stem, name) for name in _empty_dicts(tree)]
+        found = _referenced(tree)
+        if "_MEMO" in found:
+            memo_readers.append(path.stem)
+        if found & {"functools", "cache", "lru_cache", "cached_property"}:
+            decorated.append(path.stem)
+    assert caches == [("are_bounds", "_series_cache"), ("corrmath", "_MEMO")]
+    assert memo_readers == ["corrmath"]
+    assert decorated == []

@@ -681,6 +681,22 @@ def test_block_values_on_both_sides_of_the_float_guard(side) -> None:
     assert values[1, 2] == -1.0
 
 
+def test_spearman_past_int64_rank_products_is_exact() -> None:
+    # A = sum_i Lx_i Ly_i = sum(i**2 for i < n) passes 2**63 at n = 3,024,618.
+    x = np.arange(3_100_000.0)
+    assert spearman_s(BivariateSample(x, x)) == 1.0
+
+
+@pytest.mark.parametrize("n", [3_024_617, 3_024_618])
+def test_rank_products_on_both_sides_of_int64_are_exact(n) -> None:
+    ranks = np.arange(n)
+    want = (n - 1) * n * (2 * n - 1) // 6
+    assert (want < 2**63) == (n == 3_024_617)
+    rows = stats_mc._rank_products(np.array([ranks, ranks[::-1]]), ranks)
+    assert [int(v) for v in rows] == [want, want - (n - 1) * n * (n + 1) // 6]
+    assert int(stats_mc._rank_products(ranks, ranks)) == want
+
+
 def test_twenty_rhos_are_drawn_in_replicates_calls_of_8_8_and_4(monkeypatch) -> None:
     calls = []
     replicates = stats_mc._replicates

@@ -146,6 +146,5 @@ def test_run_checks_repeat_their_results_warm_and_after_every_memo_is_cleared(
     first = _bits(run_checks(MIN_GRID))
     assert _bits(run_checks(MIN_GRID)) == first
     monkeypatch.setattr(corrmath, "_MEMO", {})
-    monkeypatch.setattr(corrmath, "_JET_MEMO", {})
     monkeypatch.setattr(are_bounds, "_series_cache", {})
     assert _bits(run_checks(MIN_GRID)) == first
