@@ -7,19 +7,19 @@ the classic QUADPACK dqk15 values.
 
 `_integrate_arrays` runs that loop for many integrals in lockstep: one
 per row [lo, hi] and integrand of a K-valued f (a "pair"; a one-valued
-f is K = 1).  Each pair keeps its own intervals, running sums and
-interval cap, exactly as if it ran alone; each round bisects the worst
-interval of every pair still above tolerance, evaluates each distinct
-popped interval once (the K integrands of a row often pop the same one)
-and calls the integrand once, on the nodes of all the new intervals as
-a 1-D float64 array, with a mask of the integrands that each interval's
-pairs need.  The rule runs on all K integrands' columns at once.
-`integrate` reads its one row and one value.  The
-rule's sums run in the same order on every interval, the error
-estimate's power 1.5 is taken by libm's pow per element (as Python's
-float `**` takes it), and ordering is worst-first with a deterministic
-tiebreak, so each pair's result is reproducible bit for bit and does
-not depend on which pairs share its call.
+f is K = 1).  Each pair keeps its running sums, interval cap and only
+its unpopped intervals, in push order, exactly as if it ran alone; each
+round bisects the worst interval of every pair still above tolerance,
+evaluates each distinct popped interval once (the K integrands of a row
+often pop the same one) and calls the integrand once, on the nodes of
+all the new intervals as a 1-D float64 array, with a mask of the
+integrands that each interval's pairs need.  The rule runs on all K
+integrands' columns at once, its sums in the same order on every
+interval; the error estimate's power 1.5 is taken by libm's pow per
+element (as Python's float `**` takes it), and the worst interval is
+the first of largest error in push order, as a heap by (-err, push
+order) pops it.  So each pair's result is reproducible bit for bit and
+does not depend on which pairs share its call.
 """
 
 from __future__ import annotations
@@ -201,38 +201,29 @@ def _integrate_arrays(
     k_of = np.tile(np.arange(K), len(los))
     active = np.flatnonzero(np.repeat(lo != hi, K) & (totals[1] > abs_tol))
     # run holds the running sums of the active pairs.  store holds their
-    # intervals: rows lo, hi, value, err, and one column per interval in
-    # push order, the first filled columns in use; a popped or unused
-    # column's err is -inf.  Each active pair has bisected once per
-    # round, so all have the same columns, and the first column of
-    # largest err is the pick of a heap by (-err, push order).
+    # unpopped intervals: rows lo, hi, value, err, and one column per
+    # interval in push order.  Each round pops one interval of every
+    # active pair and pushes its two halves, so all hold one column more
+    # than the rounds run, and the first column of largest err is the
+    # pick of a heap by (-err, push order).
     run = totals[:, active]
-    store = np.full((4, len(active), 8), -math.inf)
-    store[0, :, 0], store[1, :, 0] = np.repeat(lo, K)[active], np.repeat(hi, K)[active]
-    store[2:, :, 0] = run
+    store = np.array((np.repeat(lo, K)[active], np.repeat(hi, K)[active], *run))[..., None]
     # Per active pair: its row in store and its integrand.
     rows, k = np.arange(len(active)), k_of[active]
-    flat = store.reshape(4, -1)
-    rounds, filled = 0, 1
     while len(active):
-        if rounds + 1 >= MAX_INTERVALS:
+        if store.shape[2] >= MAX_INTERVALS:
             raise NoConvergence(
                 f"error estimate {run[1, 0]:.3e} above tolerance {abs_tol:.3e} "
-                f"after {rounds + 1} intervals"
+                f"after {store.shape[2]} intervals"
             )
-        # Each pair's first column of largest err, as an index into flat.
-        # An err >= 0 orders as its bits do as an int64, above the -inf
-        # marks.  int64 max and float64 == are numpy loops that a run has
-        # already loaded; argmax's first call would make 64 KiB more of
-        # numpy's code resident.
-        errs = store[3]
+        # Each pair's first column of largest err.  An err >= 0 orders as
+        # its bits do as an int64.  int64 max and min and float64 == are
+        # numpy loops that a run has already loaded; argmax's first call
+        # would make 64 KiB more of numpy's code resident.
+        errs, cols = store[3], np.arange(store.shape[2])
         top = np.maximum.reduce(errs.view(np.int64), axis=1).view(np.float64)[:, None]
-        at = (errs == top).ravel().nonzero()[0]
-        if len(at) > len(rows):
-            worst = np.where(errs == top, np.arange(errs.shape[1]), errs.shape[1]).min(axis=1)
-            at = np.ravel_multi_index((rows, worst), errs.shape)
-        popped = flat.take(at, axis=1)
-        flat[3][at] = -math.inf
+        worst = np.where(errs == top, cols, len(cols)).min(axis=1)
+        popped = store[:, rows, worst]
         a, b = popped[0], popped[1]
         # Pairs that pop the same interval share its evaluation: the left
         # halves of the distinct intervals, then their right halves.
@@ -251,28 +242,21 @@ def _integrate_arrays(
         # halves[:, i] is the value and err of its left and right halves.
         halves = halves.reshape(2, K, 2, -1)[:, k, :, which].transpose(1, 0, 2)
         run += halves[..., 0] + halves[..., 1] - popped[2:]
-        if filled + 2 > store.shape[2]:
-            # Keep the unpopped columns, in push order, and make room for
-            # as many again.
-            live = store[:, store[3] > -math.inf].reshape(4, len(rows), -1)
-            filled = live.shape[2]
-            store = np.full((4, len(rows), 2 * filled), -math.inf)
-            store[..., :filled] = live
-            flat = store.reshape(4, -1)
+        # The next store: the kept columns, then the two halves.  The
+        # mask is set by index: an int64 compare's first call would make
+        # 128 KiB more of numpy's code resident.
+        kept = np.ones(errs.shape, dtype=bool)
+        kept[rows, worst] = False
         mid = mid[which]
-        store[0, :, filled], store[1, :, filled] = a, mid
-        store[0, :, filled + 1], store[1, :, filled + 1] = mid, b
-        store[2:, :, filled : filled + 2] = halves
-        rounds, filled = rounds + 1, filled + 2
+        pushed = np.concatenate((np.array(((a, mid), (mid, b))).transpose(0, 2, 1), halves))
+        store = np.concatenate((store[:, kept].reshape(4, len(rows), -1), pushed), axis=2)
         keep = run[1] > abs_tol
         if not keep.all():
             done = active[~keep]
             totals[:, done] = run[:, ~keep]
-            evaluations[done] = 15 + 30 * rounds
-            # compress keeps store C-contiguous, so flat is a view of it.
+            evaluations[done] = 15 + 30 * (store.shape[2] - 1)
             active, run, k = active[keep], run[:, keep], k[keep]
-            store = store.compress(keep, axis=1)
-            rows, flat = rows[: len(active)], store.reshape(4, -1)
+            store, rows = store[:, keep], rows[: len(active)]
     return totals[0].reshape(-1, K), totals[1].reshape(-1, K), evaluations.reshape(-1, K)
 
 

@@ -298,21 +298,6 @@ def pearson_r(s: BivariateSample) -> float:
     return float(_pearson_rows(x, y)[0])
 
 
-def _spearman_value(n: int, a: int) -> float:
-    """The triple-kernel U-statistic (n-2)(2A - 3C(n,3) - C(n,2))/((n+1)C(n,3))
-    with (n-2)/6 cancelled, so n = 2 works; A = sum_i Lx_i Ly_i.
-
-    One integer over one integer is exactly rounded, so the value equals
-    the rank formula's on tie-free samples and y -> -y negates it there.
-    """
-    return (12 * a - 18 * math.comb(n, 3) - 6 * math.comb(n, 2)) / (n**3 - n)
-
-
-def _kendall_value(n: int, inversions: int) -> float:
-    c2 = n * (n - 1) // 2
-    return (c2 - 2 * inversions) / c2
-
-
 def _ranked_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """("<" counts, tie flag) of each row of a (rows, n) array.
 
@@ -409,15 +394,17 @@ def _block_st(x: np.ndarray, y: np.ndarray, ranked_x: tuple) -> np.ndarray:
             totals[k] = _rank_products(x_counts[k], y_counts)
             w[k] = y_counts[np.lexsort((-y[k], x[k]))]
     inversions = _inversions(w)
-    if 3 * (n**3 - n) < 2**53:
-        # Every numerator and denominator is an integer below 2**53
-        # (|S's numerator| < 3(n**3 - n), ties included), so each is exact
-        # in float64 and one division rounds as Python's int / int does.
-        c2 = n * (n - 1) // 2
-        spearman = (12 * totals - (18 * math.comb(n, 3) + 6 * math.comb(n, 2))) / float(n**3 - n)
-        return np.array([spearman, (c2 - 2 * inversions) / float(c2)])
-    spearman = [_spearman_value(n, a) for a in totals.tolist()]
-    return np.array([spearman, [_kendall_value(n, c) for c in inversions.tolist()]])
+    if 3 * (n**3 - n) >= 2**53:
+        # Past 2**53 the counts are Python ints, so each quotient is int /
+        # int.  Below it every numerator and denominator is an integer
+        # that float64 holds exactly (|S's numerator| < 3(n**3 - n), ties
+        # included), so one float64 division rounds as int / int does.
+        totals, inversions = totals.astype(object), inversions.astype(object)
+    # S is the triple-kernel U-statistic (n-2)(2A - 3C(n,3) - C(n,2)) /
+    # ((n+1)C(n,3)) with (n-2)/6 cancelled, so n = 2 works.
+    c2 = n * (n - 1) // 2
+    spearman = (12 * totals - (18 * math.comb(n, 3) + 6 * math.comb(n, 2))) / (n**3 - n)
+    return np.array([spearman, (c2 - 2 * inversions) / c2], dtype=np.float64)
 
 
 def _sample_st(s: BivariateSample) -> np.ndarray:
@@ -509,15 +496,15 @@ _ESTIMATORS = {"R": pearson_r, "S": spearman_s, "T": kendall_t}
 
 
 def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
-    """(centering mean, asymptotic variance) for sqrt(n)-standardization."""
-    if stat == "R":
-        ms = moments_r(rho)
-        return ms.mu, ms.sigma2
-    if stat == "T":
-        ms = moments_t(rho)
-        return ms.mu, ms.sigma2
-    ms = moments_s(rho)
-    return mu_s_finite_n(rho, n), ms.sigma2
+    """(centering mean, asymptotic variance) for sqrt(n)-standardization.
+    A variance that is not > 0 raises DomainError: near |rho| = 1,
+    sigma_s2 cancels to 0 or below."""
+    ms = (moments_r, moments_s, moments_t)[_STAT_NAMES.index(stat)](rho)
+    if not ms.sigma2 > 0.0:
+        raise DomainError(
+            f"asymptotic variance of {stat} at rho={rho!r} is {ms.sigma2!r}, not > 0"
+        )
+    return (mu_s_finite_n(rho, n) if stat == "S" else ms.mu), ms.sigma2
 
 
 def _replicates(rhos: tuple[float, ...], n: int, reps: int, seed: int) -> np.ndarray:
@@ -561,8 +548,11 @@ def _mc_key(n, reps, seed) -> tuple[int, int, int]:
     return n, reps, seed
 
 
-def _report(stat: str, rho: float, n: int, reps: int, seed: int, vals: np.ndarray) -> McReport:
-    """The McReport of `stat` at `rho` from its values on the replicates."""
+def _report(
+    stat: str, rho: float, n: int, reps: int, seed: int, vals: np.ndarray, mu: float, sigma2: float
+) -> McReport:
+    """The McReport of `stat` at `rho` from its values on the replicates,
+    standardized by its asymptotic mean mu and variance sigma2 > 0."""
     mean_hat = float(vals.mean())
     var_hat = float(vals.var(ddof=1))
     centered = vals - vals.mean()
@@ -570,7 +560,6 @@ def _report(stat: str, rho: float, n: int, reps: int, seed: int, vals: np.ndarra
     m4 = float(np.mean(centered**4))
     se_var = n * math.sqrt(max(m4 - m2 * m2, 0.0) / reps)
 
-    mu, sigma2 = _asymptotics(stat, rho, n)
     z = np.sort(math.sqrt(n) * (vals - mu) / math.sqrt(sigma2))
     cdf = phi(z)
     steps = np.arange(1, reps + 1, dtype=np.float64) / reps
@@ -595,19 +584,21 @@ def mc_reports(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[McRepo
     R, S and T at each of `rhos`: the reports of R at every rho in order,
     then those of S, then those of T.  McReport says what each field is.
 
-    n, reps, seed and every rho are checked before any draw.  Replicate
-    i is drawn from stream i of `seed`, once for each block of up to
-    _RHO_BLOCK rhos, so a report is a pure function of (stat, rho, n,
+    n, reps, seed, every rho and every asymptotic variance are checked
+    before any draw; a variance that is not > 0 raises DomainError.
+    Replicate i is drawn from stream i of `seed`, once for each block of
+    up to _RHO_BLOCK rhos, so a report is a pure function of (stat, rho, n,
     reps, seed), and R, S and T at one rho describe the same samples.
     """
     n, reps, seed = _mc_key(n, reps, seed)
     values = [_rho_value(rho) for rho in rhos]
+    limits = [[_asymptotics(stat, rho, n) for stat in _STAT_NAMES] for rho in values]
     by_stat = ([], [], [])
     for i in range(0, len(values), _RHO_BLOCK):
         block = values[i : i + _RHO_BLOCK]
-        for rho, stats in zip(block, _replicates(tuple(block), n, reps, seed)):
-            for reports, stat, vals in zip(by_stat, _STAT_NAMES, stats):
-                reports.append(_report(stat, rho, n, reps, seed, vals))
+        for rho, stats, row in zip(block, _replicates(tuple(block), n, reps, seed), limits[i:]):
+            for reports, stat, vals, limit in zip(by_stat, _STAT_NAMES, stats, row):
+                reports.append(_report(stat, rho, n, reps, seed, vals, *limit))
     return [report for reports in by_stat for report in reports]
 
 

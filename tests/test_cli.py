@@ -635,6 +635,8 @@ _ARGVS = st.one_of(
 @example(["table", "--grid", "2", "--format", "json"])
 @example(["mc", "--n", "10", "--reps", "100", "--seed", "0", "--rho", "0.1,,0.2"])
 @example(["reduce", "--pair", "ts"])
+@example(["mc", "--n", "10", "--reps", "100", "--rho", "0.999999999"])
+@example(["mc", "--n", "10", "--reps", "100", "--rho", "-0.9999999999"])
 def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

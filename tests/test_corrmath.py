@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arecorr import corrmath
 from arecorr.corrmath import (
+    _INTEGRAL_TOL,
     RHO_CAP,
     _integrands,
     moments_r,
@@ -19,7 +20,8 @@ from arecorr.corrmath import (
     sigma_s2_jet,
 )
 from arecorr.errors import DomainError
-from arecorr.quadrature import integrate
+from arecorr.quadrature import _integrate_arrays, integrate
+from arecorr.reduction import interior_grid
 from arecorr.taylor import Jet
 
 # Frozen from this package's quadrature at abs_tol 1e-14, cross-checked
@@ -377,3 +379,15 @@ def test_array_moments_refuse_any_element_outside_the_domain() -> None:
                 maker(np.array(bad))
         with pytest.raises(DomainError):
             maker(np.array([[0.5]]))
+
+
+def test_no_sigma_s2_integral_takes_more_than_two_bisection_rounds() -> None:
+    # The depth that the quadrature's interval store serves: at each
+    # abscissa sigma_s2 reads, from the smallest to the cap and past it,
+    # each of the four integrals is done after its first pass and at
+    # most two rounds, 15 + 30 * 2 evaluations, so holds <= 3 intervals.
+    xs = interior_grid(0.0, 1.0, 999)
+    xs += [5e-324, 1e-300, 0.9999, RHO_CAP, math.nextafter(1.0, 0.0)]
+    evaluations = _integrate_arrays(_integrands, [0.0] * len(xs), xs, _INTEGRAL_TOL)[2]
+    assert evaluations.shape == (len(xs), 4)
+    assert evaluations.max() <= 15 + 30 * 2

@@ -750,6 +750,17 @@ def test_mc_reports_refuses_what_mc_moments_refuses(monkeypatch) -> None:
                 call()
 
 
+def test_mc_reports_refuses_a_rho_where_sigma_s2_is_not_positive(monkeypatch) -> None:
+    # sigma_s2 cancels to -8.9e-16 at 0.999999999; the refusal comes
+    # before any draw, so it costs no sampling.
+    def no_draws(*args):
+        raise AssertionError("drew before every variance was checked")
+
+    monkeypatch.setattr(stats_mc, "_normal_rows", no_draws)
+    with pytest.raises(DomainError, match=r"variance of S at rho=0\.999999999 is -"):
+        mc_reports([0.999999999], 10, 100)
+
+
 # Each scenario runs in a fresh interpreter, since the loader runs once
 # at import and depends on what sys.modules already holds.
 _NDTRI_LOADS = {
