@@ -264,7 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--reps", type=int, default=4000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--rho", default="0.0,0.5,0.9", help="comma-separated values")
+    sp.add_argument(
+        "--rho", default="0.0,0.5,0.9", help="comma-separated; a negative first as --rho=-0.5,0.5"
+    )
     add_io(sp)
     sp.set_defaults(fn=_cmd_mc)
 

@@ -3,9 +3,9 @@
 All moment functions take the population correlation rho in (-1, 1) and
 return closed-form values; the Spearman variance is the one quantity
 that needs quadrature (four smooth integrals on [0, |rho|]), to a fixed
-absolute tolerance of 1e-12.  One memo keeps the values of the last
-sigma_s2 call that integrated, keyed by x = |rho|; nothing else here is
-cached.
+absolute tolerance, SIGMA_S2_TOL = 1e-12.  One memo keeps the values of
+the last sigma_s2 call that integrated, keyed by x = |rho|; nothing else
+here is cached.
 rho may also be a 1-D float64 array: every field of the result is then
 an array whose elements are bitwise the float values, because powers,
 arcsines and square roots go through taylor's `power`, `powers`, `asin`
@@ -31,6 +31,7 @@ from .taylor import Jet, asin as _arcsine, power as _pow, powers as _powers, sqr
 __all__ = [
     "MomentSet",
     "RHO_CAP",
+    "SIGMA_S2_TOL",
     "moments_r",
     "moments_t",
     "moments_s",
@@ -43,10 +44,10 @@ __all__ = [
 # queries between the cap and 1.
 RHO_CAP = 1.0 - 1e-12
 
-# Absolute tolerance of each integral: sigma_s2 carries 72/pi^2 *
-# (1+2+2+4) ~ 66 times the worst single-integral error, so this holds
-# sigma_s2 to an absolute 1e-12.
-_INTEGRAL_TOL = 1e-12 / 66.0
+# Absolute tolerance of sigma_s2, and of each integral: sigma_s2 carries
+# 72/pi^2 * (1+2+2+4) ~ 66 times the worst single-integral error.
+SIGMA_S2_TOL = 1e-12
+_INTEGRAL_TOL = SIGMA_S2_TOL / 66.0
 
 _PI2 = math.pi**2
 

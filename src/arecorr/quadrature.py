@@ -14,8 +14,8 @@ evaluates each distinct popped interval once (the K integrands of a row
 often pop the same one) and calls the integrand once, on the nodes of
 all the new intervals as a 1-D float64 array, with a mask of the
 integrands that each interval's pairs need.  The rule runs on all K
-integrands' columns at once, its sums in the same order on every
-interval; the error estimate's power 1.5 is taken by libm's pow per
+integrands' columns at once, its sums added left to right as dqk15
+adds them; the error estimate's power 1.5 is taken by libm's pow per
 element (as Python's float `**` takes it), and the worst interval is
 the first of largest error in push order, as a heap by (-err, push
 order) pops it.  So each pair's result is reproducible bit for bit and
@@ -74,13 +74,6 @@ _WGK = (
 # centre (-0.0, so that the centre node is the centre exactly), then
 # -_XGK[j], then +_XGK[j].
 _NODES = np.array((-0.0,) + tuple(-v for v in _XGK[:7]) + _XGK[:7])[:, None]
-# Weights over the rows of `_paired`: the Kronrod weights of the centre
-# and then of each node pair, and the Gauss weights of the centre and of
-# the odd pairs, with zeros at the even pairs.  Adding a zero term
-# leaves a partial sum as it is, up to the sign of an exact zero, which
-# resg's only use |resk - resg| does not see.
-_WK = np.array(_WGK[7:] + _WGK[:7])[:, None, None]
-_WGZ = np.array((_WG[3], 0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0))[:, None, None]
 
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
@@ -93,17 +86,13 @@ class Integral:
     evaluations: int
 
 
-def _paired(y: np.ndarray) -> np.ndarray:
-    """The centre row of node rows y, (15, K, m), then the sum of each pair
-    of node rows."""
-    return np.concatenate((y[:1], y[1:8] + y[8:]))
-
-
-def _sum(w: np.ndarray, paired: np.ndarray) -> np.ndarray:
-    """The sum over the rows of paired, (8, K, m), weighted by w and added
-    left to right: the centre, then the pairs."""
-    terms = w * paired
-    return np.add.accumulate(terms, out=terms)[-1].copy()
+def _kronrod(y: np.ndarray) -> np.ndarray:
+    """The Kronrod sum over node rows y, (15, K, m), added left to right as
+    dqk15 adds it: the centre, then each pair of nodes."""
+    total = _WGK[7] * y[0]
+    for j in range(7):
+        total += _WGK[j] * (y[1 + j] + y[8 + j])
+    return total
 
 
 def _gk15(f: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, need=None):
@@ -125,17 +114,19 @@ def _gk15(f: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray, need=Non
         y, x0 = float(ys.flat[at]), float(x[at % x.size])
         raise NonFinite(f"integrand returned {y!r} at x={x0!r}")
     K = ys.size // x.size
-    # The rule on all K integrands and m intervals at once.  Each
-    # block-sized temporary is dropped once summed: they set the peak
-    # memory of `verify`.
+    # The rule on all K integrands and m intervals at once.
     y = ys.reshape(K, 15, m).transpose(1, 0, 2)
     ahl = np.abs(hlgth)
-    paired = _paired(y)
-    resk, resg = _sum(_WK, paired), _sum(_WGZ, paired)
-    del paired
-    resabs = _sum(_WK, _paired(np.abs(y))) * ahl
+    resk = _kronrod(y)
+    # The Gauss sum skips the even pairs' zero weights.  Adding a zero term
+    # could change only the sign of an exact zero partial sum, which resg's
+    # only use |resk - resg| does not see.
+    resg = _WG[3] * y[0]
+    for j in range(3):
+        resg += _WG[j] * (y[2 + 2 * j] + y[9 + 2 * j])
+    resabs = _kronrod(np.abs(y)) * ahl
     dev = y - resk * 0.5
-    resasc = _sum(_WK, _paired(np.abs(dev, out=dev))) * ahl
+    resasc = _kronrod(np.abs(dev, out=dev)) * ahl
     err = np.abs((resk - resg) * hlgth)
     # QUADPACK's rescaling, in Python's min/max semantics; the power is
     # libm's pow, as Python's float `**` computes it.

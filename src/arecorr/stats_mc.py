@@ -43,7 +43,7 @@ from itertools import combinations
 import numpy as np
 import numpy.random  # noqa: F401  at import, so the first draw does not pay for it
 
-from .corrmath import _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
+from .corrmath import SIGMA_S2_TOL, _rho_value, moments_r, moments_s, moments_t, mu_s_finite_n
 from .errors import BadArgument, DegenerateSample, DomainError, TiesPresent, check_size
 from .taylor import each
 
@@ -497,12 +497,13 @@ _ESTIMATORS = {"R": pearson_r, "S": spearman_s, "T": kendall_t}
 
 def _asymptotics(stat: str, rho: float, n: int) -> tuple[float, float]:
     """(centering mean, asymptotic variance) for sqrt(n)-standardization.
-    A variance that is not > 0 raises DomainError: near |rho| = 1,
-    sigma_s2 cancels to 0 or below."""
+    A variance not above its floor raises DomainError: 0 for R and T, and
+    for S SIGMA_S2_TOL, below which sigma_s2 has no correct digit."""
     ms = (moments_r, moments_s, moments_t)[_STAT_NAMES.index(stat)](rho)
-    if not ms.sigma2 > 0.0:
+    floor = SIGMA_S2_TOL if stat == "S" else 0.0
+    if not ms.sigma2 > floor:
         raise DomainError(
-            f"asymptotic variance of {stat} at rho={rho!r} is {ms.sigma2!r}, not > 0"
+            f"asymptotic variance of {stat} at rho={rho!r} is {ms.sigma2!r}, not > {floor:g}"
         )
     return (mu_s_finite_n(rho, n) if stat == "S" else ms.mu), ms.sigma2
 
@@ -585,7 +586,7 @@ def mc_reports(rhos, n: int, reps: int, seed: int = DEFAULT_SEED) -> list[McRepo
     then those of S, then those of T.  McReport says what each field is.
 
     n, reps, seed, every rho and every asymptotic variance are checked
-    before any draw; a variance that is not > 0 raises DomainError.
+    before any draw; a variance not above its floor raises DomainError.
     Replicate i is drawn from stream i of `seed`, once for each block of
     up to _RHO_BLOCK rhos, so a report is a pure function of (stat, rho, n,
     reps, seed), and R, S and T at one rho describe the same samples.

@@ -363,6 +363,18 @@ def test_mc_emits_one_row_per_stat_and_rho(capsys) -> None:
     assert all(r["seed"] for r in rows)
 
 
+def test_mc_takes_a_rho_list_that_starts_negative_after_an_equals_sign(capsys) -> None:
+    # After a space, argparse reads "-0.5,0.5" as an option: it takes only
+    # a lone number for a negative value.
+    with pytest.raises(SystemExit) as refused:
+        main(MC_FAST + ["--rho", "-0.5,0.5"])
+    assert refused.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    rc, out, _ = _run(capsys, MC_FAST + ["--rho=-0.5,0.5"])
+    assert rc == 0
+    assert [(r["stat"], r["rho"]) for r in _rows(out)][:2] == [("R", "-0.5"), ("R", "0.5")]
+
+
 def test_mc_output_is_byte_identical_across_runs_that_each_draw_once(
     capsys, monkeypatch
 ) -> None:
@@ -637,6 +649,7 @@ _ARGVS = st.one_of(
 @example(["reduce", "--pair", "ts"])
 @example(["mc", "--n", "10", "--reps", "100", "--rho", "0.999999999"])
 @example(["mc", "--n", "10", "--reps", "100", "--rho", "-0.9999999999"])
+@example(["mc", "--n", "10", "--reps", "100", "--rho", "0.999999999999"])
 def test_every_flag_combination_ends_with_an_exit_code_not_a_traceback(argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

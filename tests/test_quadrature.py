@@ -178,6 +178,34 @@ _SCALAR_INTEGRANDS = {
 }
 
 
+def _columns(one_pass, i: int, k: int = 0) -> tuple[str, str]:
+    """Column [k, i] of a `_gk15` result, its value and err, as the
+    reference gives them."""
+    return one_pass[0, k, i].hex(), one_pass[1, k, i].hex()
+
+
+def test_one_pass_equals_the_one_node_rule_column_by_column() -> None:
+    los, his = [0.0, 1e-300, 0.25, 0.9], [1.0, 0.01, 0.75, 0.999]
+    one_pass = quadrature._gk15(_integrands, np.array(los), np.array(his))
+    assert one_pass.shape == (2, 4, len(los))
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        for k in range(4):
+            value, err = _gk15_reference(lambda u: _integrands(u)[k], lo, hi)
+            assert _columns(one_pass, i, k) == (value.hex(), err.hex())
+
+
+def test_one_pass_skips_the_zero_gauss_weights_unseen() -> None:
+    # Signed zeros: +0.0 at the Gauss pair +-_XGK[3] of [-1, 1], -0.0 at
+    # every other node.  Neither the pass nor the reference adds a Gauss
+    # term for the even pairs, and the two agree on every bit.
+    def f(u: float) -> float:
+        return 0.0 if abs(u) == _XGK[3] else -0.0
+
+    one_pass = quadrature._gk15(_elementwise(f), np.array([-1.0]), np.array([1.0]))
+    value, err = _gk15_reference(f, -1.0, 1.0)
+    assert _columns(one_pass, 0) == (value.hex(), err.hex())
+
+
 @pytest.mark.parametrize("name", sorted(_SCALAR_INTEGRANDS))
 def test_lockstep_rows_equal_the_one_node_reference(name: str) -> None:
     f = _SCALAR_INTEGRANDS[name]

@@ -761,6 +761,18 @@ def test_mc_reports_refuses_a_rho_where_sigma_s2_is_not_positive(monkeypatch) ->
         mc_reports([0.999999999], 10, 100)
 
 
+def test_mc_reports_refuses_a_rho_where_sigma_s2_has_no_correct_digit(monkeypatch) -> None:
+    # At 0.999999999999 sigma_s2 reads 2.7e-15 against a true 7.0e-24:
+    # below its absolute tolerance, so S could not be standardized by it.
+    def no_draws(*args):
+        raise AssertionError("drew before every variance was checked")
+
+    monkeypatch.setattr(stats_mc, "_normal_rows", no_draws)
+    message = r"variance of S at rho=0\.999999999999 is .*, not > 1e-12"
+    with pytest.raises(DomainError, match=message):
+        mc_reports([0.999999999999], 10, 100)
+
+
 # Each scenario runs in a fresh interpreter, since the loader runs once
 # at import and depends on what sys.modules already holds.
 _NDTRI_LOADS = {
