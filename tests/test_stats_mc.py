@@ -580,9 +580,11 @@ def _strided_inversions(seq: np.ndarray) -> np.ndarray:
     return total
 
 
-# The hypothesis test above stops at n = 65; these are mc-large's n and
-# the lengths around a power of two, where the padding changes.
-@pytest.mark.parametrize("n", [1000, 1024, 1025, 4097])
+# The hypothesis test above stops at n = 65; these are mc-large's n, the
+# lengths around a power of two, where the padding changes, 2049, the first
+# whose left-position sums pass int32, and 32768 and 32769, the last n with
+# int32 keys and the first with int64 ones.
+@pytest.mark.parametrize("n", [1000, 1024, 1025, 2049, 4097, 32768, 32769])
 def test_inversions_at_long_rows_match_the_strided_count(n) -> None:
     rng = np.random.default_rng(n)
     block = np.array(
@@ -596,9 +598,16 @@ def test_inversions_at_long_rows_match_the_strided_count(n) -> None:
         ]
     )
     counts = stats_mc._inversions(block)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, _strided_inversions(block))
     c2 = n * (n - 1) // 2
     assert counts[2] == counts[5] == c2  # every pair is an inversion
+
+
+def test_inversions_refuse_rows_whose_keys_would_pass_int64() -> None:
+    # Zero rows: the length is refused before anything is allocated.
+    with pytest.raises(DomainError, match="n <= 2"):
+        stats_mc._inversions(np.empty((0, 2**31 + 1), dtype=np.int64))
 
 
 def test_block_values_on_tied_rows_match_the_oracles() -> None:
