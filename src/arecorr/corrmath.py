@@ -30,7 +30,6 @@ from .taylor import Jet, asin as _arcsine, power as _pow, powers as _powers, sqr
 
 __all__ = [
     "MomentSet",
-    "RHO_CAP",
     "SIGMA_S2_TOL",
     "moments_r",
     "moments_t",
@@ -39,10 +38,6 @@ __all__ = [
     "sigma_s2",
     "sigma_s2_jet",
 ]
-
-# Quadrature inputs are capped at this magnitude; documented behavior for
-# queries between the cap and 1.
-RHO_CAP = 1.0 - 1e-12
 
 # Absolute tolerance of sigma_s2, and of each integral: sigma_s2 carries
 # 72/pi^2 * (1+2+2+4) ~ 66 times the worst single-integral error.
@@ -199,8 +194,7 @@ def sigma_s2(x):
         if x.ndim != 1:
             raise DomainError(f"sigma_s2 needs a 1-D array, got shape {x.shape}")
         return np.array(_memoized(x.astype(np.float64).tolist()))
-    got = _MEMO.get(x)
-    return _memoized([x])[0] if got is None else got
+    return _memoized([x])[0]
 
 
 def sigma_s2_jet(x0: float, order: int) -> Jet:
@@ -248,18 +242,14 @@ def moments_t(rho: float) -> MomentSet:
 def moments_s(rho: float) -> MomentSet:
     """Spearman S: mu = (6/pi) asin(rho/2); variance by quadrature.
 
-    sigma2 is even in rho and evaluated at |rho|; magnitudes above
-    RHO_CAP = 1 - 1e-12 are evaluated at the cap (documented behavior
-    near the endpoint).
+    sigma2 is even in rho and evaluated at |rho|.
     """
     v = _rho_values(rho)
-    ax = abs(v)
-    x = np.where(ax > RHO_CAP, RHO_CAP, ax) if isinstance(v, np.ndarray) else min(ax, RHO_CAP)
     pi = math.pi
     return MomentSet(
         mu=(6.0 / pi) * _arcsine(0.5 * v),
         dmu=3.0 / (pi * _sqrt(1.0 - 0.25 * v * v)),
-        sigma2=sigma_s2(x),
+        sigma2=sigma_s2(abs(v)),
     )
 
 

@@ -207,13 +207,8 @@ def _integrate_arrays(
                 f"error estimate {run[1, 0]:.3e} above tolerance {abs_tol:.3e} "
                 f"after {store.shape[2]} intervals"
             )
-        # Each pair's first column of largest err.  An err >= 0 orders as
-        # its bits do as an int64.  int64 max and min and float64 == are
-        # numpy loops that a run has already loaded; argmax's first call
-        # would make 64 KiB more of numpy's code resident.
-        errs, cols = store[3], np.arange(store.shape[2])
-        top = np.maximum.reduce(errs.view(np.int64), axis=1).view(np.float64)[:, None]
-        worst = np.where(errs == top, cols, len(cols)).min(axis=1)
+        # Each pair's first column of largest err.
+        worst = store[3].argmax(axis=1)
         popped = store[:, rows, worst]
         a, b = popped[0], popped[1]
         # Pairs that pop the same interval share its evaluation: the left
@@ -233,11 +228,8 @@ def _integrate_arrays(
         # halves[:, i] is the value and err of its left and right halves.
         halves = halves.reshape(2, K, 2, -1)[:, k, :, which].transpose(1, 0, 2)
         run += halves[..., 0] + halves[..., 1] - popped[2:]
-        # The next store: the kept columns, then the two halves.  The
-        # mask is set by index: an int64 compare's first call would make
-        # 128 KiB more of numpy's code resident.
-        kept = np.ones(errs.shape, dtype=bool)
-        kept[rows, worst] = False
+        # The next store: the kept columns, then the two halves.
+        kept = np.arange(store.shape[2]) != worst[:, None]
         mid = mid[which]
         pushed = np.concatenate((np.array(((a, mid), (mid, b))).transpose(0, 2, 1), halves))
         store = np.concatenate((store[:, kept].reshape(4, len(rows), -1), pushed), axis=2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arecorr import corrmath
 from arecorr.corrmath import (
     _INTEGRAL_TOL,
-    RHO_CAP,
     _integrands,
     moments_r,
     moments_s,
@@ -98,6 +97,17 @@ def test_spearman_variance_even_derivative_odd() -> None:
         assert dsigma2(moments_s, rho) == -dsigma2(moments_s, -rho)
         assert plus.dmu == minus.dmu
         assert plus.mu == -minus.mu
+
+
+def test_spearman_variance_near_one_is_sigma_s2_at_the_magnitude() -> None:
+    # Past 1 - 1e-12 too: moments_s reads sigma_s2 at |rho| itself, for
+    # floats and arrays alike.
+    xs = [1.0 - 1e-13, 0.99999999999995, math.nextafter(1.0, 0.0)]
+    rhos = xs + [-x for x in xs]
+    for rho in rhos:
+        assert moments_s(rho).sigma2.hex() == sigma_s2(abs(rho)).hex(), rho
+    got = moments_s(np.array(rhos)).sigma2
+    assert [v.hex() for v in got.tolist()] == [sigma_s2(abs(v)).hex() for v in rhos]
 
 
 def test_derivatives_match_central_differences() -> None:
@@ -237,7 +247,7 @@ def _cold_float_values(xs: list[float]) -> list[str]:
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=10))
-@example([0.0, 5e-324, 1e-300, 0.5, 0.99, RHO_CAP])
+@example([0.0, 5e-324, 1e-300, 0.5, 0.99, 1.0 - 1e-12])
 @example([0.7, 0.2, 0.7, 0.0, 0.2])
 def test_array_sigma_s2_has_the_bits_of_the_float_path(xs: list[float]) -> None:
     want = _cold_float_values(xs)
@@ -358,7 +368,7 @@ def test_array_sigma_s2_refuses_elements_outside_the_domain() -> None:
 def test_array_moments_have_the_bits_of_floats() -> None:
     # np.arcsin and numpy's `**` differ from math in the last bit on a
     # fraction of inputs, so a thousand draws expose either.
-    rhos = [0.0, -0.0, 5e-324, 1e-8, 0.005, 0.5, 0.995, RHO_CAP, math.nextafter(1.0, 0.0)]
+    rhos = [0.0, -0.0, 5e-324, 1e-8, 0.005, 0.5, 0.995, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
     rhos += [-v for v in rhos] + (2.0 * np.random.default_rng(3).random(1000) - 1.0).tolist()
     for maker in (moments_r, moments_t, moments_s):
         got = maker(np.array(rhos))
@@ -383,11 +393,11 @@ def test_array_moments_refuse_any_element_outside_the_domain() -> None:
 
 def test_no_sigma_s2_integral_takes_more_than_two_bisection_rounds() -> None:
     # The depth that the quadrature's interval store serves: at each
-    # abscissa sigma_s2 reads, from the smallest to the cap and past it,
+    # abscissa sigma_s2 reads, from the smallest to 1 - 1e-12 and past it,
     # each of the four integrals is done after its first pass and at
     # most two rounds, 15 + 30 * 2 evaluations, so holds <= 3 intervals.
     xs = interior_grid(0.0, 1.0, 999)
-    xs += [5e-324, 1e-300, 0.9999, RHO_CAP, math.nextafter(1.0, 0.0)]
+    xs += [5e-324, 1e-300, 0.9999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
     evaluations = _integrate_arrays(_integrands, [0.0] * len(xs), xs, _INTEGRAL_TOL)[2]
     assert evaluations.shape == (len(xs), 4)
     assert evaluations.max() <= 15 + 30 * 2

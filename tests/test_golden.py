@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +21,10 @@ import pytest
 from arecorr.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# The benchmark workloads' stdout digests, kept once, in bench/expected.json.
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "bench" / "expected.json").read_text(encoding="utf-8")
+)
 
 GOLDENS = {
     "table_grid99.csv": (["table", "--grid", "99"], 0),
@@ -53,24 +58,17 @@ def test_cli_output_matches_golden_bytes(name: str) -> None:
     assert _stdout_of(*GOLDENS[name]).encode("utf-8") == want
 
 
-# The `table` benchmark workload's stdout, pinned by digest (the digest in
-# bench/expected.json) because the file itself is 5,000 lines.
-TABLE_GRID4999_SHA256 = "6007c975bddecb3adfc73a03f02c94a0c2eb93b3346d58608260445633b91cd2"
-
-
+# The `table` benchmark workload's stdout, pinned by its digest because
+# the file itself is 5,000 lines.
 def test_table_grid4999_stdout_matches_its_digest() -> None:
     out = _stdout_of(["table", "--grid", "4999"]).encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == TABLE_GRID4999_SHA256
+    assert hashlib.sha256(out).hexdigest() == BENCH_DIGESTS["table"]
 
 
-# The `verify` benchmark workload's stdout, pinned by its digest in
-# bench/expected.json.
-VERIFY_GRID499_SHA256 = "e26f11722197e05bee0f36042c1c2ab7c971cd0fb8bcd02c5951dca6224ce732"
-
-
+# The `verify` benchmark workload's stdout, pinned by its digest.
 def test_verify_grid499_stdout_matches_its_digest() -> None:
     out = _stdout_of(["verify", "--grid", "499", "--format", "json"]).encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == VERIFY_GRID499_SHA256
+    assert hashlib.sha256(out).hexdigest() == BENCH_DIGESTS["verify"]
 
 
 # `reduce` at ten times its default grid, pinned by digest for its size.
@@ -82,24 +80,19 @@ def test_reduce_grid9999_stdout_matches_its_digest() -> None:
     assert hashlib.sha256(out).hexdigest() == REDUCE_GRID9999_SHA256
 
 
-# The `mc` benchmark workloads' stdout at the CLI's default seed, pinned by
-# their digests in bench/expected.json.
-MC_WORKLOAD_SHA256 = {
-    "mc-large": (
-        ["mc", "--n", "1000", "--reps", "400", "--rho", "0.0,0.5,0.9", "--seed", "20260814"],
-        "bba1555ecb514e134668b3960bb2d45eba6900da0b077e057095c5f43d8e8cba",
-    ),
-    "mc-small": (
-        ["mc", "--n", "50", "--reps", "2000", "--rho", "0.0,0.5,0.9", "--seed", "20260814"],
-        "90f03d48c2a3997f6ec1a140359dfe23b486a60a41ba68a4de366ba8aaa89b6c",
-    ),
+# The `mc` benchmark workloads' stdout at the benchmark's default seed,
+# pinned by their digests.
+MC_WORKLOADS = {
+    "mc-large": ["mc", "--n", "1000", "--reps", "400"],
+    "mc-small": ["mc", "--n", "50", "--reps", "2000"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(MC_WORKLOAD_SHA256))
+@pytest.mark.parametrize("name", sorted(MC_WORKLOADS))
 def test_mc_workload_stdout_matches_its_digest(name: str) -> None:
-    argv, digest = MC_WORKLOAD_SHA256[name]
-    assert hashlib.sha256(_stdout_of(argv).encode("utf-8")).hexdigest() == digest
+    argv = MC_WORKLOADS[name] + ["--rho", "0.0,0.5,0.9", "--seed", "20260814"]
+    out = _stdout_of(argv).encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == BENCH_DIGESTS[name]
 
 
 if __name__ == "__main__":
